@@ -17,12 +17,7 @@ from .choice import (
     StationConfig,
     SyncFractions,
     corr_fc,
-    corr_os,
-    corr_ub,
     mix_fractions,
-    n_fc,
-    n_qm,
-    n_sc,
     q_fc,
     s_chsh_fc,
     s_chsh_fixed,
@@ -71,6 +66,7 @@ from .sweep import (
     aspect_point,
     aspect_stations,
     find_extrema,
+    measure_bell,
     run_sweep,
     series_extrema,
 )

@@ -2,22 +2,24 @@
 
 When a station switches its polarizer between two settings during photon
 flight, the texture imprinted on the source can lag the setting actually used
-for the measurement.  Writing f_A for the fraction of time Alice's
-texture-epoch setting equals her measurement setting (f_B for Bob), the
-effective hidden-angle distribution for a measured pair is a four-way convex
-combination of two-station texture mixtures.  With
+for the measurement.  Each analyzer sends its own texture to the source, so
+each station's share of the hidden-angle mixture is fixed by that station
+alone.  Writing f_A for the fraction of time Alice's texture-epoch setting
+equals her measurement setting (f_B for Bob) and w_A, w_B for the stations'
+texture weights, the correlation at measured settings (a, b) with alternates
+(a', b') is
 
-    f  = (f_A + f_B) / 2        f' = (f_A - f_B) / 2
+    E(a,b) = w_A * [f_A c(a) + (1-f_A) c(a')] + w_B * [f_B c(b) + (1-f_B) c(b')]
 
-the measured correlation splits into in-sync, out-of-sync and unbalanced
-parts,
+    c(s) = cos(2(a-s)) * cos(2(b-s)),
 
-    E = f * cos(2(a-b)) + (1-f) * E_os(a,b; a',b') + f' * E_ub(a,b; a',b'),
+the atom sum of a texture pair at s and s - pi/2.  Every closed form here is
+built from this one expression.  With equal weights, c(a) = c(b) =
+cos(2(a-b)) and f = (f_A + f_B)/2, f' = (f_A - f_B)/2 split it into in-sync,
+out-of-sync and unbalanced parts,
 
-and the same decomposition holds for the both-click probability n(a, b) used
-by the single-channel Bell quantity S'.  All closed forms here are exact
-finite trigonometric expressions; each one is cross-checked against the atom
-expansion of its mixture in the test suite.
+    E = f cos(2(a-b)) + (1-f) E_os + f' E_ub,
+    E_os = [c(a') + c(b')] / 2,        E_ub = [c(b') - c(a')] / 2.
 
 Sign conventions for the two Bell quantities, at measured settings drawn from
 the quad (a, b, a', b'):
@@ -25,24 +27,29 @@ the quad (a, b, a', b'):
     S  = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|        LHV bound |S| <= 2
     S' = n(a,b) - n(a,b') + n(a',b) + n(a',b') - 1      LHV bound -1 <= S' <= 0
 
-The two subtracted singles terms of S' are 1/2 each for every mixture built
-here (the atom pairs at s and s - pi/2 average Malus's law to 1/2); the Monte
-Carlo engine estimates them instead of assuming them.
+Malus outcomes give the both-click probability n = (1 + E)/4 for every
+mixture built here (each station clicks half the time, and the atom pairs at
+s and s - pi/2 average Malus's law to 1/2), so with S_signed the sum inside
+|.| above, S' = S_signed/4 - 1/2.  The Monte Carlo engine estimates n and the
+singles terms directly instead of assuming them, and the atom expansions
+``q_fc``, ``s_chsh_mixture`` and ``s_prime_mixture`` stay as an independent
+check of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .models import (
+    WEIGHT_TOL,
     HvMixture,
     Model,
     ValidationError,
     coincidence_mixture,
     corr,
     corr_mixture,
-    corr_qm,
     normalize_angle,
     texture_mixture,
 )
@@ -140,10 +147,12 @@ class StationConfig:
 def sync_fraction(frequency: float, round_trip_time: float) -> float:
     """In-sync fraction for 50%-duty square-wave switching.
 
-    (1/pi) * arccos(cos(2*pi*(T*nu - 1/2))) for round trip T and frequency
-    nu: a triangle wave in T*nu that is 1 whenever the round trip holds an
-    integer number of switching periods and 0 at half-integers.  A station
-    that never switches (nu = 0) is always in sync.
+    1 - 2|x - round(x)| with x = T*nu for round trip T and frequency nu: a
+    triangle wave in x that is 1 whenever the round trip holds an integer
+    number of switching periods and 0 at half-integers.  This is
+    (1/pi) * arccos(cos(2*pi*(x - 1/2))) without the arccos, which loses
+    half the digits near the nodes.  A station that never switches (nu = 0)
+    is always in sync.
     """
     if round_trip_time <= 0.0:
         raise ValidationError("round_trip_time must be > 0")
@@ -152,7 +161,7 @@ def sync_fraction(frequency: float, round_trip_time: float) -> float:
     if frequency == 0.0:
         return 1.0
     x = round_trip_time * frequency
-    return math.acos(math.cos(2.0 * math.pi * (x - 0.5))) / math.pi
+    return 1.0 - 2.0 * abs(x - round(x))
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,13 @@ def fractions_for(alice: StationConfig, bob: StationConfig) -> SyncFractions:
 EQUAL_WEIGHTS = (0.5, 0.5)
 
 
+def check_station_weights(weights: tuple[float, float]) -> None:
+    """Texture weights (w_A, w_B) must be nonnegative and sum to 1."""
+    w_a, w_b = weights
+    if w_a < 0.0 or w_b < 0.0 or abs(w_a + w_b - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"station weights {weights!r} must be >= 0 and sum to 1")
+
+
 def q_fc(
     quad: ChoiceQuad,
     sf: SyncFractions,
@@ -215,138 +231,70 @@ def q_fc(
     return HvMixture(tuple(atoms))
 
 
-def corr_os(a: float, b: float, a_alt: float, b_alt: float) -> float:
-    """Out-of-sync correlation: measured (a, b), texture from (a_alt, b_alt).
-
-    (1/2) * {cos(2(a-b)) + cos(2(a+b-a'-b')) * cos(2(a'-b'))}; equals the
-    atom sum of the (a_alt, b_alt) texture mixture.
-    """
-    return 0.5 * (
-        math.cos(2.0 * (a - b))
-        + math.cos(2.0 * (a + b - a_alt - b_alt)) * math.cos(2.0 * (a_alt - b_alt))
-    )
-
-
-def corr_ub(a: float, b: float, a_alt: float, b_alt: float) -> float:
-    """Unbalanced correlation term, active only when f_A != f_B.
-
-    (1/2) * sin(2(a'+b'-a-b)) * sin(2(a'-b')); equals the difference of the
-    mixed-epoch atom sums (a, b_alt) minus (a_alt, b).
-    """
-    return 0.5 * math.sin(2.0 * (a_alt + b_alt - a - b)) * math.sin(2.0 * (a_alt - b_alt))
-
-
-def corr_fc(quad: ChoiceQuad, sf: SyncFractions) -> float:
-    """Measured correlation under setting choice (equal station weights).
-
-    f * E_is + (1-f) * E_os + f' * E_ub; identical to the atom expansion
-    corr_mixture(a, b, q_fc(quad, sf)).
-    """
-    return (
-        sf.f * corr_qm(quad.a, quad.b)
-        + (1.0 - sf.f) * corr_os(quad.a, quad.b, quad.a_alt, quad.b_alt)
-        + sf.f_prime * corr_ub(quad.a, quad.b, quad.a_alt, quad.b_alt)
-    )
-
-
-def s_chsh_fc(quad: ChoiceQuad, sf: SyncFractions) -> float:
-    """Bell S under setting choice; equals 2*sqrt(2)*f at the standard quad."""
-    total = 0.0
-    for term, sign in quad.bell_terms():
-        total += sign * corr_fc(term, sf)
-    return abs(total)
-
-
-def s_chsh_fixed(model: Model, quad: ChoiceQuad) -> float:
-    """Bell S for a fixed-settings model (no switching)."""
-    total = 0.0
-    for term, sign in quad.bell_terms():
-        total += sign * corr(model, term.a, term.b)
-    return abs(total)
-
-
-def s_chsh_mixture(
+def corr_fc(
     quad: ChoiceQuad,
     sf: SyncFractions,
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
-    """Bell S from the mixture expansion; supports unequal station weights."""
-    total = 0.0
-    for term, sign in quad.bell_terms():
-        total += sign * corr_mixture(term.a, term.b, q_fc(term, sf, station_weights))
-    return abs(total)
+    """Measured correlation E(a, b) under setting choice, per station.
 
-
-# --- single-channel (both-click) probabilities n(a, b) ---------------------
-
-
-def _other_setting(measured: float, first: float, second: float) -> float:
-    """The station's alternate setting given the measured one."""
-    measured = normalize_angle(measured)
-    if math.isclose(measured, first, rel_tol=0.0, abs_tol=1e-12):
-        return second
-    if math.isclose(measured, second, rel_tol=0.0, abs_tol=1e-12):
-        return first
-    raise ValidationError(f"measured setting {measured!r} is not in the quad")
-
-
-def n_qm(a: float, b: float) -> float:
-    """Quantum both-click probability cos^2(a - b)/2 (also texture, in sync)."""
-    c = math.cos(a - b)
-    return c * c / 2.0
-
-
-def n_sc(a: float, b: float) -> float:
-    """Semiclassical both-click probability (2 + cos(2(a - b)))/8."""
-    return (2.0 + math.cos(2.0 * (a - b))) / 8.0
-
-
-def n_os(a: float, b: float, a_alt: float, b_alt: float) -> float:
-    """Out-of-sync both-click probability (texture from the alternates)."""
-    return (
-        2.0
-        + math.cos(2.0 * (a - b))
-        + math.cos(2.0 * (a + b - a_alt - b_alt)) * math.cos(2.0 * (a_alt - b_alt))
-    ) / 8.0
-
-
-def n_ub(a: float, b: float, a_alt: float, b_alt: float) -> float:
-    """Unbalanced both-click term."""
-    return math.sin(2.0 * (a_alt + b_alt - a - b)) * math.sin(2.0 * (a_alt - b_alt)) / 8.0
-
-
-def n_fc(quad: ChoiceQuad, sf: SyncFractions) -> float:
-    """Both-click probability under setting choice (equal station weights)."""
-    return (
-        sf.f * n_qm(quad.a, quad.b)
-        + (1.0 - sf.f) * n_os(quad.a, quad.b, quad.a_alt, quad.b_alt)
-        + sf.f_prime * n_ub(quad.a, quad.b, quad.a_alt, quad.b_alt)
-    )
-
-
-def coincidence_prob(
-    model_or_sf: Model | SyncFractions,
-    a: float,
-    b: float,
-    quad: ChoiceQuad | None = None,
-) -> float:
-    """Both-click probability n(a, b) for a model or for choice fractions.
-
-    Pass a ``Model`` for the fixed-settings closed forms (quantum and
-    texture-in-sync share cos^2(a-b)/2), or ``SyncFractions`` plus the full
-    quad for the choice decomposition.
+    Identical to the atom expansion corr_mixture(a, b, q_fc(quad, sf, w)).
     """
-    if isinstance(model_or_sf, SyncFractions):
-        if quad is None:
-            raise ValidationError("choice fractions require the full quad")
-        a_alt = _other_setting(a, quad.a, quad.a_alt)
-        b_alt = _other_setting(b, quad.b, quad.b_alt)
-        return n_fc(ChoiceQuad(a, b, a_alt, b_alt), model_or_sf)
-    if model_or_sf in (Model.QUANTUM, Model.TEXTURE):
-        return n_qm(a, b)
-    if model_or_sf is Model.SEMI_CLASSICAL:
-        return n_sc(a, b)
-    raise ValidationError(f"no both-click closed form for {model_or_sf!r}")
+    check_station_weights(station_weights)
+    a, b = quad.a, quad.b
+
+    def c(s: float) -> float:
+        return math.cos(2.0 * (a - s)) * math.cos(2.0 * (b - s))
+
+    w_a, w_b = station_weights
+    fa, fb = sf.f_alice, sf.f_bob
+    return (w_a * (fa * c(a) + (1.0 - fa) * c(quad.a_alt))
+            + w_b * (fb * c(b) + (1.0 - fb) * c(quad.b_alt)))
+
+
+def _signed_chsh(quad: ChoiceQuad, corr_of: Callable[[ChoiceQuad], float]) -> float:
+    """E(a,b) - E(a,b') + E(a',b) + E(a',b'), each term its own measured pair."""
+    return sum(sign * corr_of(term) for term, sign in quad.bell_terms())
+
+
+def s_chsh_fc(
+    quad: ChoiceQuad,
+    sf: SyncFractions,
+    station_weights: tuple[float, float] = EQUAL_WEIGHTS,
+) -> float:
+    """Bell S under setting choice; equals 2*sqrt(2)*f at the standard quad."""
+    return abs(_signed_chsh(quad, lambda term: corr_fc(term, sf, station_weights)))
+
+
+def s_prime_fc(
+    quad: ChoiceQuad,
+    sf: SyncFractions,
+    station_weights: tuple[float, float] = EQUAL_WEIGHTS,
+) -> float:
+    """S' under setting choice: S_signed/4 - 1/2."""
+    return _signed_chsh(quad, lambda term: corr_fc(term, sf, station_weights)) / 4.0 - 0.5
+
+
+def s_chsh_fixed(model: Model, quad: ChoiceQuad) -> float:
+    """Bell S for a fixed-settings model (no switching)."""
+    return abs(_signed_chsh(quad, lambda term: corr(model, term.a, term.b)))
+
+
+def s_prime_fixed(model: Model, quad: ChoiceQuad) -> float:
+    """S' for a fixed-settings model with Malus outcomes."""
+    if model is Model.MAX_CLASSICAL_LHV:
+        raise ValidationError(f"no both-click closed form for {model!r}")
+    return _signed_chsh(quad, lambda term: corr(model, term.a, term.b)) / 4.0 - 0.5
+
+
+def s_prime_fc_closed(f: float) -> float:
+    """S' at the standard quad as a function of f alone: -1/2 + f/sqrt(2)."""
+    if not 0.0 <= f <= 1.0:
+        raise ValidationError(f"f {f!r} outside [0, 1]")
+    return -0.5 + f / SQRT2
+
+
+# --- atom expansion: an independent check of the closed forms ---------------
 
 
 def s_prime(
@@ -365,31 +313,16 @@ def s_prime(
     return n1 - n2 + n3 + n4 - singles[0] - singles[1]
 
 
-def s_prime_fixed(model: Model, quad: ChoiceQuad) -> float:
-    """S' for a fixed-settings model."""
-    return s_prime(
-        (
-            coincidence_prob(model, quad.a, quad.b),
-            coincidence_prob(model, quad.a, quad.b_alt),
-            coincidence_prob(model, quad.a_alt, quad.b),
-            coincidence_prob(model, quad.a_alt, quad.b_alt),
-        )
-    )
-
-
-def s_prime_fc(quad: ChoiceQuad, sf: SyncFractions) -> float:
-    """S' under setting choice, assembled from the four rotated n terms."""
-    values = []
-    for term, _ in quad.bell_terms():
-        values.append(n_fc(term, sf))
-    return s_prime(tuple(values))
-
-
-def s_prime_fc_closed(f: float) -> float:
-    """S' at the standard quad as a function of f alone: -1/2 + f/sqrt(2)."""
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError(f"f {f!r} outside [0, 1]")
-    return -0.5 + f / SQRT2
+def s_chsh_mixture(
+    quad: ChoiceQuad,
+    sf: SyncFractions,
+    station_weights: tuple[float, float] = EQUAL_WEIGHTS,
+) -> float:
+    """Bell S from the mixture expansion."""
+    total = 0.0
+    for term, sign in quad.bell_terms():
+        total += sign * corr_mixture(term.a, term.b, q_fc(term, sf, station_weights))
+    return abs(total)
 
 
 def s_prime_mixture(
@@ -397,7 +330,7 @@ def s_prime_mixture(
     sf: SyncFractions,
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
-    """S' from the mixture expansion; supports unequal station weights."""
+    """S' from the both-click probabilities of the mixture expansion."""
     values = []
     for term, _ in quad.bell_terms():
         values.append(coincidence_mixture(term.a, term.b, q_fc(term, sf, station_weights)))

@@ -28,24 +28,21 @@ from pathlib import Path
 
 from . import __version__
 from .choice import (
+    ASPECT_ROUND_TRIP,
     ChoiceQuad,
     StationConfig,
     SyncFractions,
+    corr_fc,
     fractions_for,
     mix_fractions,
-    n_fc,
     s_chsh_fc,
     s_prime_fc,
-    corr_fc,
+    sync_fraction,
 )
 from .models import Model, ValidationError, corr
-from .montecarlo import (
-    RngSpec,
-    estimate_s_chsh,
-    estimate_s_prime,
-    run_choice_trials,
-    run_timeline,
-)
+from .montecarlo import RngSpec, run_timeline
+# importable here so that benchmarks/spans.py can wrap them by this module's name
+from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
 from .output import format_float, render_csv, render_jsonl, write_table
 from .svgplot import LinePlot
 from .sweep import (
@@ -55,6 +52,7 @@ from .sweep import (
     SweepSpec,
     SweepVariable,
     aspect_point,
+    measure_bell,
     run_sweep,
 )
 from .units import parse_angle_list, parse_frequency, parse_time
@@ -90,9 +88,16 @@ class Options:
         value = self._args.get(name)
         if value is None:
             value = self._cfg.get(name, default)
-        if value is None:
-            return None
-        return parse(value) if parse is not None else value
+        if value is None or parse is None:
+            return value
+        try:
+            return parse(value)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"--{name.replace('_', '-')}: cannot parse {value!r} ({exc})"
+            ) from None
 
 
 def _provenance(command: str, seed, params: dict) -> dict:
@@ -134,6 +139,31 @@ def _emit(opts: Options, rows: list[dict], provenance: dict) -> None:
         write_table(output, rows, provenance, fmt)
 
 
+def _text_report(opts: Options) -> bool:
+    """No --output and no --format: print ``key: value`` lines instead of a table."""
+    return opts.get("output") is None and opts.get("format") is None
+
+
+def _print_row(row: dict) -> None:
+    for key, value in row.items():
+        print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
+
+
+def _emit_row(opts: Options, row: dict, provenance: dict) -> None:
+    if _text_report(opts):
+        _print_row(row)
+    else:
+        _emit(opts, [row], provenance)
+
+
+def _emit_plot(opts: Options, plot: LinePlot) -> None:
+    output = opts.get("output")
+    if output is None:
+        sys.stdout.write(plot.render())
+    else:
+        plot.write(output)
+
+
 # --- curves -------------------------------------------------------------------
 
 
@@ -166,11 +196,7 @@ def cmd_curves(opts: Options) -> int:
             if m in models:
                 plot.add_series(m.value, [r["delta"] for r in rows],
                                 [r[m.value] for r in rows])
-        output = opts.get("output")
-        if output is None:
-            sys.stdout.write(plot.render())
-        else:
-            plot.write(output)
+        _emit_plot(opts, plot)
         return 0
     _emit(opts, rows, provenance)
     return 0
@@ -179,44 +205,64 @@ def cmd_curves(opts: Options) -> int:
 # --- bell ---------------------------------------------------------------------
 
 
-def _resolve_fractions(opts: Options) -> tuple[SyncFractions, StationConfig | None, StationConfig | None, dict]:
-    """Sync fractions from --f, --f-a/--f-b, or station frequencies."""
-    quad = ChoiceQuad(*opts.get("quad", STANDARD_QUAD_TEXT, parse=lambda v: parse_angle_list(v, 4)))
+def _parse_quad(text: str) -> ChoiceQuad:
+    return ChoiceQuad(*parse_angle_list(text, 4))
+
+
+def _stations(opts: Options, phases: bool = True) -> tuple[ChoiceQuad, StationConfig, StationConfig, dict]:
+    """The quad and both stations from --quad, --nu-a/--nu-b (default 0, not
+    switching), --round-trip[-a|-b] and, unless ``phases`` is off,
+    --phase-a/--phase-b; with the provenance params that rebuild them."""
+    quad = opts.get("quad", STANDARD_QUAD_TEXT, parse=_parse_quad)
+    rt = opts.get("round_trip", ASPECT_ROUND_TRIP, parse=parse_time)
+
+    def station(key: str, setting_1: float, setting_2: float) -> StationConfig:
+        return StationConfig(
+            setting_1, setting_2,
+            opts.get(f"nu_{key}", 0.0, parse=parse_frequency),
+            opts.get(f"phase_{key}", 0.0, parse=float) if phases else 0.0,
+            opts.get(f"round_trip_{key}", rt, parse=parse_time),
+        )
+
+    alice = station("a", quad.a, quad.a_alt)
+    bob = station("b", quad.b, quad.b_alt)
+    params = {
+        "quad": _quad_text(quad),
+        "nu_a": repr(alice.switch_frequency), "nu_b": repr(bob.switch_frequency),
+        "round_trip_a": repr(alice.round_trip_time),
+        "round_trip_b": repr(bob.round_trip_time),
+    }
+    if phases:
+        params.update(phase_a=alice.switch_phase, phase_b=bob.switch_phase)
+    return quad, alice, bob, params
+
+
+def _resolve_fractions(opts: Options) -> tuple[ChoiceQuad, SyncFractions, tuple | None, dict]:
+    """Sync fractions from --f, --f-a/--f-b, or station frequencies; the
+    stations come back only for the last."""
+    quad, alice, bob, station_params = _stations(opts)
     f = opts.get("f", parse=float)
     f_a = opts.get("f_a", parse=float)
     f_b = opts.get("f_b", parse=float)
-    nu_a = opts.get("nu_a", parse=parse_frequency)
-    nu_b = opts.get("nu_b", parse=parse_frequency)
-    rt = opts.get("round_trip", parse=parse_time)
-    rt_a = opts.get("round_trip_a", rt, parse=parse_time)
-    rt_b = opts.get("round_trip_b", rt, parse=parse_time)
-    params: dict = {"quad": _quad_text(quad)}
-    alice = bob = None
+    params: dict = {"quad": station_params["quad"]}
     if f is not None:
-        sf = mix_fractions(f, f)
-        params["f"] = f
-    elif f_a is not None or f_b is not None:
+        return quad, mix_fractions(f, f), None, {**params, "f": f}
+    if f_a is not None or f_b is not None:
         if f_a is None or f_b is None:
             raise ValidationError("--f-a and --f-b must be given together")
-        sf = mix_fractions(f_a, f_b)
-        params["f_a"], params["f_b"] = f_a, f_b
-    elif nu_a is not None or nu_b is not None:
-        if nu_a is None or nu_b is None:
+        return quad, mix_fractions(f_a, f_b), None, {**params, "f_a": f_a, "f_b": f_b}
+    given = [opts.get(key) is not None for key in ("nu_a", "nu_b")]
+    if any(given):
+        if not all(given):
             raise ValidationError("--nu-a and --nu-b must be given together")
-        kw_a = {"round_trip_time": rt_a} if rt_a is not None else {}
-        kw_b = {"round_trip_time": rt_b} if rt_b is not None else {}
-        alice = StationConfig(quad.a, quad.a_alt, nu_a,
-                              opts.get("phase_a", 0.0, parse=float), **kw_a)
-        bob = StationConfig(quad.b, quad.b_alt, nu_b,
-                            opts.get("phase_b", 0.0, parse=float), **kw_b)
-        sf = fractions_for(alice, bob)
-        params.update(nu_a=repr(nu_a), nu_b=repr(nu_b),
-                      round_trip_a=repr(alice.round_trip_time),
-                      round_trip_b=repr(bob.round_trip_time),
-                      phase_a=alice.switch_phase, phase_b=bob.switch_phase)
-    else:
-        raise ValidationError("give --f, --f-a/--f-b, or --nu-a/--nu-b")
-    return sf, alice, bob, params
+        return quad, fractions_for(alice, bob), (alice, bob), station_params
+    raise ValidationError("give --f, --f-a/--f-b, or --nu-a/--nu-b")
+
+
+_BELL_LABELS = {
+    "s": ("e_ab", "e_ab_alt", "e_a_alt_b", "e_a_alt_b_alt"),
+    "sprime": ("n_ab", "n_ab_alt", "n_a_alt_b", "n_a_alt_b_alt"),
+}
 
 
 def cmd_bell(opts: Options) -> int:
@@ -226,8 +272,7 @@ def cmd_bell(opts: Options) -> int:
     engine = opts.get("engine", "closed")
     if engine not in ("closed", "mc", "both"):
         raise ValidationError(f"unknown engine {engine!r}")
-    sf, alice, bob, params = _resolve_fractions(opts)
-    quad = ChoiceQuad(*parse_angle_list(params["quad"], 4))
+    quad, sf, stations, params = _resolve_fractions(opts)
     seed = opts.get("seed", DEFAULT_SEED, parse=int)
 
     row: dict = {
@@ -237,15 +282,11 @@ def cmd_bell(opts: Options) -> int:
         "f": sf.f,
         "f_prime": sf.f_prime,
     }
-    terms = quad.bell_terms()
-    if form == "s":
-        for (term, _), label in zip(terms, ("e_ab", "e_ab_alt", "e_a_alt_b", "e_a_alt_b_alt")):
-            row[label] = corr_fc(term, sf)
-        row["value"] = s_chsh_fc(quad, sf)
-    else:
-        for (term, _), label in zip(terms, ("n_ab", "n_ab_alt", "n_a_alt_b", "n_a_alt_b_alt")):
-            row[label] = n_fc(term, sf)
-        row["value"] = s_prime_fc(quad, sf)
+    for (term, _), label in zip(quad.bell_terms(), _BELL_LABELS[form]):
+        e = corr_fc(term, sf)
+        # Malus outcomes: n(a, b) = (1 + E(a, b)) / 4
+        row[label] = e if form == "s" else (1.0 + e) / 4.0
+    row["value"] = s_chsh_fc(quad, sf) if form == "s" else s_prime_fc(quad, sf)
 
     if engine in ("mc", "both"):
         pairs = opts.get("pairs", 1_000_000, parse=int)
@@ -253,30 +294,16 @@ def cmd_bell(opts: Options) -> int:
             raise ValidationError("monte carlo needs --pairs >= 1")
         duration = opts.get("duration", 1e-3, parse=parse_time)
         workers = opts.get("workers", 1, parse=int)
-        if alice is not None and bob is not None:
-            main_t = run_timeline(alice, bob, pairs, duration, RngSpec(seed, 1), workers=workers)
-            a_only = run_timeline(alice, bob, pairs, duration, RngSpec(seed, 2),
-                                  pbs=(True, False), workers=workers)
-            b_only = run_timeline(alice, bob, pairs, duration, RngSpec(seed, 3),
-                                  pbs=(False, True), workers=workers)
-        else:
-            main_t = run_choice_trials(quad, sf, pairs, RngSpec(seed, 1))
-            a_only = run_choice_trials(quad, sf, pairs, RngSpec(seed, 2), pbs=(True, False))
-            b_only = run_choice_trials(quad, sf, pairs, RngSpec(seed, 3), pbs=(False, True))
-        est = (estimate_s_chsh(main_t, quad) if form == "s"
-               else estimate_s_prime(main_t, a_only, b_only, quad))
+        s_p, s_c = measure_bell(quad, pairs, RngSpec(seed), sf=sf, stations=stations,
+                                duration=duration, workers=workers)
+        est = s_c if form == "s" else s_p
         row["mc_value"] = est.value
         row["mc_std_error"] = est.std_error
         row["mc_pairs"] = est.n_trials
         params.update(pairs=pairs, duration=repr(duration))
     params.update(form=form, engine=engine, format=opts.get("format", "csv"))
 
-    provenance = _provenance("bell", seed, params)
-    if opts.get("output") is None and opts.get("format") is None:
-        for key, value in row.items():
-            print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
-        return 0
-    _emit(opts, [row], provenance)
+    _emit_row(opts, row, _provenance("bell", seed, params))
     return 0
 
 
@@ -293,24 +320,12 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
     stop = opts.get("stop", parse=parse_x)
     if start is None or stop is None:
         raise ValidationError("sweep needs --start and --stop")
-    quad = ChoiceQuad(*opts.get("quad", STANDARD_QUAD_TEXT, parse=lambda v: parse_angle_list(v, 4)))
-    rt = opts.get("round_trip", parse=parse_time)
-    rt_a = opts.get("round_trip_a", rt, parse=parse_time)
-    rt_b = opts.get("round_trip_b", rt, parse=parse_time)
-    kw_a = {"round_trip_time": rt_a} if rt_a is not None else {}
-    kw_b = {"round_trip_time": rt_b} if rt_b is not None else {}
-    nu_a = opts.get("nu_a", 0.0, parse=parse_frequency)
-    nu_b = opts.get("nu_b", 0.0, parse=parse_frequency)
-    alice = StationConfig(quad.a, quad.a_alt, nu_a, **kw_a)
-    bob = StationConfig(quad.b, quad.b_alt, nu_b, **kw_b)
+    # the sweep has no phase flags; its stations switch in phase
+    quad, alice, bob, station_params = _stations(opts, phases=False)
     engines = tuple(e for e in str(opts.get("engines", CLOSED_FORM)).split(",") if e)
-    weights_text = opts.get("weights")
-    weights = None
-    if weights_text is not None:
-        parts = [float(p) for p in str(weights_text).split(",")]
-        if len(parts) != 2:
-            raise ValidationError("--weights needs two comma-separated values")
-        weights = (parts[0], parts[1])
+    weights = opts.get("weights", parse=lambda v: tuple(float(p) for p in str(v).split(",")))
+    if weights is not None and len(weights) != 2:
+        raise ValidationError("--weights needs two comma-separated values")
     seed = opts.get("seed", DEFAULT_SEED, parse=int)
     spec = SweepSpec(
         variable=variable,
@@ -331,11 +346,7 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
         "start": repr(start),
         "stop": repr(stop),
         "points": spec.num_points,
-        "quad": _quad_text(quad),
-        "nu_a": repr(nu_a),
-        "nu_b": repr(nu_b),
-        "round_trip_a": repr(alice.round_trip_time),
-        "round_trip_b": repr(bob.round_trip_time),
+        **station_params,
         "engines": ",".join(engines),
         "format": opts.get("format", "csv"),
     }
@@ -393,12 +404,7 @@ def cmd_sweep(opts: Options) -> int:
     if which not in ("s_prime", "s_chsh"):
         raise ValidationError(f"unknown plot field {which!r}")
     if fmt == "svg":
-        plot = _sweep_plot(series, provenance, which)
-        output = opts.get("output")
-        if output is None:
-            sys.stdout.write(plot.render())
-        else:
-            plot.write(output)
+        _emit_plot(opts, _sweep_plot(series, provenance, which))
     else:
         _emit(opts, _series_rows(series), provenance)
     plot_path = opts.get("plot")
@@ -415,11 +421,9 @@ def cmd_sync(opts: Options) -> int:
     if nu_a is None:
         raise ValidationError("sync needs --nu-a")
     nu_b = opts.get("nu_b", parse=parse_frequency)
-    rt = opts.get("round_trip", 43e-9, parse=parse_time)
+    rt = opts.get("round_trip", ASPECT_ROUND_TRIP, parse=parse_time)
     rt_a = opts.get("round_trip_a", rt, parse=parse_time)
     rt_b = opts.get("round_trip_b", rt, parse=parse_time)
-    from .choice import sync_fraction
-
     f_a = sync_fraction(nu_a, rt_a)
     row: dict = {"nu_a": nu_a, "round_trip_a": rt_a, "f_alice": f_a}
     params = {"nu_a": repr(nu_a), "round_trip_a": repr(rt_a),
@@ -429,11 +433,7 @@ def cmd_sync(opts: Options) -> int:
         sf = mix_fractions(f_a, f_b)
         row.update(nu_b=nu_b, round_trip_b=rt_b, f_bob=f_b, f=sf.f, f_prime=sf.f_prime)
         params.update(nu_b=repr(nu_b), round_trip_b=repr(rt_b))
-    if opts.get("output") is None and opts.get("format") is None:
-        for key, value in row.items():
-            print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
-        return 0
-    _emit(opts, [row], _provenance("sync", None, params))
+    _emit_row(opts, row, _provenance("sync", None, params))
     return 0
 
 
@@ -443,10 +443,9 @@ def cmd_sync(opts: Options) -> int:
 def cmd_aspect(opts: Options) -> int:
     report = aspect_point()
     row = report.as_dict()
-    if opts.get("output") is None and opts.get("format") is None:
+    if _text_report(opts):
         print("1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)")
-        for key, value in row.items():
-            print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
+        _print_row(row)
         print(
             f"predicted S' {format_float(report.reported.s_prime)} vs measured "
             f"{report.measured_s_prime} +/- {report.measured_s_prime_error}"
@@ -466,31 +465,14 @@ def cmd_export_trials(opts: Options) -> int:
     output = opts.get("output")
     if output is None:
         raise ValidationError("export-trials needs --output")
-    quad = ChoiceQuad(*opts.get("quad", STANDARD_QUAD_TEXT, parse=lambda v: parse_angle_list(v, 4)))
-    nu_a = opts.get("nu_a", 0.0, parse=parse_frequency)
-    nu_b = opts.get("nu_b", 0.0, parse=parse_frequency)
-    rt = opts.get("round_trip", parse=parse_time)
-    rt_a = opts.get("round_trip_a", rt, parse=parse_time)
-    rt_b = opts.get("round_trip_b", rt, parse=parse_time)
-    kw_a = {"round_trip_time": rt_a} if rt_a is not None else {}
-    kw_b = {"round_trip_time": rt_b} if rt_b is not None else {}
-    alice = StationConfig(quad.a, quad.a_alt, nu_a, opts.get("phase_a", 0.0, parse=float), **kw_a)
-    bob = StationConfig(quad.b, quad.b_alt, nu_b, opts.get("phase_b", 0.0, parse=float), **kw_b)
+    _quad, alice, bob, params = _stations(opts)
     duration = opts.get("duration", 1e-3, parse=parse_time)
     emission = opts.get("emission", "uniform")
     workers = opts.get("workers", 1, parse=int)
     seed = opts.get("seed", DEFAULT_SEED, parse=int)
     trials = run_timeline(alice, bob, pairs, duration, RngSpec(seed),
                           emission=emission, workers=workers)
-    params = {
-        "quad": _quad_text(quad),
-        "nu_a": repr(nu_a), "nu_b": repr(nu_b),
-        "round_trip_a": repr(alice.round_trip_time),
-        "round_trip_b": repr(bob.round_trip_time),
-        "phase_a": alice.switch_phase, "phase_b": bob.switch_phase,
-        "pairs": pairs, "duration": repr(duration),
-        "emission": emission,
-    }
+    params.update(pairs=pairs, duration=repr(duration), emission=emission)
     provenance = _provenance("export-trials", seed, params)
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
@@ -520,6 +502,18 @@ def build_parser() -> _Parser:
         p.add_argument("--output", help="output file path (default: stdout)")
         p.add_argument("--format", help="csv | jsonl | svg (where supported)")
 
+    def stations(p, phases=True):
+        # the flags _stations reads
+        p.add_argument("--quad", help="a,b,a',b' as tagged angles")
+        p.add_argument("--nu-a", help="Alice's switching frequency (default 0: fixed)")
+        p.add_argument("--nu-b", help="Bob's switching frequency (default 0: fixed)")
+        p.add_argument("--round-trip", help="shared round trip time, e.g. 43ns (default 43ns)")
+        p.add_argument("--round-trip-a", help="Alice's round trip time")
+        p.add_argument("--round-trip-b", help="Bob's round trip time")
+        if phases:
+            p.add_argument("--phase-a", help="Alice's switching phase (rad)")
+            p.add_argument("--phase-b", help="Bob's switching phase (rad)")
+
     p = sub.add_parser("curves", help="correlation-vs-angle tables for the four models")
     common(p)
     p.add_argument("--models", help="comma list from qm,sc,vt,mclhv")
@@ -527,19 +521,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bell", help="one Bell value (S or S') with its components")
     common(p)
-    p.add_argument("--quad", help="a,b,a',b' as tagged angles")
+    stations(p)
     p.add_argument("--form", help="sprime | s")
     p.add_argument("--engine", help="closed | mc | both")
     p.add_argument("--f", help="common sync fraction")
     p.add_argument("--f-a", help="Alice's sync fraction")
     p.add_argument("--f-b", help="Bob's sync fraction")
-    p.add_argument("--nu-a", help="Alice's switching frequency")
-    p.add_argument("--nu-b", help="Bob's switching frequency")
-    p.add_argument("--round-trip", help="shared round trip time, e.g. 43ns (default 43ns)")
-    p.add_argument("--round-trip-a", help="Alice's round trip time")
-    p.add_argument("--round-trip-b", help="Bob's round trip time")
-    p.add_argument("--phase-a", help="Alice's switching phase (rad)")
-    p.add_argument("--phase-b", help="Bob's switching phase (rad)")
     p.add_argument("--pairs", help="Monte Carlo pairs")
     p.add_argument("--duration", help="Monte Carlo timeline duration")
     p.add_argument("--workers", help="Monte Carlo worker threads")
@@ -550,12 +537,7 @@ def build_parser() -> _Parser:
     p.add_argument("--start", help="sweep start (frequency or fraction)")
     p.add_argument("--stop", help="sweep stop")
     p.add_argument("--points", help="grid points (default 1201)")
-    p.add_argument("--quad", help="a,b,a',b' as tagged angles")
-    p.add_argument("--nu-a", help="Alice's fixed frequency (where applicable)")
-    p.add_argument("--nu-b", help="Bob's fixed frequency (where applicable)")
-    p.add_argument("--round-trip", help="shared round trip time")
-    p.add_argument("--round-trip-a", help="Alice's round trip time")
-    p.add_argument("--round-trip-b", help="Bob's round trip time")
+    stations(p, phases=False)
     p.add_argument("--engines", help="closed_form[,monte_carlo]")
     p.add_argument("--mc-pairs", help="Monte Carlo pairs per sweep point")
     p.add_argument("--duration", help="Monte Carlo timeline duration per point")
@@ -576,14 +558,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-trials", help="write a Monte Carlo event stream as JSON lines")
     common(p)
-    p.add_argument("--quad", help="a,b,a',b' as tagged angles")
-    p.add_argument("--nu-a", help="Alice's switching frequency")
-    p.add_argument("--nu-b", help="Bob's switching frequency")
-    p.add_argument("--round-trip", help="shared round trip time")
-    p.add_argument("--round-trip-a", help="Alice's round trip time")
-    p.add_argument("--round-trip-b", help="Bob's round trip time")
-    p.add_argument("--phase-a", help="Alice's switching phase (rad)")
-    p.add_argument("--phase-b", help="Bob's switching phase (rad)")
+    stations(p)
     p.add_argument("--pairs", help="number of pairs to simulate")
     p.add_argument("--duration", help="timeline duration (default 1ms)")
     p.add_argument("--emission", help="uniform | grid | poisson")

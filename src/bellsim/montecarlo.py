@@ -17,13 +17,14 @@ worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .choice import ChoiceQuad, StationConfig, SyncFractions
+from .choice import ChoiceQuad, StationConfig, SyncFractions, check_station_weights
 from .models import HALF_PI, HvMixture, ValidationError, normalize_angle
 
 DEFAULT_CHUNK = 1 << 18
@@ -305,15 +306,19 @@ def run_timeline(
     Poisson process of the given ``rate`` (default n_pairs/duration, so
     n_pairs becomes the expected count).  For each pair emitted at t the
     texture carries the settings at t - T/2 and the outcomes use the
-    settings at t + T/2, with T the per-station round trip time.
+    settings at t + T/2, with T the per-station round trip time.  At most
+    min(workers, cpu count, chunks) threads run; the result is the same for
+    any ``workers`` >= 1.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
     if emission not in ("uniform", "grid", "poisson"):
         raise ValidationError(f"unknown emission mode {emission!r}")
     if emission != "poisson" and n_pairs < 1:
         raise ValidationError("need at least one pair")
-    _check_station_weights(station_weights)
+    check_station_weights(station_weights)
     spec = as_rng_spec(rng)
 
     if emission == "poisson":
@@ -341,6 +346,7 @@ def run_timeline(
             times = w0 + gen.random(count) * (w1 - w0)
         return _timeline_chunk(alice, bob, station_weights, pbs, times, gen)
 
+    workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one_chunk, range(n_chunks)))
@@ -390,7 +396,7 @@ def run_choice_trials(
     """
     if n < 1:
         raise ValidationError("need at least one trial")
-    _check_station_weights(station_weights)
+    check_station_weights(station_weights)
     gen = as_rng_spec(rng).generator()
     a_settings = np.array([quad.a, quad.a_alt])
     b_settings = np.array([quad.b, quad.b_alt])
@@ -429,12 +435,6 @@ def _fraction_estimate(hits: np.ndarray) -> EstimateWithError:
         raise ValidationError("no samples in group")
     p = float(np.mean(hits))
     return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), int(n))
-
-
-def _check_station_weights(weights: tuple[float, float]) -> None:
-    w_a, w_b = weights
-    if w_a < 0.0 or w_b < 0.0 or abs(w_a + w_b - 1.0) > 1e-12:
-        raise ValidationError(f"station weights {weights!r} must be >= 0 and sum to 1")
 
 
 def _setting_masks(

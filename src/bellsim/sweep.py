@@ -19,6 +19,7 @@ constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -35,12 +36,12 @@ from .choice import (
     mix_fractions,
     s_chsh_fc,
     s_chsh_fixed,
-    s_chsh_mixture,
     s_prime_fc,
     s_prime_fixed,
-    s_prime_mixture,
     sync_fraction,
 )
+# importable here so that benchmarks/spans.py can wrap them by this module's name
+from .choice import s_chsh_mixture, s_prime_mixture  # noqa: F401
 from .models import Model, ValidationError
 from .montecarlo import (
     EstimateWithError,
@@ -77,16 +78,6 @@ CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
 
 
-def _default_alice() -> StationConfig:
-    return StationConfig(
-        STANDARD_QUAD.a, STANDARD_QUAD.a_alt, ASPECT_FREQUENCY_ALICE
-    )
-
-
-def _default_bob() -> StationConfig:
-    return StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, ASPECT_FREQUENCY_BOB)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep, over which grid, and with which engines."""
@@ -96,8 +87,8 @@ class SweepSpec:
     stop: float
     num_points: int = 1201
     quad: ChoiceQuad = STANDARD_QUAD
-    alice: StationConfig = field(default_factory=_default_alice)
-    bob: StationConfig = field(default_factory=_default_bob)
+    alice: StationConfig = field(default_factory=lambda: aspect_stations()[0])
+    bob: StationConfig = field(default_factory=lambda: aspect_stations()[1])
     engines: tuple[str, ...] = (CLOSED_FORM,)
     mc_pairs_per_point: int = 200_000
     mc_duration: float = 1e-3
@@ -194,15 +185,53 @@ def _fractions_at(spec: SweepSpec, x: float) -> SyncFractions:
     raise ValidationError(f"unknown sweep variable {spec.variable!r}")
 
 
-def _closed_form_values(
-    spec: SweepSpec, sf: SyncFractions, weights: tuple[float, float]
-) -> tuple[float, float]:
-    if weights == EQUAL_WEIGHTS:
-        return s_prime_fc(spec.quad, sf), s_chsh_fc(spec.quad, sf)
-    return (
-        s_prime_mixture(spec.quad, sf, weights),
-        s_chsh_mixture(spec.quad, sf, weights),
-    )
+def measure_bell(
+    quad: ChoiceQuad,
+    n: int,
+    rng: RngSpec,
+    *,
+    sf: SyncFractions | None = None,
+    stations: tuple[StationConfig, StationConfig] | None = None,
+    step_alice: bool = False,
+    duration: float = 1e-3,
+    station_weights: tuple[float, float] = EQUAL_WEIGHTS,
+    workers: int = 1,
+) -> tuple[EstimateWithError, EstimateWithError]:
+    """S' and S from one main run plus the Alice-only and Bob-only runs.
+
+    Pairs come from the switching timeline of ``stations`` over
+    ``duration`` seconds or, without stations, from the per-trial choice
+    sampler at ``sf``.  Run k draws from stream ``rng.stream_id + k``: the
+    main run on +1, Alice-only (Bob's polarizer removed) on +2 and Bob-only
+    on +3, ``n`` pairs each.
+
+    With ``step_alice`` Alice's polarizer does not switch but is stepped
+    through her two settings, one timeline each, as the asymmetric-distance
+    protocol takes them: the main run is a on +1 followed by a' on +2,
+    Alice-only runs at a' on +3 and Bob-only at a on +4, n//2 + 1 pairs each.
+    """
+
+    def run(k: int, pbs: tuple[bool, bool], alice_setting: float | None = None) -> Trials:
+        stream = RngSpec(rng.seed, rng.stream_id + k)
+        if stations is None:
+            return run_choice_trials(quad, sf, n, stream,
+                                     station_weights=station_weights, pbs=pbs)
+        alice, bob = stations
+        pairs = n
+        if alice_setting is not None:
+            alice, pairs = StationConfig.fixed(alice_setting, alice.round_trip_time), n // 2 + 1
+        return run_timeline(alice, bob, pairs, duration, stream,
+                            station_weights=station_weights, pbs=pbs, workers=workers)
+
+    if step_alice:
+        main = Trials.concat([run(1, (True, True), quad.a), run(2, (True, True), quad.a_alt)])
+        alice_only = run(3, (True, False), quad.a_alt)
+        bob_only = run(4, (False, True), quad.a)
+    else:
+        main = run(1, (True, True))
+        alice_only = run(2, (True, False))
+        bob_only = run(3, (False, True))
+    return estimate_s_prime(main, alice_only, bob_only, quad), estimate_s_chsh(main, quad)
 
 
 def _mc_values(
@@ -212,93 +241,30 @@ def _mc_values(
     x: float,
     index: int,
 ) -> tuple[EstimateWithError, EstimateWithError]:
-    n = spec.mc_pairs_per_point
-    quad = spec.quad
-
-    if spec.variable is SweepVariable.F_DIRECT:
-        main = run_choice_trials(quad, sf, n, RngSpec(spec.seed, index * 8 + 1), station_weights=weights)
-        alice_only = run_choice_trials(
-            quad, sf, n, RngSpec(spec.seed, index * 8 + 2), station_weights=weights, pbs=(True, False)
-        )
-        bob_only = run_choice_trials(
-            quad, sf, n, RngSpec(spec.seed, index * 8 + 3), station_weights=weights, pbs=(False, True)
-        )
-        s_p = estimate_s_prime(main, alice_only, bob_only, quad)
-        s_c = estimate_s_chsh(main, quad)
-        return s_p, s_c
-
+    measure = functools.partial(
+        measure_bell, spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, index * 8),
+        duration=spec.mc_duration, station_weights=weights,
+    )
     if spec.variable is SweepVariable.DISTANCE_RATIO:
-        bob_cfg = replace(spec.bob, switch_frequency=x)
-        parts = []
-        for setting, sid in ((quad.a, 1), (quad.a_alt, 2)):
-            alice_cfg = StationConfig.fixed(setting, spec.alice.round_trip_time)
-            parts.append(
-                run_timeline(
-                    alice_cfg, bob_cfg, n // 2 + 1, spec.mc_duration,
-                    RngSpec(spec.seed, index * 8 + sid), station_weights=weights,
-                )
-            )
-        main = Trials.concat(parts)
-        alice_only = run_timeline(
-            StationConfig.fixed(quad.a_alt, spec.alice.round_trip_time), bob_cfg,
-            n // 2 + 1, spec.mc_duration, RngSpec(spec.seed, index * 8 + 3),
-            station_weights=weights, pbs=(True, False),
-        )
-        bob_only = run_timeline(
-            StationConfig.fixed(quad.a, spec.alice.round_trip_time), bob_cfg,
-            n // 2 + 1, spec.mc_duration, RngSpec(spec.seed, index * 8 + 4),
-            station_weights=weights, pbs=(False, True),
-        )
-        return (
-            estimate_s_prime(main, alice_only, bob_only, quad),
-            estimate_s_chsh(main, quad),
-        )
-
-    # frequency modes: both stations run their square waves
+        bob = replace(spec.bob, switch_frequency=x)
+        return measure(stations=(spec.alice, bob), step_alice=True)
     nu_a = x if spec.variable in (
         SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY
     ) else spec.alice.switch_frequency
     nu_b = x if spec.variable is SweepVariable.FREQUENCY_COMMON else spec.bob.switch_frequency
-    if nu_a == 0.0 or nu_b == 0.0:
+    if spec.variable is SweepVariable.F_DIRECT or nu_a == 0.0 or nu_b == 0.0:
         # a non-switching station never shows its alternate setting in one
         # run; the per-trial choice sampler stands in for the separate
         # fixed-setting runs a real experiment would take
-        main = run_choice_trials(quad, sf, n, RngSpec(spec.seed, index * 8 + 1),
-                                 station_weights=weights)
-        alice_only = run_choice_trials(quad, sf, n, RngSpec(spec.seed, index * 8 + 2),
-                                       station_weights=weights, pbs=(True, False))
-        bob_only = run_choice_trials(quad, sf, n, RngSpec(spec.seed, index * 8 + 3),
-                                     station_weights=weights, pbs=(False, True))
-        return (
-            estimate_s_prime(main, alice_only, bob_only, quad),
-            estimate_s_chsh(main, quad),
-        )
-    alice_cfg = replace(spec.alice, switch_frequency=nu_a)
-    bob_cfg = replace(spec.bob, switch_frequency=nu_b)
-    if (
-        alice_cfg.switch_frequency == bob_cfg.switch_frequency
-        and alice_cfg.switch_phase == bob_cfg.switch_phase
-    ):
+        return measure(sf=sf)
+    alice = replace(spec.alice, switch_frequency=nu_a)
+    bob = replace(spec.bob, switch_frequency=nu_b)
+    if alice.switch_frequency == bob.switch_frequency and alice.switch_phase == bob.switch_phase:
         # phase-locked identical waves never populate the mixed setting
         # pairs; a quarter-period offset realizes all four channels without
         # changing either station's sync fraction
-        bob_cfg = replace(bob_cfg, switch_phase=bob_cfg.switch_phase + math.pi / 2)
-    main = run_timeline(
-        alice_cfg, bob_cfg, n, spec.mc_duration,
-        RngSpec(spec.seed, index * 8 + 1), station_weights=weights,
-    )
-    alice_only = run_timeline(
-        alice_cfg, bob_cfg, n, spec.mc_duration,
-        RngSpec(spec.seed, index * 8 + 2), station_weights=weights, pbs=(True, False),
-    )
-    bob_only = run_timeline(
-        alice_cfg, bob_cfg, n, spec.mc_duration,
-        RngSpec(spec.seed, index * 8 + 3), station_weights=weights, pbs=(False, True),
-    )
-    return (
-        estimate_s_prime(main, alice_only, bob_only, quad),
-        estimate_s_chsh(main, quad),
-    )
+        bob = replace(bob, switch_phase=bob.switch_phase + math.pi / 2)
+    return measure(stations=(alice, bob))
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:
@@ -307,7 +273,8 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     points = []
     for i, x in enumerate(spec.grid()):
         sf = _fractions_at(spec, x)
-        s_p, s_c = _closed_form_values(spec, sf, weights)
+        s_p = s_prime_fc(spec.quad, sf, weights)
+        s_c = s_chsh_fc(spec.quad, sf, weights)
         mc_p = mc_c = None
         if MONTE_CARLO in spec.engines:
             try:

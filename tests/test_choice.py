@@ -1,25 +1,30 @@
-"""Sync-fraction algebra and the in-sync / out-of-sync / unbalanced decomposition."""
+"""Sync-fraction algebra and the in-sync / out-of-sync / unbalanced decomposition.
+
+The closed forms are built from the per-station correlation ``corr_fc``; the
+atom expansion (``q_fc`` with ``corr_mixture`` / ``coincidence_mixture``) and
+quadrature are the independent oracles they are checked against.
+"""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsim import (
+    UNIFORM_MIXTURE,
     ChoiceQuad,
     Model,
     STANDARD_QUAD,
     StationConfig,
     ValidationError,
+    coincidence_mixture,
     corr_fc,
     corr_mixture,
-    corr_os,
     corr_qm,
-    corr_ub,
+    corr_sc,
     mix_fractions,
-    n_fc,
-    n_qm,
-    n_sc,
     q_fc,
     s_chsh_fc,
     s_chsh_fixed,
@@ -30,14 +35,30 @@ from bellsim import (
     sync_fraction,
     texture_mixture,
 )
-from bellsim.choice import coincidence_prob, n_os, n_ub, s_chsh_mixture, s_prime_mixture
+from bellsim.choice import s_chsh_mixture, s_prime_mixture
 
 SQRT2 = math.sqrt(2)
 ROUND_TRIP = 43e-9
 
+#: Fully out of sync (the out-of-sync part E_os) and the two one-sided
+#: extremes whose difference is the unbalanced part E_ub.
+OUT_OF_SYNC = mix_fractions(0.0, 0.0)
+ALICE_IN_SYNC = mix_fractions(1.0, 0.0)
+BOB_IN_SYNC = mix_fractions(0.0, 1.0)
+
 
 def random_quad(rng) -> ChoiceQuad:
     return ChoiceQuad(*rng.uniform(-math.pi, math.pi, size=4))
+
+
+def n_fc(quad: ChoiceQuad, sf) -> float:
+    """Both-click probability from the closed-form correlation."""
+    return (1.0 + corr_fc(quad, sf)) / 4.0
+
+
+def exact_sync_fraction(frequency: float, round_trip: float) -> Fraction:
+    x = Fraction(round_trip) * Fraction(frequency)
+    return 1 - 2 * abs(x - round(x))
 
 
 class TestSyncFraction:
@@ -70,6 +91,13 @@ class TestSyncFraction:
                 assert sync_fraction(nu, ROUND_TRIP) == pytest.approx(
                     sync_fraction(nu + k * period, ROUND_TRIP), abs=1e-9
                 )
+
+    def test_exact_near_the_nodes(self):
+        # arccos(cos(.)) loses half the digits here (2e-9 off); the triangle does not
+        for n in (1, 2, 3, 7):
+            nu = (n + 1e-9) / ROUND_TRIP
+            want = exact_sync_fraction(nu, ROUND_TRIP)
+            assert abs(Fraction(sync_fraction(nu, ROUND_TRIP)) - want) <= 4e-15
 
     def test_bounds_and_errors(self):
         rng = np.random.default_rng(6)
@@ -150,32 +178,37 @@ class TestQfc:
 
 class TestDecomposition:
     def test_corr_os_examples(self):
-        assert corr_os(0.3, -0.2, 0.3, -0.2) == pytest.approx(corr_qm(0.3, -0.2), abs=1e-12)
-        assert corr_os(0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8) == pytest.approx(
-            0.0, abs=1e-12
+        # fully out of sync: the texture comes from the alternate settings
+        in_sync_quad = ChoiceQuad(0.3, -0.2, 0.3, -0.2)
+        assert corr_fc(in_sync_quad, OUT_OF_SYNC) == pytest.approx(
+            corr_qm(0.3, -0.2), abs=1e-12
         )
-        assert corr_os(0.0, 0.0, math.pi / 4, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
+        assert corr_fc(STANDARD_QUAD, OUT_OF_SYNC) == pytest.approx(0.0, abs=1e-12)
+        qd = ChoiceQuad(0.0, 0.0, math.pi / 4, math.pi / 4)
+        assert corr_fc(qd, OUT_OF_SYNC) == pytest.approx(0.0, abs=1e-12)
 
     def test_corr_os_equals_alternate_mixture(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             qd = random_quad(rng)
-            direct = corr_os(qd.a, qd.b, qd.a_alt, qd.b_alt)
+            direct = corr_fc(qd, OUT_OF_SYNC)
             via_atoms = corr_mixture(qd.a, qd.b, texture_mixture([qd.a_alt, qd.b_alt]))
             assert abs(direct - via_atoms) <= 1e-12
 
     def test_corr_ub_examples(self):
-        assert corr_ub(0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert corr_ub(0.1, 0.7, 0.1, 0.7) == pytest.approx(0.0, abs=1e-12)
-        assert corr_ub(0.0, 0.0, math.pi / 8, 0.0) == pytest.approx(0.25, abs=1e-12)
+        # E_ub = E(f_A=1, f_B=0) - E(f_A=0, f_B=1)
+        def e_ub(qd):
+            return corr_fc(qd, ALICE_IN_SYNC) - corr_fc(qd, BOB_IN_SYNC)
+
+        assert e_ub(STANDARD_QUAD) == pytest.approx(0.0, abs=1e-12)
+        assert e_ub(ChoiceQuad(0.1, 0.7, 0.1, 0.7)) == pytest.approx(0.0, abs=1e-12)
+        assert e_ub(ChoiceQuad(0.0, 0.0, math.pi / 8, 0.0)) == pytest.approx(0.25, abs=1e-12)
 
     def test_corr_ub_equals_mixture_difference(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             qd = random_quad(rng)
-            direct = corr_ub(qd.a, qd.b, qd.a_alt, qd.b_alt)
+            direct = corr_fc(qd, ALICE_IN_SYNC) - corr_fc(qd, BOB_IN_SYNC)
             diff = corr_mixture(
                 qd.a, qd.b, texture_mixture([qd.a, qd.b_alt])
             ) - corr_mixture(qd.a, qd.b, texture_mixture([qd.a_alt, qd.b]))
@@ -187,8 +220,8 @@ class TestDecomposition:
             corr_qm(qd.a, qd.b), abs=1e-12
         )
         half = corr_fc(qd, mix_fractions(0.5, 0.5))
-        expected = 0.5 * (corr_qm(qd.a, qd.b) + corr_os(qd.a, qd.b, qd.a_alt, qd.b_alt))
-        assert half == pytest.approx(expected, abs=1e-12)
+        out_of_sync = corr_mixture(qd.a, qd.b, texture_mixture([qd.a_alt, qd.b_alt]))
+        assert half == pytest.approx(0.5 * (corr_qm(qd.a, qd.b) + out_of_sync), abs=1e-12)
 
     def test_corr_fc_matches_mixture_expansion(self):
         rng = np.random.default_rng(20250810)
@@ -198,6 +231,32 @@ class TestDecomposition:
             lhs = corr_fc(qd, sf)
             rhs = corr_mixture(qd.a, qd.b, q_fc(qd, sf))
             assert abs(lhs - rhs) <= 1e-12
+
+    def test_station_weights_are_validated(self):
+        sf = mix_fractions(0.9, 0.8)
+        for bad in ((0.6, 0.6), (-0.1, 1.1)):
+            with pytest.raises(ValidationError):
+                corr_fc(STANDARD_QUAD, sf, bad)
+
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(angles, angles, angles, angles), unit, unit, unit)
+def test_closed_forms_match_atom_expansion_for_any_weights(angles4, f_a, f_b, w_a):
+    """Per Bell term: E, n = (1+E)/4, S and S' against the 16-atom mixtures."""
+    quad = ChoiceQuad(*angles4)
+    sf = mix_fractions(f_a, f_b)
+    weights = (w_a, 1.0 - w_a)
+    for term, _ in quad.bell_terms():
+        q = q_fc(term, sf, weights)
+        e = corr_fc(term, sf, weights)
+        assert abs(e - corr_mixture(term.a, term.b, q)) <= 1e-12
+        assert abs((1.0 + e) / 4.0 - coincidence_mixture(term.a, term.b, q)) <= 1e-12
+    assert abs(s_chsh_fc(quad, sf, weights) - s_chsh_mixture(quad, sf, weights)) <= 1e-12
+    assert abs(s_prime_fc(quad, sf, weights) - s_prime_mixture(quad, sf, weights)) <= 1e-12
 
 
 class TestChsh:
@@ -232,15 +291,17 @@ class TestChsh:
 
 
 class TestSinglesChannel:
+    """Both-click probabilities n = (1 + E)/4 against Malus's law."""
+
     def test_n_examples(self):
-        assert n_qm(0.0, 0.0) == 0.5
-        assert n_sc(0.0, math.pi / 8) == pytest.approx((2 + SQRT2 / 2) / 8, abs=1e-12)
-        assert n_os(0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8) == pytest.approx(
-            0.25, abs=1e-12
+        assert (1.0 + corr_qm(0.0, 0.0)) / 4.0 == 0.5
+        assert (1.0 + corr_sc(0.0, math.pi / 8)) / 4.0 == pytest.approx(
+            (2 + SQRT2 / 2) / 8, abs=1e-12
         )
-        sf = mix_fractions(0.9, 0.9)
-        assert n_fc(STANDARD_QUAD, sf) == pytest.approx(
-            0.9 * n_qm(0.0, math.pi / 8) + 0.1 * 0.25, abs=1e-12
+        assert n_fc(STANDARD_QUAD, OUT_OF_SYNC) == pytest.approx(0.25, abs=1e-12)
+        in_sync = math.cos(math.pi / 8) ** 2 / 2
+        assert n_fc(STANDARD_QUAD, mix_fractions(0.9, 0.9)) == pytest.approx(
+            0.9 * in_sync + 0.1 * 0.25, abs=1e-12
         )
 
     def test_n_sc_against_malus_quadrature(self):
@@ -258,11 +319,12 @@ class TestSinglesChannel:
         rng = np.random.default_rng(13)
         for _ in range(20):
             a, b = rng.uniform(-2, 2, size=2)
-            assert n_sc(a, b) == pytest.approx(oracle(a, b), abs=1e-9)
+            assert (1.0 + corr_sc(a, b)) / 4.0 == pytest.approx(oracle(a, b), abs=1e-9)
+            assert coincidence_mixture(a, b, UNIFORM_MIXTURE) == pytest.approx(
+                oracle(a, b), abs=1e-9
+            )
 
     def test_n_fc_matches_coincidence_mixture(self):
-        from bellsim import coincidence_mixture
-
         rng = np.random.default_rng(14)
         for _ in range(500):
             qd = random_quad(rng)
@@ -272,33 +334,32 @@ class TestSinglesChannel:
             assert abs(lhs - rhs) <= 1e-12
 
     def test_n_ub_matches_mixture_difference(self):
-        from bellsim import coincidence_mixture
-
         rng = np.random.default_rng(15)
         for _ in range(500):
             qd = random_quad(rng)
-            direct = n_ub(qd.a, qd.b, qd.a_alt, qd.b_alt)
+            direct = n_fc(qd, ALICE_IN_SYNC) - n_fc(qd, BOB_IN_SYNC)
             diff = coincidence_mixture(
                 qd.a, qd.b, texture_mixture([qd.a, qd.b_alt])
             ) - coincidence_mixture(qd.a, qd.b, texture_mixture([qd.a_alt, qd.b]))
             assert abs(direct - diff) <= 1e-12
 
     def test_dispatcher(self):
-        assert coincidence_prob(Model.QUANTUM, 0.1, 0.5) == coincidence_prob(
-            Model.TEXTURE, 0.1, 0.5
+        # S' of the fixed models against their both-click mixtures
+        qd = ChoiceQuad(0.1, 0.5, -0.7, 1.1)
+        mixtures = {
+            Model.SEMI_CLASSICAL: lambda a, b: UNIFORM_MIXTURE,
+            Model.TEXTURE: lambda a, b: texture_mixture([a, b]),
+        }
+        for model, mixture in mixtures.items():
+            n_values = tuple(
+                coincidence_mixture(t.a, t.b, mixture(t.a, t.b)) for t, _ in qd.bell_terms()
+            )
+            assert s_prime_fixed(model, qd) == pytest.approx(s_prime(n_values), abs=1e-12)
+        assert s_prime_fixed(Model.QUANTUM, qd) == pytest.approx(
+            s_prime_fixed(Model.TEXTURE, qd), abs=1e-12
         )
-        sf = mix_fractions(0.9, 0.9)
-        via_dispatch = coincidence_prob(
-            sf, STANDARD_QUAD.a_alt, STANDARD_QUAD.b, quad=STANDARD_QUAD
-        )
-        term = ChoiceQuad(
-            STANDARD_QUAD.a_alt, STANDARD_QUAD.b, STANDARD_QUAD.a, STANDARD_QUAD.b_alt
-        )
-        assert via_dispatch == pytest.approx(n_fc(term, sf), abs=1e-15)
         with pytest.raises(ValidationError):
-            coincidence_prob(Model.MAX_CLASSICAL_LHV, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            coincidence_prob(sf, 0.33, STANDARD_QUAD.b, quad=STANDARD_QUAD)
+            s_prime_fixed(Model.MAX_CLASSICAL_LHV, qd)
 
 
 class TestSPrime:

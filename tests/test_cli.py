@@ -156,6 +156,28 @@ class TestBell:
         assert main(["bell"]) == 1
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, option", [
+        (["bell", "--f", "abc"], "--f"),
+        (["curves", "--points", "x"], "--points"),
+        (["bell", "--f", "0.9", "--seed", "zz"], "--seed"),
+        (["sweep", "--variable", "f_direct", "--start", "0", "--stop", "1",
+          "--weights", "a,b"], "--weights"),
+    ])
+    def test_malformed_number_is_validation_error(self, argv, option, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert f"error: {option}:" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_validation_error(self, workers, capsys):
+        code = main(["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--engine", "mc",
+                     "--pairs", "1000", "--workers", workers])
+        assert code == 1
+        assert "workers" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_default_grid_golden_row(self, tmp_path):
         out = tmp_path / "sweep.csv"

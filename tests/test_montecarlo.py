@@ -32,6 +32,7 @@ from bellsim import (
     sync_fraction,
     texture_mixture,
 )
+from bellsim import montecarlo
 from bellsim.sweep import aspect_stations
 
 ROUND_TRIP = 43e-9
@@ -162,6 +163,43 @@ class TestTimeline:
             run_timeline(alice, bob, 0, 1e-3, RngSpec(16))
         with pytest.raises(ValidationError):
             run_timeline(alice, bob, 100, 1e-3, RngSpec(16), emission="burst")
+
+
+class TestWorkers:
+    def test_rejects_fewer_than_one(self):
+        alice, bob = aspect_stations()
+        for workers in (0, -3):
+            with pytest.raises(ValidationError):
+                run_timeline(alice, bob, 100, 1e-3, RngSpec(20), workers=workers)
+
+    def test_threads_are_bounded_by_cpus_and_chunks(self, monkeypatch):
+        # a serial stand-in records the pool size; no thread is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        alice, bob = aspect_stations()
+        kwargs = dict(n_pairs=40, duration=1e-6, rng=RngSpec(21), chunk_size=10)  # 4 chunks
+        serial = run_timeline(alice, bob, workers=1, **kwargs)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        wide = run_timeline(alice, bob, workers=10**6, **kwargs)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        run_timeline(alice, bob, workers=10**6, **kwargs)
+        assert sizes == [4, 2]
+        assert np.array_equal(serial.hidden_angle, wide.hidden_angle)
+        assert np.array_equal(serial.alpha, wide.alpha)
 
 
 class TestDeterminism:
