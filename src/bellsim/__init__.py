@@ -45,7 +45,6 @@ from .models import (
 from .montecarlo import (
     EstimateWithError,
     RngSpec,
-    TrialRecord,
     Trials,
     estimate_s_chsh,
     estimate_s_prime,

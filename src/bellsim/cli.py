@@ -26,6 +26,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .choice import (
     ASPECT_ROUND_TRIP,
@@ -476,15 +478,32 @@ def cmd_export_trials(opts: Options) -> int:
     provenance = _provenance("export-trials", seed, params)
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
-        for rec in trials:
-            fh.write(json.dumps({
-                "emission_time": rec.emission_time,
-                "lambda": rec.hidden_angle,
-                "a_v": rec.a_v, "b_v": rec.b_v,
-                "a_m": rec.a_m, "b_m": rec.b_m,
-                "alpha": rec.alpha, "beta": rec.beta,
-            }) + "\n")
+        _write_trial_lines(fh, trials)
     return 0
+
+
+# json.dumps of a record dict, field for field: floats and ints print as their repr
+_TRIAL_LINE = ('{{"emission_time": {}, "lambda": {}, "a_v": {}, "b_v": {}, '
+               '"a_m": {}, "b_m": {}, "alpha": {}, "beta": {}}}\n').format
+_WRITE_BLOCK = 4096  # records per write; larger blocks raise peak memory
+
+
+def _write_trial_lines(fh, trials) -> None:
+    """One JSON line per record.  Settings and hidden angles take few values
+    (the settings table, the texture atoms): each distinct one is repr'd once."""
+    a_text, b_text = ([repr(v) for v in row] for row in trials.settings.tolist())
+    for lo in range(0, len(trials), _WRITE_BLOCK):
+        block = slice(lo, lo + _WRITE_BLOCK)
+        lam, lam_idx = np.unique(trials.hidden_angle[block], return_inverse=True)
+        lam_text = [repr(v) for v in lam.tolist()]
+        fh.write("".join(map(
+            _TRIAL_LINE, map(repr, trials.emission_time[block].tolist()),
+            map(lam_text.__getitem__, lam_idx.tolist()),
+            map(a_text.__getitem__, trials.a_v_idx[block].tolist()),
+            map(b_text.__getitem__, trials.b_v_idx[block].tolist()),
+            map(a_text.__getitem__, trials.a_m_idx[block].tolist()),
+            map(b_text.__getitem__, trials.b_m_idx[block].tolist()),
+            trials.alpha[block].tolist(), trials.beta[block].tolist())))
 
 
 # --- parser -------------------------------------------------------------------

@@ -12,6 +12,12 @@ Determinism: all sampling is chunked, each chunk owns an RNG stream derived
 from (seed, stream_id, chunk index), and chunks are merged in index order
 then stably sorted by emission time.  Results are bit-identical for any
 worker count.
+
+Storage: a polarizer only ever shows one of its two settings, so ``Trials``
+keeps each setting as an int8 index into a 2x2 per-station ``settings``
+table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
+``b_m``).  The estimators resolve the quad against that table once and
+group records by index.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -75,66 +81,69 @@ class EstimateWithError:
         return f"{self.value:.6f} +/- {self.std_error:.6f} (n={self.n_trials})"
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated pair: hidden angle, settings at both epochs, outcomes."""
-
-    emission_time: float
-    hidden_angle: float
-    a_v: float
-    b_v: float
-    a_m: float
-    b_m: float
-    alpha: int
-    beta: int
-
-
 @dataclass
 class Trials:
-    """Column-oriented store of simulated pairs."""
+    """Column-oriented store of simulated pairs; settings are int8 indices
+    into ``settings`` (row 0 Alice's two settings, row 1 Bob's)."""
 
     emission_time: np.ndarray
     hidden_angle: np.ndarray
-    a_v: np.ndarray
-    b_v: np.ndarray
-    a_m: np.ndarray
-    b_m: np.ndarray
+    a_v_idx: np.ndarray
+    b_v_idx: np.ndarray
+    a_m_idx: np.ndarray
+    b_m_idx: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
+    settings: np.ndarray
+
+    # read-only angle views of the indices
+    a_v = property(lambda self: self.settings[0][self.a_v_idx])
+    b_v = property(lambda self: self.settings[1][self.b_v_idx])
+    a_m = property(lambda self: self.settings[0][self.a_m_idx])
+    b_m = property(lambda self: self.settings[1][self.b_m_idx])
 
     def __len__(self) -> int:
         return int(self.emission_time.size)
 
-    def record(self, i: int) -> TrialRecord:
-        return TrialRecord(
-            float(self.emission_time[i]),
-            float(self.hidden_angle[i]),
-            float(self.a_v[i]),
-            float(self.b_v[i]),
-            float(self.a_m[i]),
-            float(self.b_m[i]),
-            int(self.alpha[i]),
-            int(self.beta[i]),
-        )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
     @classmethod
     def concat(cls, parts: Sequence["Trials"]) -> "Trials":
+        """Records of ``parts`` in order; parts whose settings tables differ
+        are re-indexed into one table."""
         if not parts:
             raise ValidationError("cannot concatenate zero trial sets")
-        cols = {
-            f.name: np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(cls)
-        }
-        return cls(**cols)
+        table = parts[0].settings
+        if any(not np.array_equal(p.settings, table) for p in parts):
+            table, parts = _on_one_table(parts)
+        cols = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _RECORD_COLUMNS}
+        return cls(**cols, settings=table)
 
     def sorted_by_time(self) -> "Trials":
         order = np.argsort(self.emission_time, kind="stable")
-        cols = {f.name: getattr(self, f.name)[order] for f in fields(self)}
-        return Trials(**cols)
+        cols = {name: getattr(self, name)[order] for name in _RECORD_COLUMNS}
+        return Trials(**cols, settings=self.settings)
+
+
+_RECORD_COLUMNS = tuple(f.name for f in fields(Trials) if f.name != "settings")
+
+
+def _on_one_table(parts: Sequence[Trials]) -> tuple[np.ndarray, list[Trials]]:
+    """A table listing each station's settings across ``parts`` in first-seen
+    order (at most two), and the parts re-indexed into it."""
+    rows = []
+    for station, name in enumerate(("Alice", "Bob")):
+        shown = list(dict.fromkeys(v for p in parts for v in p.settings[station].tolist()))
+        if len(shown) > 2:
+            raise ValidationError(f"{name} shows more than two settings: {shown!r}")
+        rows.append((shown * 2)[:2])  # a single setting is listed twice
+    table = np.array(rows)
+
+    def reindexed(p: Trials) -> Trials:
+        a, b = (np.array([rows[s].index(v) for v in p.settings[s].tolist()], dtype=np.int8)
+                for s in (0, 1))
+        return replace(p, a_v_idx=a[p.a_v_idx], b_v_idx=b[p.b_v_idx],
+                       a_m_idx=a[p.a_m_idx], b_m_idx=b[p.b_m_idx], settings=table)
+
+    return table, [reindexed(p) for p in parts]
 
 
 def normalize_angles(x: np.ndarray) -> np.ndarray:
@@ -158,66 +167,28 @@ def sample_lambda(
     """
     m = 1 if size is None else int(size)
     angles = np.array([a for a, _ in q.atoms], dtype=np.float64)
-    weights = np.array([w for _, w in q.atoms], dtype=np.float64)
-    u = rng.random(m)
-    if angles.size == 0:
-        out = -HALF_PI + np.pi * u
-    else:
-        cum = np.cumsum(weights)
-        idx = np.searchsorted(cum, u, side="right")
-        if q.uniform_weight > 0.0:
-            u2 = rng.random(m)
-            flat = -HALF_PI + np.pi * u2
-            out = np.where(idx < angles.size, angles[np.minimum(idx, angles.size - 1)], flat)
-        else:
-            out = angles[np.minimum(idx, angles.size - 1)]
-    out = normalize_angles(out)
+    atoms = np.broadcast_to(angles, (m, angles.size))
+    out = _mixture_draw(rng, atoms, [w for _, w in q.atoms], q.uniform_weight > 0.0)
     return float(out[0]) if size is None else out
 
 
-def _hidden_draw(
-    rng: np.random.Generator,
-    a_v: np.ndarray,
-    b_v: np.ndarray,
-    station_weights: tuple[float, float],
-    pbs: tuple[bool, bool],
+def _mixture_draw(
+    rng: np.random.Generator, atoms: np.ndarray, probs: Sequence[float], uniform: bool
 ) -> np.ndarray:
-    """Per-trial hidden angle: texture atoms from each present polarizer.
+    """The one hidden-angle sampler: row i of ``atoms`` holds trial i's atoms.
 
-    A station without a polarizer leaves its share of the texture uniform.
-    Consumes a fixed number of draws per trial for a given configuration.
+    A first draw per trial picks an atom by ``probs``; with a ``uniform``
+    component a second draw gives the flat angle of trials that pick none.
     """
-    w_a, w_b = station_weights
-    cols: list[np.ndarray] = []
-    probs: list[float] = []
-    uniform_mass = 0.0
-    if pbs[0]:
-        cols += [a_v, a_v - HALF_PI]
-        probs += [w_a / 2.0, w_a / 2.0]
-    else:
-        uniform_mass += w_a
-    if pbs[1]:
-        cols += [b_v, b_v - HALF_PI]
-        probs += [w_b / 2.0, w_b / 2.0]
-    else:
-        uniform_mass += w_b
-
-    m = a_v.size
+    m, k = atoms.shape
     u = rng.random(m)
-    if cols:
-        stacked = np.column_stack(cols)
-        cum = np.cumsum(probs)
-        idx = np.searchsorted(cum, u, side="right")
-        if uniform_mass > 0.0:
-            u2 = rng.random(m)
-            flat = -HALF_PI + np.pi * u2
-            safe = np.minimum(idx, len(cols) - 1)
-            lam = np.where(idx < len(cols), stacked[np.arange(m), safe], flat)
-        else:
-            idx = np.minimum(idx, len(cols) - 1)
-            lam = stacked[np.arange(m), idx]
-    else:
-        lam = -HALF_PI + np.pi * u
+    if k == 0:
+        return normalize_angles(-HALF_PI + np.pi * u)
+    idx = np.searchsorted(np.cumsum(probs), u, side="right")
+    lam = atoms[np.arange(m), np.minimum(idx, k - 1)]
+    if uniform:
+        flat = -HALF_PI + np.pi * rng.random(m)
+        lam = np.where(idx < k, lam, flat)
     return normalize_angles(lam)
 
 
@@ -238,8 +209,8 @@ def _station_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Setting index (0 or 1) at the texture epoch and at photon arrival."""
     if cfg.switching == "random":
-        v = rng.integers(0, 2, size=times.size)
-        m = rng.integers(0, 2, size=times.size)
+        v = rng.integers(0, 2, size=times.size).astype(np.int8)
+        m = rng.integers(0, 2, size=times.size).astype(np.int8)
         return v, m
     half = cfg.round_trip_time / 2.0
     return (
@@ -251,9 +222,38 @@ def _station_indices(
 def _square_wave_index(frequency: float, phase: float, times: np.ndarray) -> np.ndarray:
     """50%-duty square wave: 0 for the first half of each period, else 1."""
     if frequency == 0.0:
-        return np.zeros(times.size, dtype=np.int64)
+        return np.zeros(times.size, dtype=np.int8)
     frac = np.mod(times * frequency + phase / (2.0 * math.pi), 1.0)
-    return (frac >= 0.5).astype(np.int64)
+    return (frac >= 0.5).astype(np.int8)
+
+
+def _simulate(
+    times: np.ndarray,
+    settings: np.ndarray,
+    indices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    station_weights: tuple[float, float],
+    pbs: tuple[bool, bool],
+    gen: np.random.Generator,
+) -> Trials:
+    """Hidden angles and outcomes of pairs with (a_v, b_v, a_m, b_m) setting indices.
+
+    The hidden angle comes from the texture atoms of each present polarizer
+    at its texture-epoch setting; a station without a polarizer leaves its
+    share of the texture uniform.
+    """
+    a_v, b_v, a_m, b_m = indices
+    cols: list[np.ndarray] = []
+    probs: list[float] = []
+    for present, v, w in zip(pbs, (settings[0][a_v], settings[1][b_v]), station_weights):
+        if present:
+            cols += [v, v - HALF_PI]
+            probs += [w / 2.0, w / 2.0]
+    uniform_mass = sum(w for present, w in zip(pbs, station_weights) if not present)
+    atoms = np.column_stack(cols) if cols else np.empty((times.size, 0))
+    lam = _mixture_draw(gen, atoms, probs, uniform_mass > 0.0)
+    alpha = _detect(gen, settings[0][a_m], lam, pbs[0])
+    beta = _detect(gen, settings[1][b_m], lam, pbs[1])
+    return Trials(times, lam, a_v, b_v, a_m, b_m, alpha, beta, settings)
 
 
 # --- static-mixture runs -----------------------------------------------------
@@ -329,6 +329,7 @@ def run_timeline(
         n_chunks = max(1, math.ceil(rate * duration / chunk_size))
     else:
         n_chunks = max(1, math.ceil(n_pairs / chunk_size))
+    settings = np.array([alice.settings, bob.settings])
 
     def one_chunk(i: int) -> Trials:
         gen = spec.child(i)
@@ -344,7 +345,9 @@ def run_timeline(
             w1 = duration * (i + 1) / n_chunks
             count = int(gen.poisson(rate * (w1 - w0)))
             times = w0 + gen.random(count) * (w1 - w0)
-        return _timeline_chunk(alice, bob, station_weights, pbs, times, gen)
+        a_v, a_m = _station_indices(alice, gen, times)
+        b_v, b_m = _station_indices(bob, gen, times)
+        return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
 
     workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers > 1:
@@ -353,28 +356,6 @@ def run_timeline(
     else:
         parts = [one_chunk(i) for i in range(n_chunks)]
     return Trials.concat(parts).sorted_by_time()
-
-
-def _timeline_chunk(
-    alice: StationConfig,
-    bob: StationConfig,
-    station_weights: tuple[float, float],
-    pbs: tuple[bool, bool],
-    times: np.ndarray,
-    gen: np.random.Generator,
-) -> Trials:
-    a_settings = np.array(alice.settings)
-    b_settings = np.array(bob.settings)
-    a_v_idx, a_m_idx = _station_indices(alice, gen, times)
-    b_v_idx, b_m_idx = _station_indices(bob, gen, times)
-    a_v = a_settings[a_v_idx]
-    a_m = a_settings[a_m_idx]
-    b_v = b_settings[b_v_idx]
-    b_m = b_settings[b_m_idx]
-    lam = _hidden_draw(gen, a_v, b_v, station_weights, pbs)
-    alpha = _detect(gen, a_m, lam, pbs[0])
-    beta = _detect(gen, b_m, lam, pbs[1])
-    return Trials(times, lam, a_v, b_v, a_m, b_m, alpha, beta)
 
 
 def run_choice_trials(
@@ -398,23 +379,13 @@ def run_choice_trials(
         raise ValidationError("need at least one trial")
     check_station_weights(station_weights)
     gen = as_rng_spec(rng).generator()
-    a_settings = np.array([quad.a, quad.a_alt])
-    b_settings = np.array([quad.b, quad.b_alt])
-    a_m_idx = (gen.random(n) >= 0.5).astype(np.int64)
-    b_m_idx = (gen.random(n) >= 0.5).astype(np.int64)
-    a_sync = gen.random(n) < sf.f_alice
-    b_sync = gen.random(n) < sf.f_bob
-    a_v_idx = np.where(a_sync, a_m_idx, 1 - a_m_idx)
-    b_v_idx = np.where(b_sync, b_m_idx, 1 - b_m_idx)
-    a_v = a_settings[a_v_idx]
-    a_m = a_settings[a_m_idx]
-    b_v = b_settings[b_v_idx]
-    b_m = b_settings[b_m_idx]
-    lam = _hidden_draw(gen, a_v, b_v, station_weights, pbs)
-    alpha = _detect(gen, a_m, lam, pbs[0])
-    beta = _detect(gen, b_m, lam, pbs[1])
+    a_m = (gen.random(n) >= 0.5).astype(np.int8)
+    b_m = (gen.random(n) >= 0.5).astype(np.int8)
+    a_v = np.where(gen.random(n) < sf.f_alice, a_m, 1 - a_m)
+    b_v = np.where(gen.random(n) < sf.f_bob, b_m, 1 - b_m)
+    settings = np.array([[quad.a, quad.a_alt], [quad.b, quad.b_alt]])
     times = np.arange(n, dtype=np.float64)
-    return Trials(times, lam, a_v, b_v, a_m, b_m, alpha, beta)
+    return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
 
 
 # --- estimators ---------------------------------------------------------------
@@ -437,11 +408,16 @@ def _fraction_estimate(hits: np.ndarray) -> EstimateWithError:
     return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), int(n))
 
 
+def _at_setting(idx: np.ndarray, table: np.ndarray, setting: float) -> np.ndarray:
+    """Records whose indexed setting in a station's 2-entry ``table`` is ``setting``."""
+    return np.isclose(table, setting, rtol=0.0, atol=_ANGLE_ATOL)[idx]
+
+
 def _setting_masks(
-    values: np.ndarray, first: float, second: float
+    idx: np.ndarray, table: np.ndarray, first: float, second: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    m1 = np.isclose(values, first, rtol=0.0, atol=_ANGLE_ATOL)
-    m2 = np.isclose(values, second, rtol=0.0, atol=_ANGLE_ATOL)
+    m1 = _at_setting(idx, table, first)
+    m2 = _at_setting(idx, table, second)
     if np.any(m1 & m2):
         raise ValidationError("quad settings are not distinguishable")
     if not np.all(m1 | m2):
@@ -449,13 +425,31 @@ def _setting_masks(
     return m1, m2
 
 
+def _bell_sum(
+    trials: Trials, quad: ChoiceQuad, values: np.ndarray, estimate
+) -> tuple[float, float]:
+    """Signed CHSH sum (+, -, +, +) of per-group estimates over the four
+    measured setting pairs, with its variance."""
+    a1, a2 = _setting_masks(trials.a_m_idx, trials.settings[0], quad.a, quad.a_alt)
+    b1, b2 = _setting_masks(trials.b_m_idx, trials.settings[1], quad.b, quad.b_alt)
+    total = 0.0
+    var = 0.0
+    for mask, sign in ((a1 & b1, 1.0), (a1 & b2, -1.0), (a2 & b1, 1.0), (a2 & b2, 1.0)):
+        if not np.any(mask):
+            raise ValidationError("a measured setting pair has no records")
+        est = estimate(values[mask])
+        total += sign * est.value
+        var += est.std_error**2
+    return total, var
+
+
 def estimate_sync_fractions(
     trials: Trials,
 ) -> tuple[EstimateWithError, EstimateWithError]:
     """Empirical per-station in-sync fractions P(setting at texture epoch == measured)."""
+    # settings, not indices: a station may list the same setting twice
     fa = _fraction_estimate(trials.a_v == trials.a_m)
-    fb = _fraction_estimate(trials.b_v == trials.b_m)
-    return fa, fb
+    return fa, _fraction_estimate(trials.b_v == trials.b_m)
 
 
 def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
@@ -464,18 +458,8 @@ def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
     Per-group means of alpha*beta are assembled with the (+, -, +, +) sign
     pattern; errors propagate in quadrature and the result is |S|.
     """
-    a1, a2 = _setting_masks(trials.a_m, quad.a, quad.a_alt)
-    b1, b2 = _setting_masks(trials.b_m, quad.b, quad.b_alt)
     prod = trials.alpha.astype(np.float64) * trials.beta.astype(np.float64)
-    groups = ((a1 & b1, 1.0), (a1 & b2, -1.0), (a2 & b1, 1.0), (a2 & b2, 1.0))
-    total = 0.0
-    var = 0.0
-    for mask, sign in groups:
-        if not np.any(mask):
-            raise ValidationError("a measured setting pair has no records")
-        est = _mean_estimate(prod[mask])
-        total += sign * est.value
-        var += est.std_error**2
+    total, var = _bell_sum(trials, quad, prod, _mean_estimate)
     return EstimateWithError(abs(total), math.sqrt(var), len(trials))
 
 
@@ -493,30 +477,17 @@ def estimate_s_prime(
     (Alice's polarizer absent), each normalized by its own group count, the
     stand-in for the no-polarizer rate that counts every pair.
     """
-    a1, a2 = _setting_masks(trials.a_m, quad.a, quad.a_alt)
-    b1, b2 = _setting_masks(trials.b_m, quad.b, quad.b_alt)
     both = (trials.alpha == 1) & (trials.beta == 1)
-    groups = ((a1 & b1, 1.0), (a1 & b2, -1.0), (a2 & b1, 1.0), (a2 & b2, 1.0))
-    total = 0.0
-    var = 0.0
-    n_used = 0
-    for mask, sign in groups:
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            raise ValidationError("a measured setting pair has no records")
-        est = _fraction_estimate(both[mask])
-        total += sign * est.value
-        var += est.std_error**2
-        n_used += count
-
-    sa_mask = np.isclose(alice_only.a_m, quad.a_alt, rtol=0.0, atol=_ANGLE_ATOL)
+    total, var = _bell_sum(trials, quad, both, _fraction_estimate)
+    sa_mask = _at_setting(alice_only.a_m_idx, alice_only.settings[0], quad.a_alt)
     if not np.any(sa_mask):
         raise ValidationError("no singles records at Alice's alternate setting")
-    sb_mask = np.isclose(bob_only.b_m, quad.b, rtol=0.0, atol=_ANGLE_ATOL)
+    sb_mask = _at_setting(bob_only.b_m_idx, bob_only.settings[1], quad.b)
     if not np.any(sb_mask):
         raise ValidationError("no singles records at Bob's first setting")
     sa = _fraction_estimate(alice_only.alpha[sa_mask] == 1)
     sb = _fraction_estimate(bob_only.beta[sb_mask] == 1)
     total -= sa.value + sb.value
     var += sa.std_error**2 + sb.std_error**2
-    return EstimateWithError(total, math.sqrt(var), n_used)
+    # the four groups partition the records
+    return EstimateWithError(total, math.sqrt(var), len(trials))

@@ -105,6 +105,8 @@ class SweepSpec:
                 raise ValidationError(f"unknown engine {e!r}")
         if MONTE_CARLO in self.engines and self.mc_pairs_per_point < 1:
             raise ValidationError("monte_carlo engine needs mc_pairs_per_point >= 1")
+        if MONTE_CARLO in self.engines and self.mc_duration <= 0.0:
+            raise ValidationError("monte_carlo engine needs duration > 0")
 
     def grid(self) -> list[float]:
         step = (self.stop - self.start) / (self.num_points - 1)
@@ -209,7 +211,26 @@ def measure_bell(
     through her two settings, one timeline each, as the asymmetric-distance
     protocol takes them: the main run is a on +1 followed by a' on +2,
     Alice-only runs at a' on +3 and Bob-only at a on +4, n//2 + 1 pairs each.
+
+    Two layouts leave a measured setting pair empty and are realized with
+    the same sync fractions another way: a periodic station at frequency 0
+    (under ``step_alice``, Bob) shows one setting per run, so the choice
+    sampler at the stations' sync fractions stands in; identical waves
+    never show the mixed pairs, so Bob's is offset a quarter period.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    if duration <= 0.0:
+        raise ValidationError("duration must be > 0")
+    if stations is not None:
+        alice, bob = stations
+        switching = (bob,) if step_alice else (alice, bob)
+        if any(s.switching == "periodic" and s.switch_frequency == 0.0 for s in switching):
+            sf = mix_fractions(1.0 if step_alice else alice.sync_fraction(), bob.sync_fraction())
+            stations, step_alice = None, False
+        elif (not step_alice and alice.switch_frequency == bob.switch_frequency
+              and alice.switch_phase == bob.switch_phase):
+            stations = (alice, replace(bob, switch_phase=bob.switch_phase + math.pi / 2))
 
     def run(k: int, pbs: tuple[bool, bool], alice_setting: float | None = None) -> Trials:
         stream = RngSpec(rng.seed, rng.stream_id + k)
@@ -245,26 +266,14 @@ def _mc_values(
         measure_bell, spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, index * 8),
         duration=spec.mc_duration, station_weights=weights,
     )
-    if spec.variable is SweepVariable.DISTANCE_RATIO:
-        bob = replace(spec.bob, switch_frequency=x)
-        return measure(stations=(spec.alice, bob), step_alice=True)
-    nu_a = x if spec.variable in (
-        SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY
-    ) else spec.alice.switch_frequency
-    nu_b = x if spec.variable is SweepVariable.FREQUENCY_COMMON else spec.bob.switch_frequency
-    if spec.variable is SweepVariable.F_DIRECT or nu_a == 0.0 or nu_b == 0.0:
-        # a non-switching station never shows its alternate setting in one
-        # run; the per-trial choice sampler stands in for the separate
-        # fixed-setting runs a real experiment would take
+    if spec.variable is SweepVariable.F_DIRECT:
         return measure(sf=sf)
-    alice = replace(spec.alice, switch_frequency=nu_a)
-    bob = replace(spec.bob, switch_frequency=nu_b)
-    if alice.switch_frequency == bob.switch_frequency and alice.switch_phase == bob.switch_phase:
-        # phase-locked identical waves never populate the mixed setting
-        # pairs; a quarter-period offset realizes all four channels without
-        # changing either station's sync fraction
-        bob = replace(bob, switch_phase=bob.switch_phase + math.pi / 2)
-    return measure(stations=(alice, bob))
+    v = spec.variable
+    sweeps_a = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY)
+    sweeps_b = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.DISTANCE_RATIO)
+    alice = replace(spec.alice, switch_frequency=x) if sweeps_a else spec.alice
+    bob = replace(spec.bob, switch_frequency=x) if sweeps_b else spec.bob
+    return measure(stations=(alice, bob), step_alice=v is SweepVariable.DISTANCE_RATIO)
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:

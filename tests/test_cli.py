@@ -140,6 +140,21 @@ class TestBell:
         row = rows[0]
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
+    @pytest.mark.parametrize("form", ["sprime", "s"])
+    @pytest.mark.parametrize("nu_a, nu_b", [("0", "48.4MHz"), ("46.2MHz", "46.2MHz")])
+    def test_monte_carlo_when_one_timeline_misses_a_setting_pair(self, nu_a, nu_b, form,
+                                                               tmp_path):
+        # a station that never switches, and two identical waves, leave a
+        # measured setting pair without records in a plain timeline run
+        out = tmp_path / "bell.csv"
+        code = main(["bell", "--nu-a", nu_a, "--nu-b", nu_b, "--round-trip", "43ns",
+                     "--form", form, "--engine", "both", "--pairs", "150000", "--seed", "9",
+                     "--output", str(out), "--format", "csv"])
+        assert code == 0
+        _, rows = read_table(out)
+        row = rows[0]
+        assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
+
     def test_quad_in_degrees_equals_radians(self, tmp_path):
         deg = tmp_path / "deg.csv"
         rad = tmp_path / "rad.csv"
@@ -176,6 +191,24 @@ class TestMalformedInput:
                      "--pairs", "1000", "--workers", workers])
         assert code == 1
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["bell", "--f", "0.9", "--engine", "mc", "--pairs", "1000", "--workers", "0"],
+         "workers"),
+        (["bell", "--f", "0.9", "--engine", "mc", "--pairs", "1000", "--duration", "-1"],
+         "duration"),
+        (["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
+          "--points", "2", "--engines", "closed_form,monte_carlo", "--mc-pairs", "1000",
+          "--duration", "-1"], "duration"),
+        (["sweep", "--variable", "f_direct", "--start", "0", "--stop", "1", "--points", "2",
+          "--engines", "closed_form,monte_carlo", "--mc-pairs", "1000", "--duration", "-1"],
+         "duration"),
+    ])
+    def test_monte_carlo_option_out_of_range(self, argv, option, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert option in err
 
 
 class TestSweepCommand:
@@ -225,6 +258,21 @@ class TestSweepCommand:
             assert row["mc_s_prime_err"] > 0
             assert row["mc_s_chsh"] is not None
             assert abs(row["mc_s_prime"] - row["s_prime"]) <= 6 * row["mc_s_prime_err"]
+
+    def test_monte_carlo_distance_ratio_through_a_non_switching_bob(self, tmp_path):
+        # at nu = 0 Bob never shows b' in a timeline run
+        out = tmp_path / "dr.jsonl"
+        code = main([
+            "sweep", "--variable", "distance_ratio", "--start", "0", "--stop", "50MHz",
+            "--points", "3", "--engines", "monte_carlo", "--mc-pairs", "60000", "--seed", "12",
+            "--output", str(out), "--format", "jsonl",
+        ])
+        assert code == 0
+        _, rows = read_table(out)
+        assert rows[0]["x"] == 0
+        for row in rows:
+            assert abs(row["mc_s_prime"] - row["s_prime"]) <= 4 * row["mc_s_prime_err"]
+            assert abs(row["mc_s_chsh"] - row["s_chsh"]) <= 4 * row["mc_s_chsh_err"]
 
     def test_svg_plot_embeds_full_precision_data(self, tmp_path):
         out = tmp_path / "plot.svg"

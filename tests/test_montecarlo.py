@@ -337,11 +337,14 @@ class TestTrialsContainer:
     def test_record_view_and_concat(self):
         alice, bob = aspect_stations()
         t = run_timeline(alice, bob, 1_000, 1e-3, RngSpec(32))
-        rec = t.record(0)
-        assert rec.alpha in (-1, 1) and rec.beta in (-1, 1)
-        assert rec.a_v in (STANDARD_QUAD.a, STANDARD_QUAD.a_alt)
+        assert t.a_v_idx.dtype == np.int8
+        assert np.array_equal(t.settings, [alice.settings, bob.settings])
+        assert np.array_equal(t.a_v, t.settings[0][t.a_v_idx])
+        assert np.array_equal(t.b_m, t.settings[1][t.b_m_idx])
+        assert set(np.unique(t.alpha)) <= {-1, 1} and set(np.unique(t.beta)) <= {-1, 1}
         both = Trials.concat([t, t])
         assert len(both) == 2 * len(t)
+        assert np.array_equal(both.a_m, np.concatenate([t.a_m, t.a_m]))
 
     def test_record_settings_come_from_station_settings(self):
         alice, bob = aspect_stations()
