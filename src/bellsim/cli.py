@@ -57,7 +57,7 @@ from .sweep import (
     measure_bell,
     run_sweep,
 )
-from .units import parse_angle_list, parse_frequency, parse_time
+from .units import parse_angle_list, parse_frequency, parse_phase, parse_time
 
 STANDARD_QUAD_TEXT = "0deg,22.5deg,45deg,67.5deg"
 _MODEL_ORDER = (Model.QUANTUM, Model.SEMI_CLASSICAL, Model.TEXTURE, Model.MAX_CLASSICAL_LHV)
@@ -222,7 +222,7 @@ def _stations(opts: Options, phases: bool = True) -> tuple[ChoiceQuad, StationCo
         return StationConfig(
             setting_1, setting_2,
             opts.get(f"nu_{key}", 0.0, parse=parse_frequency),
-            opts.get(f"phase_{key}", 0.0, parse=float) if phases else 0.0,
+            opts.get(f"phase_{key}", 0.0, parse=parse_phase) if phases else 0.0,
             opts.get(f"round_trip_{key}", rt, parse=parse_time),
         )
 
@@ -530,8 +530,8 @@ def build_parser() -> _Parser:
         p.add_argument("--round-trip-a", help="Alice's round trip time")
         p.add_argument("--round-trip-b", help="Bob's round trip time")
         if phases:
-            p.add_argument("--phase-a", help="Alice's switching phase (rad)")
-            p.add_argument("--phase-b", help="Bob's switching phase (rad)")
+            p.add_argument("--phase-a", help="Alice's switching phase, e.g. 90deg (bare: rad)")
+            p.add_argument("--phase-b", help="Bob's switching phase, e.g. 90deg (bare: rad)")
 
     p = sub.add_parser("curves", help="correlation-vs-angle tables for the four models")
     common(p)

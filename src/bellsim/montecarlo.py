@@ -9,9 +9,10 @@ angle; any correlation beyond that factorization comes entirely from the
 setting-dependence of the mixture.
 
 Determinism: all sampling is chunked, each chunk owns an RNG stream derived
-from (seed, stream_id, chunk index), and chunks are merged in index order
-then stably sorted by emission time.  Results are bit-identical for any
-worker count.
+from (seed, stream_id, chunk index) and a disjoint time window, and chunks
+are merged in index order.  Each chunk sorts its own emission times before
+any other draw, so the merged records are in emission order without a
+global sort.  Results are bit-identical for any worker count.
 
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
@@ -108,9 +109,11 @@ class Trials:
     @classmethod
     def concat(cls, parts: Sequence["Trials"]) -> "Trials":
         """Records of ``parts`` in order; parts whose settings tables differ
-        are re-indexed into one table."""
+        are re-indexed into one table.  A single part is returned as is."""
         if not parts:
             raise ValidationError("cannot concatenate zero trial sets")
+        if len(parts) == 1:
+            return parts[0]
         table = parts[0].settings
         if any(not np.array_equal(p.settings, table) for p in parts):
             table, parts = _on_one_table(parts)
@@ -306,7 +309,14 @@ def run_timeline(
     Poisson process of the given ``rate`` (default n_pairs/duration, so
     n_pairs becomes the expected count).  For each pair emitted at t the
     texture carries the settings at t - T/2 and the outcomes use the
-    settings at t + T/2, with T the per-station round trip time.  At most
+    settings at t + T/2, with T the per-station round trip time.
+
+    Chunk i owns the window [duration*i/n, duration*(i+1)/n) of the n
+    chunks and draws on stream ``spec.child(i)``.  "uniform" takes the
+    window counts from one multinomial draw on ``spec.child()``, "poisson"
+    from a Poisson draw per window; either sorts its window's times before
+    the setting, hidden-angle and detection draws.  The chunks, merged in
+    index order, are therefore in non-decreasing emission time.  At most
     min(workers, cpu count, chunks) threads run; the result is the same for
     any ``workers`` >= 1.
     """
@@ -330,21 +340,21 @@ def run_timeline(
     else:
         n_chunks = max(1, math.ceil(n_pairs / chunk_size))
     settings = np.array([alice.settings, bob.settings])
+    if emission == "uniform":
+        # n_pairs iid uniform times, split by window: multinomial window counts
+        counts = spec.child().multinomial(n_pairs, np.full(n_chunks, 1.0 / n_chunks))
 
     def one_chunk(i: int) -> Trials:
         gen = spec.child(i)
-        if emission == "uniform":
-            m = min(chunk_size, n_pairs - i * chunk_size)
-            times = gen.random(m) * duration
-        elif emission == "grid":
+        if emission == "grid":
             lo = i * chunk_size
             hi = min(lo + chunk_size, n_pairs)
             times = (np.arange(lo, hi, dtype=np.float64) + 0.5) * (duration / n_pairs)
         else:
             w0 = duration * i / n_chunks
             w1 = duration * (i + 1) / n_chunks
-            count = int(gen.poisson(rate * (w1 - w0)))
-            times = w0 + gen.random(count) * (w1 - w0)
+            count = counts[i] if emission == "uniform" else gen.poisson(rate * (w1 - w0))
+            times = np.sort(w0 + gen.random(int(count)) * (w1 - w0))
         a_v, a_m = _station_indices(alice, gen, times)
         b_v, b_m = _station_indices(bob, gen, times)
         return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
@@ -355,7 +365,8 @@ def run_timeline(
             parts = list(pool.map(one_chunk, range(n_chunks)))
     else:
         parts = [one_chunk(i) for i in range(n_chunks)]
-    return Trials.concat(parts).sorted_by_time()
+    # disjoint ascending windows: index order is emission order
+    return Trials.concat(parts)
 
 
 def run_choice_trials(

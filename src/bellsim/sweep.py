@@ -62,6 +62,9 @@ ASPECT_1982_S_PRIME_ERROR = 0.020
 ASPECT_1982_REPORTED_F_ALICE = 0.97
 ASPECT_1982_REPORTED_F_BOB = 0.83
 
+#: Phase differences within this of a multiple of pi count as locked waves.
+_PHASE_ATOL = 1e-12
+
 
 class SweepError(RuntimeError):
     """A sweep point failed; the message reports the offending x."""
@@ -215,8 +218,10 @@ def measure_bell(
     Two layouts leave a measured setting pair empty and are realized with
     the same sync fractions another way: a periodic station at frequency 0
     (under ``step_alice``, Bob) shows one setting per run, so the choice
-    sampler at the stations' sync fractions stands in; identical waves
-    never show the mixed pairs, so Bob's is offset a quarter period.
+    sampler at the stations' sync fractions stands in; equal-frequency
+    waves in phase or in anti-phase (phases a multiple of pi apart, within
+    1e-12 rad) show only two of the four pairs, so Bob's is offset a quarter
+    period.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
@@ -229,7 +234,8 @@ def measure_bell(
             sf = mix_fractions(1.0 if step_alice else alice.sync_fraction(), bob.sync_fraction())
             stations, step_alice = None, False
         elif (not step_alice and alice.switch_frequency == bob.switch_frequency
-              and alice.switch_phase == bob.switch_phase):
+              and abs(math.remainder(bob.switch_phase - alice.switch_phase, math.pi))
+              <= _PHASE_ATOL):
             stations = (alice, replace(bob, switch_phase=bob.switch_phase + math.pi / 2))
 
     def run(k: int, pbs: tuple[bool, bool], alice_setting: float | None = None) -> Trials:

@@ -1,9 +1,10 @@
 """Parsing of dimensioned command-line and config values.
 
 Angles always carry an explicit unit tag ("deg" or "rad") because a bare
-number would be ambiguous.  Frequencies and times accept standard SI
-suffixes or bare numbers in the base unit (Hz, s), e.g. "46.2MHz",
-"48.4e6", "43ns".  Suffixes are case-sensitive.
+number would be ambiguous; a switching phase may also be bare radians.
+Frequencies and times accept standard SI suffixes or bare numbers in the
+base unit (Hz, s), e.g. "46.2MHz", "48.4e6", "43ns".  Suffixes are
+case-sensitive.
 """
 
 from __future__ import annotations
@@ -50,6 +51,25 @@ def parse_angle(value: "str | float") -> float:
     if text.endswith("rad"):
         return normalize_angle(_to_float(text[:-3].strip(), "angle"))
     raise ValidationError(f"angle {text!r} needs a 'deg' or 'rad' unit tag")
+
+
+def parse_phase(value: "str | float") -> float:
+    """Parse a switching phase: a deg/rad-tagged angle or bare radians.
+
+    Unlike a polarizer angle a phase is 2*pi-periodic, so it is returned in
+    radians as given, not normalized.  Malformed text raises ``ValueError``.
+    """
+    if isinstance(value, (int, float)):
+        out = float(value)
+    else:
+        text = value.strip()
+        if text.endswith("deg"):
+            out = math.radians(float(text[:-3]))
+        else:
+            out = float(text[:-3] if text.endswith("rad") else text)
+    if not math.isfinite(out):
+        raise ValueError(f"phase must be finite, got {out!r}")
+    return out
 
 
 def parse_angle_list(value: str, expected: int | None = None) -> tuple[float, ...]:

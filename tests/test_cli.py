@@ -10,7 +10,9 @@ import pytest
 from bellsim import ValidationError, aspect_point
 from bellsim.cli import main, provenance_to_argv
 from bellsim.output import read_table
-from bellsim.units import parse_angle, parse_angle_list, parse_frequency, parse_time
+from bellsim.units import (
+    parse_angle, parse_angle_list, parse_frequency, parse_phase, parse_time,
+)
 
 SQRT2 = math.sqrt(2)
 
@@ -37,6 +39,14 @@ class TestUnits:
         assert quad == pytest.approx((0, math.pi / 8, math.pi / 4, 3 * math.pi / 8), abs=1e-12)
         with pytest.raises(ValidationError):
             parse_angle_list("0deg,45deg", 4)
+
+    def test_phase_forms(self):
+        assert parse_phase("90deg") == math.radians(90.0)
+        assert parse_phase("0.5rad") == parse_phase("0.5") == parse_phase(0.5) == 0.5
+        assert parse_phase("450deg") == math.radians(450.0)  # not reduced mod pi or 2 pi
+        for bad in ("10degs", "deg", "inf"):
+            with pytest.raises(ValueError):
+                parse_phase(bad)
 
     def test_frequency_forms(self):
         assert parse_frequency("46.2MHz") == 46.2e6
@@ -155,6 +165,31 @@ class TestBell:
         row = rows[0]
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
+    @pytest.mark.parametrize("form", ["sprime", "s"])
+    @pytest.mark.parametrize("phase_b", ["3.141592653589793", "6.283185307179586",
+                                         "-3.141592653589793"])
+    def test_monte_carlo_equal_waves_a_multiple_of_pi_apart(self, phase_b, form, tmp_path):
+        # in anti-phase, or a full period apart, two setting pairs get no records
+        out = tmp_path / "bell.csv"
+        code = main(["bell", "--nu-a", "46.2MHz", "--nu-b", "46.2MHz", "--phase-b", phase_b,
+                     "--round-trip", "43ns", "--form", form, "--engine", "both",
+                     "--pairs", "20000", "--seed", "9", "--output", str(out), "--format", "csv"])
+        assert code == 0
+        _, rows = read_table(out)
+        row = rows[0]
+        assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
+
+    def test_tagged_phase_equals_bare_radians(self, tmp_path):
+        deg = tmp_path / "deg.csv"
+        rad = tmp_path / "rad.csv"
+        args = ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip", "43ns",
+                "--engine", "both", "--pairs", "20000", "--seed", "4", "--format", "csv"]
+        assert main(args + ["--phase-b", "90deg", "--output", str(deg)]) == 0
+        assert main(args + ["--phase-b", "1.5707963267948966", "--output", str(rad)]) == 0
+        assert deg.read_bytes() == rad.read_bytes()
+        provenance, _ = read_table(deg)
+        assert provenance["params"]["phase_b"] == 1.5707963267948966
+
     def test_quad_in_degrees_equals_radians(self, tmp_path):
         deg = tmp_path / "deg.csv"
         rad = tmp_path / "rad.csv"
@@ -178,6 +213,7 @@ class TestMalformedInput:
         (["bell", "--f", "0.9", "--seed", "zz"], "--seed"),
         (["sweep", "--variable", "f_direct", "--start", "0", "--stop", "1",
           "--weights", "a,b"], "--weights"),
+        (["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--phase-b", "10degs"], "--phase-b"),
     ])
     def test_malformed_number_is_validation_error(self, argv, option, capsys):
         assert main(argv) == 1

@@ -4,12 +4,16 @@ All statistical gates are 4 standard errors with fixed seeds, so every test
 is deterministic.
 """
 
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import bellsim
 from bellsim import (
     ChoiceQuad,
     HvMixture,
@@ -32,11 +36,13 @@ from bellsim import (
     sync_fraction,
     texture_mixture,
 )
-from bellsim import montecarlo
+from bellsim import cli, montecarlo
 from bellsim.sweep import aspect_stations
 
 ROUND_TRIP = 43e-9
 HALF_PI = math.pi / 2
+COLUMNS = ("emission_time", "hidden_angle", "a_v_idx", "b_v_idx", "a_m_idx", "b_m_idx",
+           "alpha", "beta")
 
 
 class TestRngSpec:
@@ -224,6 +230,69 @@ class TestDeterminism:
         assert np.all(np.diff(t.emission_time) >= 0)
 
 
+class TestWindows:
+    """Chunk i owns the time window [duration*i/n, duration*(i+1)/n)."""
+
+    def test_uniform_window_counts_and_times(self):
+        alice, bob = aspect_stations()
+        n, duration, chunk = 100_000, 1e-3, 4096  # 25 windows
+        t = run_timeline(alice, bob, n, duration, RngSpec(40), chunk_size=chunk)
+        n_chunks = math.ceil(n / chunk)
+        edges = duration * np.arange(n_chunks + 1) / n_chunks
+        counts, _ = np.histogram(t.emission_time, bins=edges)
+        assert len(t) == n and counts.sum() == n
+        assert stats.chisquare(counts).pvalue > 1e-3  # equally likely windows
+        flat = stats.uniform(loc=0.0, scale=duration)
+        assert stats.kstest(t.emission_time, flat.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("emission", ["uniform", "poisson"])
+    def test_records_in_emission_order_at_any_worker_count(self, emission):
+        alice, bob = aspect_stations()
+        kwargs = dict(n_pairs=50_000, duration=1e-3, rng=RngSpec(41), emission=emission,
+                      chunk_size=4096)  # 13 windows, so 12 chunk boundaries
+        runs = [run_timeline(alice, bob, workers=w, **kwargs) for w in (1, 2, 3)]
+        for t in runs:
+            assert np.all(np.diff(t.emission_time) >= 0)
+            for name in COLUMNS:
+                assert np.array_equal(getattr(t, name), getattr(runs[0], name)), name
+
+    @pytest.mark.parametrize("emission", ["uniform", "grid", "poisson"])
+    def test_sorted_by_time_keeps_the_run_as_it_is(self, emission):
+        alice, bob = aspect_stations()
+        t = run_timeline(alice, bob, 30_000, 1e-3, RngSpec(42), emission=emission,
+                         chunk_size=4096, workers=2)
+        s = t.sorted_by_time()
+        for name in COLUMNS:
+            assert np.array_equal(getattr(s, name), getattr(t, name)), name
+
+    # sha256 of the records (every line after the provenance header) of
+    # export-trials --emission grid as written by version 0.1.0: the time
+    # windows changed the uniform and poisson streams, not the grid stream
+    GRID_DIGESTS = {
+        None: "c1c271a94f3744784349e70aa6f831b684666844a6fbb48b35e16aee86592dff",
+        4096: "c55e6d3f9669fbecabf055f1ee1d52b6bab846434871bd26647ac03fc662ade6",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [None, 4096])
+    def test_grid_export_bytes_are_unchanged(self, chunk_size, workers, tmp_path, monkeypatch):
+        if chunk_size is not None:
+            monkeypatch.setattr(cli, "run_timeline",
+                                functools.partial(run_timeline, chunk_size=chunk_size))
+        path = tmp_path / "grid.jsonl"
+        assert cli.main(["export-trials", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz",
+                         "--round-trip", "43ns", "--pairs", "20000", "--emission", "grid",
+                         "--workers", str(workers), "--seed", "7", "--output", str(path)]) == 0
+        _header, records = path.read_bytes().split(b"\n", 1)
+        assert hashlib.sha256(records).hexdigest() == self.GRID_DIGESTS[chunk_size]
+
+    def test_export_header_carries_the_package_version(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert cli.main(["export-trials", "--pairs", "10", "--output", str(path)]) == 0
+        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["provenance"]["version"] == bellsim.__version__
+
+
 class TestEstimators:
     def test_s_chsh_full_sync(self):
         alice, bob = standard_stations(1.0 / ROUND_TRIP, 2.0 / ROUND_TRIP)
@@ -351,3 +420,15 @@ class TestTrialsContainer:
         t = run_timeline(alice, bob, 5_000, 1e-3, RngSpec(33))
         assert set(np.unique(t.a_m)) <= {STANDARD_QUAD.a, STANDARD_QUAD.a_alt}
         assert set(np.unique(t.b_v)) <= {STANDARD_QUAD.b, STANDARD_QUAD.b_alt}
+
+    def test_concat_of_one_part_is_that_part(self):
+        alice, bob = aspect_stations()
+        t = run_timeline(alice, bob, 1_000, 1e-3, RngSpec(34))
+        one = Trials.concat([t])
+        for name in (*COLUMNS, "settings"):
+            assert getattr(one, name) is getattr(t, name), name
+        two = Trials.concat([t, t])
+        for name in COLUMNS:
+            col = getattr(two, name)
+            assert np.array_equal(col, np.concatenate([getattr(t, name)] * 2)), name
+            assert not np.shares_memory(col, getattr(t, name)), name
