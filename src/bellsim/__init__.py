@@ -16,6 +16,8 @@ from .choice import (
     STANDARD_QUAD,
     StationConfig,
     SyncFractions,
+    bell_coefficients,
+    bell_values,
     corr_fc,
     mix_fractions,
     q_fc,

@@ -30,10 +30,13 @@ the quad (a, b, a', b'):
 Malus outcomes give the both-click probability n = (1 + E)/4 for every
 mixture built here (each station clicks half the time, and the atom pairs at
 s and s - pi/2 average Malus's law to 1/2), so with S_signed the sum inside
-|.| above, S' = S_signed/4 - 1/2.  The Monte Carlo engine estimates n and the
-singles terms directly instead of assuming them, and the atom expansions
-``q_fc``, ``s_chsh_mixture`` and ``s_prime_mixture`` stay as an independent
-check of the closed forms.
+|.| above, S' = S_signed/4 - 1/2.  E has no f_A f_B term, so S_signed =
+c0 + c_A f_A + c_B f_B, with (c0, c_A, c_B) from ``bell_coefficients`` fixed
+by the quad and the weights ((0, sqrt 2, sqrt 2) at the standard quad); every
+S and S' under choice evaluates that map, and a sweep builds it once per quad.
+The Monte Carlo engine estimates n and the singles terms directly instead of
+assuming them, and the atom expansions ``q_fc``, ``s_chsh_mixture`` and
+``s_prime_mixture`` stay as an independent check of the closed forms.
 """
 
 from __future__ import annotations
@@ -257,13 +260,35 @@ def _signed_chsh(quad: ChoiceQuad, corr_of: Callable[[ChoiceQuad], float]) -> fl
     return sum(sign * corr_of(term) for term, sign in quad.bell_terms())
 
 
+def bell_coefficients(
+    quad: ChoiceQuad,
+    station_weights: tuple[float, float] = EQUAL_WEIGHTS,
+) -> tuple[float, float, float]:
+    """(c0, c_A, c_B) of S_signed = c0 + c_A f_A + c_B f_B under choice, from
+    ``corr_fc`` at three corners of the (f_A, f_B) square."""
+
+    def signed(f_alice: float, f_bob: float) -> float:
+        sf = SyncFractions(f_alice, f_bob)
+        return _signed_chsh(quad, lambda term: corr_fc(term, sf, station_weights))
+
+    c0 = signed(0.0, 0.0)
+    return c0, signed(1.0, 0.0) - c0, signed(0.0, 1.0) - c0
+
+
+def bell_values(coefficients: tuple[float, float, float], sf: SyncFractions) -> tuple[float, float]:
+    """(S', S) at ``sf`` from the affine map: S' = S_signed/4 - 1/2, S = |S_signed|."""
+    c0, c_alice, c_bob = coefficients
+    signed = c0 + c_alice * sf.f_alice + c_bob * sf.f_bob
+    return signed / 4.0 - 0.5, abs(signed)
+
+
 def s_chsh_fc(
     quad: ChoiceQuad,
     sf: SyncFractions,
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
     """Bell S under setting choice; equals 2*sqrt(2)*f at the standard quad."""
-    return abs(_signed_chsh(quad, lambda term: corr_fc(term, sf, station_weights)))
+    return bell_values(bell_coefficients(quad, station_weights), sf)[1]
 
 
 def s_prime_fc(
@@ -272,7 +297,7 @@ def s_prime_fc(
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
     """S' under setting choice: S_signed/4 - 1/2."""
-    return _signed_chsh(quad, lambda term: corr_fc(term, sf, station_weights)) / 4.0 - 0.5
+    return bell_values(bell_coefficients(quad, station_weights), sf)[0]
 
 
 def s_chsh_fixed(model: Model, quad: ChoiceQuad) -> float:

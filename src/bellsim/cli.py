@@ -94,8 +94,6 @@ class Options:
             return value
         try:
             return parse(value)
-        except ValidationError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"--{name.replace('_', '-')}: cannot parse {value!r} ({exc})"
@@ -313,11 +311,9 @@ def cmd_bell(opts: Options) -> int:
 
 
 def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
-    try:
-        variable = SweepVariable(opts.get("variable", "frequency_common"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    parse_x = float if variable is SweepVariable.F_DIRECT else parse_frequency
+    # SweepSpec rejects an unknown variable
+    variable = opts.get("variable", "frequency_common")
+    parse_x = float if variable == SweepVariable.F_DIRECT else parse_frequency
     start = opts.get("start", parse=parse_x)
     stop = opts.get("stop", parse=parse_x)
     if start is None or stop is None:
@@ -344,7 +340,7 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
         seed=seed,
     )
     params = {
-        "variable": variable.value,
+        "variable": spec.variable.value,
         "start": repr(start),
         "stop": repr(stop),
         "points": spec.num_points,

@@ -189,14 +189,6 @@ def coincidence_mixture(a: float, b: float, q: HvMixture) -> float:
     return total
 
 
-def detect_marginal(setting: float, q: HvMixture) -> float:
-    """Probability of a click at one station, averaged over the mixture."""
-    total = q.uniform_weight * 0.5
-    for lam, w in q.atoms:
-        total += w * detect_prob(setting, lam)
-    return total
-
-
 def corr(model: Model, a: float, b: float) -> float:
     """Dispatch to the model-specific correlation function.
 

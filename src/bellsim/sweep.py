@@ -5,8 +5,9 @@ common frequency nu against a fixed round trip T, the Bell quantities follow
 the triangle wave of the in-sync fraction, so S'(nu) oscillates between the
 quantum ceiling (-1/2 + 1/sqrt(2) ~ 0.207 at nu = n/T) and the fully
 out-of-sync floor (-1/2 at nu = (n + 1/2)/T), while S runs from 2*sqrt(2)
-down to 0.  Sweeps evaluate the closed forms and can attach Monte Carlo
-estimates from the timeline engine at every point.
+down to 0.  A sweep builds S_signed = c0 + c_A f_A + c_B f_B once for its
+quad (``bell_coefficients``) and evaluates it at every point, at the sync
+fractions of the stations that the optional Monte Carlo estimate runs.
 
 The ``distance_ratio`` variable realizes the asymmetric-distance protocol:
 Alice's polarizer is fixed (one run per required setting), Bob switches at
@@ -19,7 +20,6 @@ constant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -33,15 +33,15 @@ from .choice import (
     STANDARD_QUAD,
     StationConfig,
     SyncFractions,
+    bell_coefficients,
+    bell_values,
     mix_fractions,
-    s_chsh_fc,
     s_chsh_fixed,
-    s_prime_fc,
     s_prime_fixed,
     sync_fraction,
 )
 # importable here so that benchmarks/spans.py can wrap them by this module's name
-from .choice import s_chsh_mixture, s_prime_mixture  # noqa: F401
+from .choice import s_chsh_fc, s_chsh_mixture, s_prime_fc, s_prime_mixture  # noqa: F401
 from .models import Model, ValidationError
 from .montecarlo import (
     EstimateWithError,
@@ -99,6 +99,10 @@ class SweepSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "variable", SweepVariable(self.variable))
+        except ValueError:
+            raise ValidationError(f"unknown sweep variable {self.variable!r}") from None
         if not self.start < self.stop:
             raise ValidationError("sweep range must have start < stop")
         if self.num_points < 2:
@@ -170,24 +174,27 @@ class SweepSeries:
     reference: ReferenceLines
 
 
-def _fractions_at(spec: SweepSpec, x: float) -> SyncFractions:
-    if spec.variable is SweepVariable.FREQUENCY_COMMON:
-        return mix_fractions(
-            sync_fraction(x, spec.alice.round_trip_time),
-            sync_fraction(x, spec.bob.round_trip_time),
-        )
-    if spec.variable is SweepVariable.FREQUENCY_ALICE_ONLY:
-        return mix_fractions(
-            sync_fraction(x, spec.alice.round_trip_time), spec.bob.sync_fraction()
-        )
-    if spec.variable is SweepVariable.F_DIRECT:
+def _station_fractions(alice: StationConfig, bob: StationConfig, step_alice: bool) -> SyncFractions:
+    """Sync fractions read from the stations; a stepped Alice is always in sync."""
+    return mix_fractions(1.0 if step_alice else alice.sync_fraction(), bob.sync_fraction())
+
+
+def _sweep_point(
+    spec: SweepSpec, x: float
+) -> tuple[tuple[StationConfig, StationConfig] | None, bool, SyncFractions]:
+    """The stations at grid value x (None for f_direct), whether Alice is
+    stepped through her settings (distance_ratio), and their sync fractions."""
+    v = spec.variable
+    if v is SweepVariable.F_DIRECT:
         if not 0.0 <= x <= 1.0:
             raise ValidationError(f"f value {x!r} outside [0, 1]")
-        return mix_fractions(x, x)
-    if spec.variable is SweepVariable.DISTANCE_RATIO:
-        # Alice is fixed, hence always in sync; Bob switches at x.
-        return mix_fractions(1.0, sync_fraction(x, spec.bob.round_trip_time))
-    raise ValidationError(f"unknown sweep variable {spec.variable!r}")
+        return None, False, mix_fractions(x, x)
+    sweeps_a = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY)
+    sweeps_b = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.DISTANCE_RATIO)
+    alice = replace(spec.alice, switch_frequency=x) if sweeps_a else spec.alice
+    bob = replace(spec.bob, switch_frequency=x) if sweeps_b else spec.bob
+    step_alice = v is SweepVariable.DISTANCE_RATIO
+    return (alice, bob), step_alice, _station_fractions(alice, bob, step_alice)
 
 
 def measure_bell(
@@ -231,7 +238,7 @@ def measure_bell(
         alice, bob = stations
         switching = (bob,) if step_alice else (alice, bob)
         if any(s.switching == "periodic" and s.switch_frequency == 0.0 for s in switching):
-            sf = mix_fractions(1.0 if step_alice else alice.sync_fraction(), bob.sync_fraction())
+            sf = _station_fractions(alice, bob, step_alice)
             stations, step_alice = None, False
         elif (not step_alice and alice.switch_frequency == bob.switch_frequency
               and abs(math.remainder(bob.switch_phase - alice.switch_phase, math.pi))
@@ -261,46 +268,26 @@ def measure_bell(
     return estimate_s_prime(main, alice_only, bob_only, quad), estimate_s_chsh(main, quad)
 
 
-def _mc_values(
-    spec: SweepSpec,
-    sf: SyncFractions,
-    weights: tuple[float, float],
-    x: float,
-    index: int,
-) -> tuple[EstimateWithError, EstimateWithError]:
-    measure = functools.partial(
-        measure_bell, spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, index * 8),
-        duration=spec.mc_duration, station_weights=weights,
-    )
-    if spec.variable is SweepVariable.F_DIRECT:
-        return measure(sf=sf)
-    v = spec.variable
-    sweeps_a = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY)
-    sweeps_b = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.DISTANCE_RATIO)
-    alice = replace(spec.alice, switch_frequency=x) if sweeps_a else spec.alice
-    bob = replace(spec.bob, switch_frequency=x) if sweeps_b else spec.bob
-    return measure(stations=(alice, bob), step_alice=v is SweepVariable.DISTANCE_RATIO)
-
-
 def run_sweep(spec: SweepSpec) -> SweepSeries:
     """Evaluate the sweep; Monte Carlo failures abort with the offending x."""
     weights = spec.resolved_weights()
+    bell = bell_coefficients(spec.quad, weights)
     points = []
     for i, x in enumerate(spec.grid()):
-        sf = _fractions_at(spec, x)
-        s_p = s_prime_fc(spec.quad, sf, weights)
-        s_c = s_chsh_fc(spec.quad, sf, weights)
+        stations, step_alice, sf = _sweep_point(spec, x)
         mc_p = mc_c = None
         if MONTE_CARLO in spec.engines:
             try:
-                mc_p, mc_c = _mc_values(spec, sf, weights, x, i)
+                mc_p, mc_c = measure_bell(
+                    spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, i * 8),
+                    sf=sf, stations=stations, step_alice=step_alice,
+                    duration=spec.mc_duration, station_weights=weights,
+                )
             except Exception as exc:
                 raise SweepError(
                     f"monte carlo failed at {spec.variable.value} = {x!r}: {exc}"
                 ) from exc
-        points.append(
-            SweepPoint(x, sf.f_alice, sf.f_bob, s_p, s_c, mc_p, mc_c)
-        )
+        points.append(SweepPoint(x, sf.f_alice, sf.f_bob, *bell_values(bell, sf), mc_p, mc_c))
     return SweepSeries(spec, tuple(points), ReferenceLines.for_quad(spec.quad))
 
 
@@ -358,10 +345,6 @@ class AspectChain:
     s_chsh: float
 
 
-def _chain(sf: SyncFractions) -> AspectChain:
-    return AspectChain(sf, s_prime_fc(STANDARD_QUAD, sf), s_chsh_fc(STANDARD_QUAD, sf))
-
-
 @dataclass(frozen=True)
 class AspectReport:
     """Predicted Bell values for the 1982 parameters vs the recorded result.
@@ -399,14 +382,14 @@ class AspectReport:
 
 def aspect_point() -> AspectReport:
     """Reconstruct the 1982 configuration: 46.2 / 48.4 MHz over a 43 ns round trip."""
-    exact = _chain(
-        mix_fractions(
-            sync_fraction(ASPECT_FREQUENCY_ALICE, ASPECT_ROUND_TRIP),
-            sync_fraction(ASPECT_FREQUENCY_BOB, ASPECT_ROUND_TRIP),
+    bell = bell_coefficients(STANDARD_QUAD)
+    exact, reported = (
+        AspectChain(sf, *bell_values(bell, sf))
+        for sf in (
+            mix_fractions(sync_fraction(ASPECT_FREQUENCY_ALICE, ASPECT_ROUND_TRIP),
+                          sync_fraction(ASPECT_FREQUENCY_BOB, ASPECT_ROUND_TRIP)),
+            mix_fractions(ASPECT_1982_REPORTED_F_ALICE, ASPECT_1982_REPORTED_F_BOB),
         )
-    )
-    reported = _chain(
-        mix_fractions(ASPECT_1982_REPORTED_F_ALICE, ASPECT_1982_REPORTED_F_BOB)
     )
     return AspectReport(exact=exact, reported=reported)
 

@@ -19,6 +19,7 @@ from bellsim import (
     STANDARD_QUAD,
     StationConfig,
     ValidationError,
+    bell_coefficients,
     coincidence_mixture,
     corr_fc,
     corr_mixture,
@@ -360,6 +361,15 @@ class TestSinglesChannel:
         )
         with pytest.raises(ValidationError):
             s_prime_fixed(Model.MAX_CLASSICAL_LHV, qd)
+
+
+class TestBellCoefficients:
+    def test_standard_quad_is_zero_sqrt2_sqrt2(self):
+        # S_signed = sqrt(2) (f_A + f_B) = 2 sqrt(2) f at the standard quad
+        c0, c_alice, c_bob = bell_coefficients(STANDARD_QUAD)
+        assert abs(c0) <= 1e-15
+        assert abs(c_alice - SQRT2) <= 1e-15
+        assert abs(c_bob - SQRT2) <= 1e-15
 
 
 class TestSPrime:

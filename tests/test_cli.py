@@ -214,6 +214,12 @@ class TestMalformedInput:
         (["sweep", "--variable", "f_direct", "--start", "0", "--stop", "1",
           "--weights", "a,b"], "--weights"),
         (["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--phase-b", "10degs"], "--phase-b"),
+        (["bell", "--nu-a", "abc", "--nu-b", "1MHz"], "--nu-a"),
+        (["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip", "xyz"],
+         "--round-trip"),
+        (["bell", "--f", "0.9", "--quad", "1,2,3,4"], "--quad"),
+        (["sweep", "--variable", "frequency_common", "--start", "1GHzz", "--stop", "2GHz"],
+         "--start"),
     ])
     def test_malformed_number_is_validation_error(self, argv, option, capsys):
         assert main(argv) == 1
@@ -248,6 +254,10 @@ class TestMalformedInput:
 
 
 class TestSweepCommand:
+    def test_unknown_variable_is_validation_error(self, capsys):
+        assert main(["sweep", "--variable", "bogus", "--start", "0", "--stop", "1"]) == 1
+        assert "unknown sweep variable 'bogus'" in capsys.readouterr().err
+
     def test_default_grid_golden_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([

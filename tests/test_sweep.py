@@ -13,11 +13,12 @@ from bellsim import (
     ValidationError,
     aspect_point,
     find_extrema,
+    mix_fractions,
     run_sweep,
     series_extrema,
     sync_fraction,
 )
-from bellsim.sweep import MONTE_CARLO, SweepError
+from bellsim.sweep import MONTE_CARLO, SweepError, s_chsh_mixture, s_prime_mixture
 
 ROUND_TRIP = 43e-9
 NODE = 1.0 / ROUND_TRIP  # ~23.2558 MHz spacing of the in-sync maxima
@@ -47,6 +48,15 @@ class TestSpecValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValidationError):
             SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, engines=("quantum_annealer",))
+
+    def test_variable_given_as_text_runs_as_the_enum(self):
+        as_text = SweepSpec("frequency_common", 0.0, 100e6, num_points=21)
+        assert as_text.variable is SweepVariable.FREQUENCY_COMMON
+        assert run_sweep(as_text).points == run_sweep(common_sweep(points=21)).points
+
+    def test_unknown_variable_is_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            SweepSpec("bogus", 0.0, 1.0)
 
     def test_mc_needs_pairs(self):
         with pytest.raises(ValidationError):
@@ -149,6 +159,22 @@ class TestClosedFormSweep:
         assert (ref.lhv_s_prime_min, ref.lhv_s_prime_max, ref.lhv_s_max) == (-1.0, 0.0, 2.0)
 
 
+class TestAgainstAtomExpansion:
+    def test_unequal_weight_distance_ratio_sweep(self):
+        # the stations of `sweep --variable distance_ratio --round-trip-a 20ns
+        # --round-trip-b 43ns`; weights follow the round trips, 43:20
+        alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, round_trip_time=20e-9)
+        bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 0.0, round_trip_time=43e-9)
+        spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 0.0, 100e6, num_points=121,
+                         alice=alice, bob=bob)
+        weights = (43 / 63, 20 / 63)
+        for p in run_sweep(spec).points:
+            sf = mix_fractions(1.0, sync_fraction(p.x, 43e-9))
+            assert (p.f_alice, p.f_bob) == (sf.f_alice, sf.f_bob)
+            assert abs(p.s_prime - s_prime_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
+            assert abs(p.s_chsh - s_chsh_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
+
+
 class TestFindExtrema:
     def test_needs_three_points(self):
         with pytest.raises(ValidationError):
@@ -243,6 +269,24 @@ class TestMonteCarloSweep:
         )
         series = run_sweep(spec)
         for p in series.points:
+            assert p.mc_s_prime.agrees_with(p.s_prime)
+            assert p.mc_s_chsh.agrees_with(p.s_chsh)
+
+    @pytest.mark.parametrize("variable, station, field, seed", [
+        (SweepVariable.FREQUENCY_COMMON, "alice", "f_alice", 206),
+        (SweepVariable.DISTANCE_RATIO, "bob", "f_bob", 207),
+    ])
+    def test_random_choice_station(self, variable, station, field, seed):
+        # a random-choice station is in sync half the time, whatever x is
+        settings = {"alice": (STANDARD_QUAD.a, STANDARD_QUAD.a_alt),
+                    "bob": (STANDARD_QUAD.b, STANDARD_QUAD.b_alt)}[station]
+        spec = SweepSpec(
+            variable, 10e6, 20e6, num_points=2,
+            engines=("closed_form", MONTE_CARLO), mc_pairs_per_point=100_000, seed=seed,
+            **{station: StationConfig.random_choice(*settings)},
+        )
+        for p in run_sweep(spec).points:
+            assert getattr(p, field) == 0.5
             assert p.mc_s_prime.agrees_with(p.s_prime)
             assert p.mc_s_chsh.agrees_with(p.s_chsh)
 
