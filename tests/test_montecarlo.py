@@ -293,6 +293,67 @@ class TestWindows:
         assert header["provenance"]["version"] == bellsim.__version__
 
 
+def _records_digest(t: Trials) -> str:
+    """sha256 over every record column, in ``COLUMNS`` order, and the settings table."""
+    h = hashlib.sha256()
+    for name in COLUMNS:
+        h.update(np.ascontiguousarray(getattr(t, name)).tobytes())
+    h.update(np.ascontiguousarray(t.settings).tobytes())
+    return h.hexdigest()
+
+
+class TestStreamDigests:
+    """Fixed-seed record streams as written by version 0.2.0.
+
+    A changed digest is a stream change: it bumps the package version and
+    is declared, it is never re-pinned to make a kernel change pass.
+    """
+
+    TIMELINE_DIGESTS = {
+        ("uniform", (True, True)):
+            "75f0974d9d7bb2c4cd937fa056d41fd51669c8c8fc6ea9b8c1957ad5b040ba82",
+        ("uniform", (True, False)):
+            "66fbd0f954011d63b556e19a9f03d8b4b64629e0e658e733e9691a51dbb55756",
+        ("uniform", (False, True)):
+            "cccdd15f3f89c11aa84c2c184c23e605f5b17dc777149c0eac5c41c4cd188d71",
+        ("poisson", (True, True)):
+            "b205c405ee62f59fa283e85e2bb979d77d5fd17b63391f4d7abea538dc722c24",
+        ("poisson", (True, False)):
+            "8708674e4f11611050102e636c0b0779c3560469633ca83d8381eb0960e0c521",
+        ("poisson", (False, True)):
+            "ed5396c643fc94c935f75eb5a9f9915b559092e42d95ebf4055c99d29bbd99fc",
+    }
+    CHOICE_DIGEST = "67469451541e2a17bcf5c9896bf87162dd90c3b562d100d3c91b22eebfb77162"
+    # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error)
+    STATIC_ESTIMATES = (
+        ("texture", (0.3541, 0.006613081440773817)),
+        ("atoms_and_uniform", (0.3737, 0.006558930284606166)),
+        ("uniform", (0.3527, 0.006616821337789831)),
+    )
+    STATIC_MIXTURES = {
+        "texture": texture_mixture([0.0, math.pi / 4]),
+        "atoms_and_uniform": HvMixture(((0.3, 0.25), (-0.4, 0.25)), 0.5),
+        "uniform": UNIFORM_MIXTURE,
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("emission, pbs", list(TIMELINE_DIGESTS))
+    def test_timeline_columns(self, emission, pbs, workers):
+        alice, bob = aspect_stations()
+        t = run_timeline(alice, bob, 20_000, 1e-3, RngSpec(60), emission=emission, pbs=pbs,
+                         workers=workers, chunk_size=4096)  # 5 windows
+        assert _records_digest(t) == self.TIMELINE_DIGESTS[emission, pbs]
+
+    def test_choice_trial_columns(self):
+        t = run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.9), 20_000, RngSpec(61))
+        assert _records_digest(t) == self.CHOICE_DIGEST
+
+    @pytest.mark.parametrize("mixture, expected", STATIC_ESTIMATES)
+    def test_static_estimates(self, mixture, expected):
+        est = run_static(0.0, math.pi / 8, self.STATIC_MIXTURES[mixture], 20_000, RngSpec(62))
+        assert (est.value, est.std_error) == expected
+
+
 class TestEstimators:
     def test_s_chsh_full_sync(self):
         alice, bob = standard_stations(1.0 / ROUND_TRIP, 2.0 / ROUND_TRIP)
