@@ -19,6 +19,20 @@ keeps each setting as an int8 index into a 2x2 per-station ``settings``
 table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
 ``b_m``).  The estimators resolve the quad against that table once and
 group records by index.
+
+Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
+square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
+which is exact for any t.  With polarizers present the hidden angle takes
+at most 8 values per run (each station's two settings, and each minus
+pi/2); a chunk builds that table once (``_AtomTable``), draws an atom code
+per pair from the slot probabilities and the stations' texture-epoch
+indices, and gathers both the angle and the Malus probability (a 2x8
+``cos**2`` table of measured setting by atom code) from it.  Only pairs
+whose hidden angle is a flat draw (the singles runs' uniform share, or a
+uniform mixture component) evaluate ``cos`` per pair.  ``run_timeline``,
+``run_choice_trials``, ``run_static`` and ``sample_lambda`` share that one
+sampler and detector; the random numbers and their order are those of the
+per-pair formulas, so every record column is unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +49,10 @@ from .choice import ChoiceQuad, StationConfig, SyncFractions, check_station_weig
 from .models import HALF_PI, HvMixture, ValidationError, normalize_angle
 
 DEFAULT_CHUNK = 1 << 18
+
+#: Beyond 2**52 periods a float64 t*frequency has no fractional part, so a
+#: square wave can no longer resolve its half periods.
+_MAX_PERIODS = 2.0**52
 
 _ANGLE_ATOL = 1e-12
 
@@ -150,14 +168,74 @@ def _on_one_table(parts: Sequence[Trials]) -> tuple[np.ndarray, list[Trials]]:
 
 
 def normalize_angles(x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of models.normalize_angle (same fmod formula)."""
+    """Vectorized twin of models.normalize_angle (same fmod formula).
+
+    Each fold adds 0 or pi, the same floats as branching but without a
+    data-dependent choice per element.
+    """
     r = np.fmod(x, np.pi)
-    r = np.where(r < 0.0, r + np.pi, r)
-    r = np.where(r > HALF_PI, r - np.pi, r)
-    return r + 0.0
+    r += (r < 0.0) * np.pi
+    r -= (r > HALF_PI) * np.pi
+    r += 0.0
+    return r
 
 
 # --- sampling primitives ----------------------------------------------------
+
+
+#: Up to this many slot thresholds, one comparison pass per threshold beats
+#: a binary search per pair.
+_COMPARE_SLOTS = 32
+
+
+@dataclass(frozen=True)
+class _AtomTable:
+    """Every hidden angle a run's atoms can give, indexed by an atom code.
+
+    A pair in texture state ``s`` picks slot j with probability ``probs[j]``
+    and takes the atom ``codes[s, j]``; ``angles`` holds each code's
+    normalized angle.  With a ``uniform`` component the last slot of every
+    state is the code ``flat``: the pair picked no atom and draws a flat
+    angle (``angles[flat]`` is nan).
+    """
+
+    angles: np.ndarray
+    probs: tuple[float, ...]
+    codes: np.ndarray
+    uniform: bool
+
+    @property
+    def flat(self) -> int:
+        return self.angles.size - 1
+
+    @classmethod
+    def build(cls, raw: Sequence[float], probs: Sequence[float], uniform: bool,
+              codes: Sequence[Sequence[int]]) -> "_AtomTable":
+        angles = np.append(normalize_angles(np.array(raw, dtype=np.float64)), np.nan)
+        dtype = np.min_scalar_type(-2 * angles.size)  # holds (setting, code) keys too
+        rows = [list(row) + [angles.size - 1] * uniform for row in codes]
+        return cls(angles, tuple(probs), np.array(rows, dtype=dtype), uniform)
+
+    @classmethod
+    def of_mixture(cls, q: HvMixture) -> "_AtomTable":
+        """One state; slot j is the mixture's atom j."""
+        k = len(q.atoms)
+        return cls.build([a for a, _ in q.atoms], [w for _, w in q.atoms],
+                         q.uniform_weight > 0.0, [range(k)])
+
+    @classmethod
+    def of_stations(cls, settings: np.ndarray, station_weights: tuple[float, float],
+                    pbs: tuple[bool, bool]) -> "_AtomTable":
+        """State 2*a_v + b_v; each present polarizer contributes the slots of
+        its texture-epoch setting s and of s - pi/2, weight w/2 each.  The
+        code of station st, setting index j and that pi/2 shift h is 4*st + 2*j + h."""
+        raw = [v - h * HALF_PI for row in settings.tolist() for v in row for h in (0, 1)]
+        slots = [(st, h) for st in (0, 1) if pbs[st] for h in (0, 1)]
+        probs = [station_weights[st] / 2.0 for st, _ in slots]
+        uniform = sum(w for present, w in zip(pbs, station_weights) if not present) > 0.0
+        codes = [[4 * st + 2 * (state >> (1 - st) & 1) + h for st, h in slots]
+                 for state in range(4)]
+        return cls.build(raw, probs, uniform, codes)
 
 
 def sample_lambda(
@@ -169,42 +247,70 @@ def sample_lambda(
     over one period.  Scalar when ``size`` is None.
     """
     m = 1 if size is None else int(size)
-    angles = np.array([a for a, _ in q.atoms], dtype=np.float64)
-    atoms = np.broadcast_to(angles, (m, angles.size))
-    out = _mixture_draw(rng, atoms, [w for _, w in q.atoms], q.uniform_weight > 0.0)
+    out, _, _ = _mixture_draw(rng, _AtomTable.of_mixture(q), m)
     return float(out[0]) if size is None else out
 
 
 def _mixture_draw(
-    rng: np.random.Generator, atoms: np.ndarray, probs: Sequence[float], uniform: bool
-) -> np.ndarray:
-    """The one hidden-angle sampler: row i of ``atoms`` holds trial i's atoms.
+    rng: np.random.Generator, table: _AtomTable, m: int, state: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The one hidden-angle sampler: (angles, atom codes, flat pairs) of ``m`` pairs.
 
-    A first draw per trial picks an atom by ``probs``; with a ``uniform``
-    component a second draw gives the flat angle of trials that pick none.
+    A first draw per pair picks a slot by ``table.probs`` (in the pair's
+    ``state``; one state when None); with a uniform component a second draw
+    gives the flat angle of pairs that pick none.  Without atoms the first
+    draw is the flat angle.  Flat pairs are listed by index, None when no
+    pair can be flat.
     """
-    m, k = atoms.shape
     u = rng.random(m)
-    if k == 0:
-        return normalize_angles(-HALF_PI + np.pi * u)
-    idx = np.searchsorted(np.cumsum(probs), u, side="right")
-    lam = atoms[np.arange(m), np.minimum(idx, k - 1)]
-    if uniform:
-        flat = -HALF_PI + np.pi * rng.random(m)
-        lam = np.where(idx < k, lam, flat)
-    return normalize_angles(lam)
+    if not table.probs:
+        lam = normalize_angles(-HALF_PI + np.pi * u)
+        return lam, np.full(m, table.flat, dtype=table.codes.dtype), np.arange(m)
+    n_slots = table.codes.shape[1]
+    # searchsorted(cumsum(probs), u, "right"); without a uniform component
+    # the last threshold is left out, which clamps to the last atom
+    cum = np.cumsum(table.probs)[: n_slots - 1]
+    if cum.size > _COMPARE_SLOTS:
+        slot = np.searchsorted(cum, u, side="right")
+    else:
+        slot = np.zeros(m, dtype=np.int8)
+        for c in cum:
+            slot += u >= c
+    code = table.codes.ravel()[slot if state is None else state * n_slots + slot]
+    lam = table.angles[code]
+    if not table.uniform:
+        return lam, code, None
+    flat = np.flatnonzero(code == table.flat)  # indices gather faster than a mask
+    lam[flat] = normalize_angles(-HALF_PI + np.pi * rng.random(m)[flat])
+    return lam, code, flat
 
 
 def _detect(
-    rng: np.random.Generator, setting: np.ndarray, lam: np.ndarray, present: bool
+    rng: np.random.Generator,
+    table: _AtomTable,
+    hidden: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    settings: np.ndarray,
+    setting_idx: np.ndarray,
+    present: bool,
 ) -> np.ndarray:
-    """Draw +/-1 outcomes; an absent polarizer detects every photon."""
-    if present:
-        p = np.cos(setting - lam) ** 2
-    else:
-        p = 1.0
+    """Draw +/-1 outcomes at ``settings[setting_idx]`` against the ``hidden``
+    angles of ``_mixture_draw``; an absent polarizer detects every photon.
+
+    Atom pairs gather their Malus probability from a (setting, atom code)
+    table; only pairs with a flat hidden angle evaluate cos per pair.
+    """
+    lam, code, flat = hidden
     u = rng.random(lam.size)
-    return np.where(u < p, 1, -1).astype(np.int8)
+    if not present:
+        return np.ones(lam.size, dtype=np.int8)  # u < 1 always
+    malus = np.cos(settings[:, None] - table.angles) ** 2
+    p = malus.ravel()[setting_idx * code.dtype.type(table.angles.size) + code]
+    if flat is not None:
+        p[flat] = np.cos(settings[setting_idx[flat]] - lam[flat]) ** 2
+    hit = (u < p).view(np.int8)
+    hit += hit
+    hit -= 1
+    return hit
 
 
 def _station_indices(
@@ -223,11 +329,20 @@ def _station_indices(
 
 
 def _square_wave_index(frequency: float, phase: float, times: np.ndarray) -> np.ndarray:
-    """50%-duty square wave: 0 for the first half of each period, else 1."""
+    """50%-duty square wave: 0 for the first half of each period, else 1.
+
+    The index is the parity of floor(2x), x = t*frequency + phase/2pi,
+    i.e. whether floor(2x) differs from 2*floor(x).  Both are exact, so it
+    equals ``mod(x, 1) >= 0.5`` for every x, negative or beyond 2**63.
+    """
     if frequency == 0.0:
         return np.zeros(times.size, dtype=np.int8)
-    frac = np.mod(times * frequency + phase / (2.0 * math.pi), 1.0)
-    return (frac >= 0.5).astype(np.int8)
+    x = times * frequency
+    x += phase / (2.0 * math.pi)
+    twice = np.floor(x + x)
+    np.floor(x, out=x)
+    x += x
+    return (twice != x).view(np.int8)
 
 
 def _simulate(
@@ -245,18 +360,13 @@ def _simulate(
     share of the texture uniform.
     """
     a_v, b_v, a_m, b_m = indices
-    cols: list[np.ndarray] = []
-    probs: list[float] = []
-    for present, v, w in zip(pbs, (settings[0][a_v], settings[1][b_v]), station_weights):
-        if present:
-            cols += [v, v - HALF_PI]
-            probs += [w / 2.0, w / 2.0]
-    uniform_mass = sum(w for present, w in zip(pbs, station_weights) if not present)
-    atoms = np.column_stack(cols) if cols else np.empty((times.size, 0))
-    lam = _mixture_draw(gen, atoms, probs, uniform_mass > 0.0)
-    alpha = _detect(gen, settings[0][a_m], lam, pbs[0])
-    beta = _detect(gen, settings[1][b_m], lam, pbs[1])
-    return Trials(times, lam, a_v, b_v, a_m, b_m, alpha, beta, settings)
+    table = _AtomTable.of_stations(settings, station_weights, pbs)
+    state = a_v + a_v
+    state += b_v
+    hidden = _mixture_draw(gen, table, times.size, state)
+    alpha = _detect(gen, table, hidden, settings[0], a_m, pbs[0])
+    beta = _detect(gen, table, hidden, settings[1], b_m, pbs[1])
+    return Trials(times, hidden[0], a_v, b_v, a_m, b_m, alpha, beta, settings)
 
 
 # --- static-mixture runs -----------------------------------------------------
@@ -277,11 +387,11 @@ def run_static(
     if n < 1:
         raise ValidationError("need at least one trial")
     gen = rng if isinstance(rng, np.random.Generator) else as_rng_spec(rng).generator()
-    lam = sample_lambda(q, gen, size=n)
-    a_arr = np.full(n, normalize_angle(a))
-    b_arr = np.full(n, normalize_angle(b))
-    alpha = _detect(gen, a_arr, lam, True)
-    beta = _detect(gen, b_arr, lam, True)
+    table = _AtomTable.of_mixture(q)
+    hidden = _mixture_draw(gen, table, n)
+    measured = np.zeros(n, dtype=table.codes.dtype)
+    alpha = _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True)
+    beta = _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True)
     return _mean_estimate(alpha.astype(np.float64) * beta.astype(np.float64))
 
 
@@ -329,6 +439,14 @@ def run_timeline(
     if emission != "poisson" and n_pairs < 1:
         raise ValidationError("need at least one pair")
     check_station_weights(station_weights)
+    for name, cfg in (("Alice", alice), ("Bob", bob)):
+        periods = (duration + cfg.round_trip_time / 2.0) * cfg.switch_frequency
+        if cfg.switching == "periodic" and periods > _MAX_PERIODS:
+            raise ValidationError(
+                f"--duration {duration!r} s spans {periods:.3g} periods of {name}'s "
+                f"square wave, more than 2**52: every time would fall in the same "
+                f"half period; shorten --duration"
+            )
     spec = as_rng_spec(rng)
 
     if emission == "poisson":

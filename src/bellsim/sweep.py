@@ -70,6 +70,11 @@ class SweepError(RuntimeError):
     """A sweep point failed; the message reports the offending x."""
 
 
+class SweepInputError(SweepError, ValidationError):
+    """A sweep point failed on an input its estimators reject (too few
+    pairs): a ``ValidationError``, so the CLI exits 1 as ``bell`` does."""
+
+
 class SweepVariable(str, Enum):
     FREQUENCY_COMMON = "frequency_common"
     FREQUENCY_ALICE_ONLY = "frequency_alice_only"
@@ -269,7 +274,12 @@ def measure_bell(
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:
-    """Evaluate the sweep; Monte Carlo failures abort with the offending x."""
+    """Evaluate the sweep; Monte Carlo failures abort with the offending x.
+
+    A ``ValidationError`` (such as too few pairs per point) is raised as
+    ``SweepInputError``, still a ``ValidationError``; any other failure as
+    ``SweepError``.
+    """
     weights = spec.resolved_weights()
     bell = bell_coefficients(spec.quad, weights)
     points = []
@@ -284,9 +294,9 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
                     duration=spec.mc_duration, station_weights=weights,
                 )
             except Exception as exc:
-                raise SweepError(
-                    f"monte carlo failed at {spec.variable.value} = {x!r}: {exc}"
-                ) from exc
+                # an input the estimators reject (too few pairs) stays an input error
+                error = SweepInputError if isinstance(exc, ValidationError) else SweepError
+                raise error(f"monte carlo failed at {spec.variable.value} = {x!r}: {exc}") from exc
         points.append(SweepPoint(x, sf.f_alice, sf.f_bob, *bell_values(bell, sf), mc_p, mc_c))
     return SweepSeries(spec, tuple(points), ReferenceLines.for_quad(spec.quad))
 

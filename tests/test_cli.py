@@ -7,9 +7,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from bellsim import ValidationError, aspect_point
+from bellsim import ValidationError, aspect_point, cli
 from bellsim.cli import main, provenance_to_argv
 from bellsim.output import read_table
+from bellsim.sweep import SweepError
 from bellsim.units import (
     parse_angle, parse_angle_list, parse_frequency, parse_phase, parse_time,
 )
@@ -363,13 +364,21 @@ class TestSweepCommand:
         assert code == 0
         assert plot.exists() and out.exists()
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        code = main([
-            "sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
-            "--points", "2", "--engines", "monte_carlo", "--mc-pairs", "2",
-            "--output", str(tmp_path / "x.csv"),
-        ])
+    MC_SWEEP = ["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
+                "--points", "2", "--engines", "monte_carlo", "--mc-pairs", "2"]
+
+    def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
+        def failing_sweep(spec):
+            raise SweepError(f"monte carlo failed at {spec.variable.value} = 1e7: overflow")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        code = main(self.MC_SWEEP + ["--output", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_too_few_mc_pairs_is_validation_error(self, tmp_path, capsys):
+        code = main(self.MC_SWEEP + ["--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "monte carlo failed at frequency_common = 10000000.0: " in capsys.readouterr().err
 
 
 class TestSyncCommand:
@@ -411,6 +420,19 @@ class TestExportTrials:
     def test_zero_pairs_rejected(self, tmp_path, capsys):
         code = main(["export-trials", "--pairs", "0", "--output", str(tmp_path / "t.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["bell", "--engine", "mc", "--pairs", "20000"],
+        ["export-trials", "--pairs", "20000"],
+    ])
+    def test_duration_beyond_square_wave_resolution_rejected(self, command, tmp_path, capsys):
+        # (1e15 s + 21.5 ns) * 48.4 MHz ~ 4.8e22 periods: t * nu has no fraction left
+        out = tmp_path / "out.jsonl"
+        code = main(command + ["--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--duration", "1e15s",
+                               "--output", str(out)])
+        assert code == 1
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fixed_seed_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.jsonl"

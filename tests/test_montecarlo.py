@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from bellsim import (
     texture_mixture,
 )
 from bellsim import cli, montecarlo
+from bellsim.models import normalize_angle
 from bellsim.sweep import aspect_stations
 
 ROUND_TRIP = 43e-9
@@ -83,6 +85,32 @@ class TestSampleLambda:
         value = sample_lambda(texture_mixture([0.4]), RngSpec(4).generator())
         assert isinstance(value, float)
 
+    @pytest.mark.parametrize("uniform_weight", [0.0, 0.25])
+    @pytest.mark.parametrize("n_atoms", [3, 40])  # 40: past the comparison passes
+    def test_draws_match_searchsorted_reference(self, n_atoms, uniform_weight):
+        weight = (1.0 - uniform_weight) / n_atoms
+        q = HvMixture(tuple((a, weight) for a in np.linspace(-3.0, 3.0, n_atoms)), uniform_weight)
+        m = 20_000
+        gen = RngSpec(10).generator()
+        u = gen.random(m)
+        idx = np.searchsorted(np.cumsum([w for _, w in q.atoms]), u, side="right")
+        lam = np.array([a for a, _ in q.atoms])[np.minimum(idx, n_atoms - 1)]
+        if uniform_weight:
+            lam = np.where(idx < n_atoms, lam, -HALF_PI + np.pi * gen.random(m))
+        expected = np.array([normalize_angle(v) for v in lam])
+        assert np.array_equal(sample_lambda(q, RngSpec(10).generator(), size=m), expected)
+
+    def test_normalize_angles_is_the_scalar_twin(self):
+        gen = RngSpec(11).generator()
+        x = np.concatenate([
+            gen.normal(size=5000), 10.0 * gen.normal(size=5000), 1e6 * gen.normal(size=5000),
+            [0.0, -0.0, HALF_PI, -HALF_PI, math.pi, -math.pi, 3 * HALF_PI, -3 * HALF_PI,
+             np.nextafter(HALF_PI, 0.0), np.nextafter(-HALF_PI, 0.0), -1e-300, 5e-324],
+        ])
+        expected = np.array([normalize_angle(v) for v in x])
+        got = montecarlo.normalize_angles(x)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # signed zeros too
+
 
 class TestRunStatic:
     def test_aligned_deterministic(self):
@@ -108,6 +136,49 @@ class TestRunStatic:
     def test_rejects_empty_run(self):
         with pytest.raises(ValidationError):
             run_static(0.0, 0.0, UNIFORM_MIXTURE, 0, RngSpec(9))
+
+
+class TestSquareWave:
+    """``_square_wave_index`` against the ``np.mod`` formula it replaced."""
+
+    @staticmethod
+    def reference(frequency, phase, times):
+        return (np.mod(times * frequency + phase / (2.0 * math.pi), 1.0) >= 0.5).astype(np.int8)
+
+    def check(self, frequency, phase, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo._square_wave_index(frequency, phase, times)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, self.reference(frequency, phase, times))
+
+    @pytest.mark.parametrize("frequency, phase", [
+        (48.4e6, 0.0), (46.2e6, 1.3), (46.2e6, -7.0), (1.0, 2.0), (3.7e9, math.pi),
+    ])
+    def test_random_and_negative_times(self, frequency, phase):
+        gen = RngSpec(70).generator()
+        self.check(frequency, phase, np.concatenate([
+            gen.uniform(-1e-3, 1e-3, 50_000),
+            -21.5e-9 * gen.random(10_000),  # t - T/2 in the first half round trip
+            gen.uniform(-1e3, 1e3, 10_000),
+        ]))
+
+    @pytest.mark.parametrize("phase", [0.0, math.pi, -math.pi / 2])
+    def test_exact_half_periods_and_their_neighbours(self, phase):
+        halves = np.arange(-2000, 2001) / 2.0  # x = t * 0.25 + phase/2pi
+        times = np.concatenate([halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf)])
+        self.check(0.25, phase, times)
+        self.check(1.0, 0.0, times)
+
+    def test_beyond_int64(self):
+        # |2x| >= 2**63, where an int64 cast of floor(2x) overflows
+        big = np.array([2.0**62, 2.0**63, 2.0**63 + 2.0**11, 2.0**70, 1e300])
+        times = np.concatenate([big, -big, big / 3.0, -big / 3.0])
+        self.check(1.0, 0.0, times)
+        self.check(48.4e6, 0.5, times / 48.4e6)
+
+    def test_zero_frequency_is_the_first_setting(self):
+        assert not montecarlo._square_wave_index(0.0, 1.0, np.linspace(-1.0, 1.0, 11)).any()
 
 
 def standard_stations(nu_a, nu_b, phase_a=0.0, phase_b=0.0):
@@ -169,6 +240,8 @@ class TestTimeline:
             run_timeline(alice, bob, 0, 1e-3, RngSpec(16))
         with pytest.raises(ValidationError):
             run_timeline(alice, bob, 100, 1e-3, RngSpec(16), emission="burst")
+        with pytest.raises(ValidationError, match="--duration"):  # 2**52 periods at 1 MHz
+            run_timeline(alice, bob, 100, 4.6e9, RngSpec(16))
 
 
 class TestWorkers:
