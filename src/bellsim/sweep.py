@@ -294,7 +294,6 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
                     duration=spec.mc_duration, station_weights=weights,
                 )
             except Exception as exc:
-                # an input the estimators reject (too few pairs) stays an input error
                 error = SweepInputError if isinstance(exc, ValidationError) else SweepError
                 raise error(f"monte carlo failed at {spec.variable.value} = {x!r}: {exc}") from exc
         points.append(SweepPoint(x, sf.f_alice, sf.f_bob, *bell_values(bell, sf), mc_p, mc_c))
