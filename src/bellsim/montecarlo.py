@@ -50,8 +50,8 @@ from .models import HALF_PI, HvMixture, ValidationError, normalize_angle
 
 DEFAULT_CHUNK = 1 << 18
 
-#: Beyond 2**52 periods a float64 t*frequency has no fractional part, so a
-#: square wave can no longer resolve its half periods.
+#: Beyond 2**52 periods a float64 t*frequency + phase/2pi has no fractional
+#: part, so a square wave can no longer resolve its half periods.
 _MAX_PERIODS = 2.0**52
 
 _ANGLE_ATOL = 1e-12
@@ -183,11 +183,6 @@ def normalize_angles(x: np.ndarray) -> np.ndarray:
 # --- sampling primitives ----------------------------------------------------
 
 
-#: Up to this many slot thresholds, one comparison pass per threshold beats
-#: a binary search per pair.
-_COMPARE_SLOTS = 32
-
-
 @dataclass(frozen=True)
 class _AtomTable:
     """Every hidden angle a run's atoms can give, indexed by an atom code.
@@ -253,29 +248,26 @@ def sample_lambda(
 
 def _mixture_draw(
     rng: np.random.Generator, table: _AtomTable, m: int, state: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice | None]:
     """The one hidden-angle sampler: (angles, atom codes, flat pairs) of ``m`` pairs.
 
     A first draw per pair picks a slot by ``table.probs`` (in the pair's
     ``state``; one state when None); with a uniform component a second draw
     gives the flat angle of pairs that pick none.  Without atoms the first
-    draw is the flat angle.  Flat pairs are listed by index, None when no
-    pair can be flat.
+    draw is the flat angle.  Flat pairs are listed by index (``slice(None)``
+    when every pair is flat), None when no pair can be flat.
     """
     u = rng.random(m)
     if not table.probs:
         lam = normalize_angles(-HALF_PI + np.pi * u)
-        return lam, np.full(m, table.flat, dtype=table.codes.dtype), np.arange(m)
+        return lam, np.full(m, table.flat, dtype=table.codes.dtype), slice(None)
     n_slots = table.codes.shape[1]
-    # searchsorted(cumsum(probs), u, "right"); without a uniform component
-    # the last threshold is left out, which clamps to the last atom
-    cum = np.cumsum(table.probs)[: n_slots - 1]
-    if cum.size > _COMPARE_SLOTS:
-        slot = np.searchsorted(cum, u, side="right")
-    else:
-        slot = np.zeros(m, dtype=np.int8)
-        for c in cum:
-            slot += u >= c
+    # searchsorted(cumsum(probs), u, "right") by one comparison pass per
+    # threshold; without a uniform component the last threshold is left
+    # out, which clamps to the last atom
+    slot = np.zeros(m, dtype=table.codes.dtype)
+    for c in np.cumsum(table.probs)[: n_slots - 1]:
+        slot += u >= c
     code = table.codes.ravel()[slot if state is None else state * n_slots + slot]
     lam = table.angles[code]
     if not table.uniform:
@@ -288,7 +280,7 @@ def _mixture_draw(
 def _detect(
     rng: np.random.Generator,
     table: _AtomTable,
-    hidden: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    hidden: tuple[np.ndarray, np.ndarray, np.ndarray | slice | None],
     settings: np.ndarray,
     setting_idx: np.ndarray,
     present: bool,
@@ -303,10 +295,13 @@ def _detect(
     u = rng.random(lam.size)
     if not present:
         return np.ones(lam.size, dtype=np.int8)  # u < 1 always
-    malus = np.cos(settings[:, None] - table.angles) ** 2
-    p = malus.ravel()[setting_idx * code.dtype.type(table.angles.size) + code]
-    if flat is not None:
-        p[flat] = np.cos(settings[setting_idx[flat]] - lam[flat]) ** 2
+    if not table.probs:  # no atoms: every hidden angle is flat
+        p = np.cos(settings[setting_idx] - lam) ** 2
+    else:
+        malus = np.cos(settings[:, None] - table.angles) ** 2
+        p = malus.ravel()[setting_idx * code.dtype.type(table.angles.size) + code]
+        if flat is not None:
+            p[flat] = np.cos(settings[setting_idx[flat]] - lam[flat]) ** 2
     hit = (u < p).view(np.int8)
     hit += hit
     hit -= 1
@@ -439,13 +434,20 @@ def run_timeline(
     if emission != "poisson" and n_pairs < 1:
         raise ValidationError("need at least one pair")
     check_station_weights(station_weights)
-    for name, cfg in (("Alice", alice), ("Bob", bob)):
-        periods = (duration + cfg.round_trip_time / 2.0) * cfg.switch_frequency
-        if cfg.switching == "periodic" and periods > _MAX_PERIODS:
+    for name, key, cfg in (("Alice", "a", alice), ("Bob", "b", bob)):
+        # |t*frequency + phase/2pi| over t in [-T/2, duration + T/2]
+        spanned = (duration + cfg.round_trip_time / 2.0) * cfg.switch_frequency
+        offset = abs(cfg.switch_phase) / (2.0 * math.pi)
+        periodic = cfg.switching == "periodic" and cfg.switch_frequency != 0.0
+        if periodic and spanned + offset > _MAX_PERIODS:
+            given = f"--duration {duration!r} s"
+            if offset:
+                given += f", --phase-{key} {cfg.switch_phase!r} rad"
+            fix = f"reduce --phase-{key}" if offset > spanned else "shorten --duration"
             raise ValidationError(
-                f"--duration {duration!r} s spans {periods:.3g} periods of {name}'s "
-                f"square wave, more than 2**52: every time would fall in the same "
-                f"half period; shorten --duration"
+                f"{name}'s square wave reaches {spanned + offset:.3g} periods ({given}), "
+                f"more than 2**52: every time would fall in the same half period; "
+                f"{fix}"
             )
     spec = as_rng_spec(rng)
 

@@ -425,13 +425,19 @@ class TestExportTrials:
         ["bell", "--engine", "mc", "--pairs", "20000"],
         ["export-trials", "--pairs", "20000"],
     ])
-    def test_duration_beyond_square_wave_resolution_rejected(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("extra, flag", [
         # (1e15 s + 21.5 ns) * 48.4 MHz ~ 4.8e22 periods: t * nu has no fraction left
+        (["--duration", "1e15s"], "shorten --duration"),
+        # 1e17 rad / 2pi ~ 1.6e16 periods: t * nu + phase/2pi has no fraction left
+        (["--phase-a", "1e17"], "reduce --phase-a"),
+    ], ids=["duration", "phase"])
+    def test_duration_beyond_square_wave_resolution_rejected(self, command, extra, flag, tmp_path,
+                                                             capsys):
         out = tmp_path / "out.jsonl"
-        code = main(command + ["--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--duration", "1e15s",
-                               "--output", str(out)])
+        code = main(command + ["--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--output", str(out)]
+                    + extra)
         assert code == 1
-        assert "--duration" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_fixed_seed_is_byte_identical(self, tmp_path):

@@ -86,7 +86,7 @@ class TestSampleLambda:
         assert isinstance(value, float)
 
     @pytest.mark.parametrize("uniform_weight", [0.0, 0.25])
-    @pytest.mark.parametrize("n_atoms", [3, 40])  # 40: past the comparison passes
+    @pytest.mark.parametrize("n_atoms", [3, 40])
     def test_draws_match_searchsorted_reference(self, n_atoms, uniform_weight):
         weight = (1.0 - uniform_weight) / n_atoms
         q = HvMixture(tuple((a, weight) for a in np.linspace(-3.0, 3.0, n_atoms)), uniform_weight)
