@@ -102,9 +102,10 @@ STANDARD_QUAD = ChoiceQuad(0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
 class StationConfig:
     """One observer's settings, switching behavior and source distance.
 
-    ``switch_frequency`` is the square-wave frequency in Hz; 0 means the
-    setting is fixed at ``setting_1``.  ``switch_phase`` is in radians within
-    one switching period.  ``round_trip_time`` is 2d/v for source-detector
+    ``switch_frequency`` is the square-wave frequency in Hz.  ``switch_phase``
+    is in radians within one switching period: the wave shows ``setting_1``
+    for phases in [0, pi) mod 2pi and ``setting_2`` for [pi, 2pi), so at
+    frequency 0 the setting is fixed at the one the phase picks.  ``round_trip_time`` is 2d/v for source-detector
     distance d (texture travels out, the photon travels back).  ``switching``
     selects the periodic square wave or fully random choice per epoch.
     """
@@ -154,15 +155,13 @@ def sync_fraction(frequency: float, round_trip_time: float) -> float:
     triangle wave in x that is 1 whenever the round trip holds an integer
     number of switching periods and 0 at half-integers.  This is
     (1/pi) * arccos(cos(2*pi*(x - 1/2))) without the arccos, which loses
-    half the digits near the nodes.  A station that never switches (nu = 0)
-    is always in sync.
+    half the digits near the nodes.  A station that never switches (nu = 0,
+    x = 0) is always in sync, f = 1 exactly.
     """
     if round_trip_time <= 0.0:
         raise ValidationError("round_trip_time must be > 0")
     if frequency < 0.0:
         raise ValidationError("frequency must be >= 0")
-    if frequency == 0.0:
-        return 1.0
     x = round_trip_time * frequency
     return 1.0 - 2.0 * abs(x - round(x))
 

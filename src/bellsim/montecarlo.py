@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -126,15 +126,15 @@ class Trials:
 
     @classmethod
     def concat(cls, parts: Sequence["Trials"]) -> "Trials":
-        """Records of ``parts`` in order; parts whose settings tables differ
-        are re-indexed into one table.  A single part is returned as is."""
+        """Records of ``parts`` in order, on their one settings table.  A
+        single part is returned as is."""
         if not parts:
             raise ValidationError("cannot concatenate zero trial sets")
         if len(parts) == 1:
             return parts[0]
         table = parts[0].settings
         if any(not np.array_equal(p.settings, table) for p in parts):
-            table, parts = _on_one_table(parts)
+            raise ValidationError("cannot concatenate trial sets on different settings tables")
         cols = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _RECORD_COLUMNS}
         return cls(**cols, settings=table)
 
@@ -145,26 +145,6 @@ class Trials:
 
 
 _RECORD_COLUMNS = tuple(f.name for f in fields(Trials) if f.name != "settings")
-
-
-def _on_one_table(parts: Sequence[Trials]) -> tuple[np.ndarray, list[Trials]]:
-    """A table listing each station's settings across ``parts`` in first-seen
-    order (at most two), and the parts re-indexed into it."""
-    rows = []
-    for station, name in enumerate(("Alice", "Bob")):
-        shown = list(dict.fromkeys(v for p in parts for v in p.settings[station].tolist()))
-        if len(shown) > 2:
-            raise ValidationError(f"{name} shows more than two settings: {shown!r}")
-        rows.append((shown * 2)[:2])  # a single setting is listed twice
-    table = np.array(rows)
-
-    def reindexed(p: Trials) -> Trials:
-        a, b = (np.array([rows[s].index(v) for v in p.settings[s].tolist()], dtype=np.int8)
-                for s in (0, 1))
-        return replace(p, a_v_idx=a[p.a_v_idx], b_v_idx=b[p.b_v_idx],
-                       a_m_idx=a[p.a_m_idx], b_m_idx=b[p.b_m_idx], settings=table)
-
-    return table, [reindexed(p) for p in parts]
 
 
 def normalize_angles(x: np.ndarray) -> np.ndarray:
@@ -328,10 +308,10 @@ def _square_wave_index(frequency: float, phase: float, times: np.ndarray) -> np.
 
     The index is the parity of floor(2x), x = t*frequency + phase/2pi,
     i.e. whether floor(2x) differs from 2*floor(x).  Both are exact, so it
-    equals ``mod(x, 1) >= 0.5`` for every x, negative or beyond 2**63.
+    equals ``mod(x, 1) >= 0.5`` for every x, negative or beyond 2**63.  At
+    frequency 0 the wave holds the level its phase picks: 0 for phases in
+    [0, pi) mod 2pi, 1 for [pi, 2pi).
     """
-    if frequency == 0.0:
-        return np.zeros(times.size, dtype=np.int8)
     x = times * frequency
     x += phase / (2.0 * math.pi)
     twice = np.floor(x + x)
@@ -372,7 +352,7 @@ def run_static(
     b: float,
     q: HvMixture,
     n: int,
-    rng: "RngSpec | int | np.random.Generator",
+    rng: "RngSpec | int",
 ) -> EstimateWithError:
     """Estimate E(a, b) for a fixed hidden-angle mixture.
 
@@ -381,7 +361,7 @@ def run_static(
     """
     if n < 1:
         raise ValidationError("need at least one trial")
-    gen = rng if isinstance(rng, np.random.Generator) else as_rng_spec(rng).generator()
+    gen = as_rng_spec(rng).generator()
     table = _AtomTable.of_mixture(q)
     hidden = _mixture_draw(gen, table, n)
     measured = np.zeros(n, dtype=table.codes.dtype)
@@ -392,6 +372,22 @@ def run_static(
 
 # --- timeline runs ------------------------------------------------------------
 
+#: Bytes per record that the memory check counts (``Trials`` columns: 22).
+_RECORD_BYTES = 30
+
+
+def _check_memory(n_pairs: int) -> None:
+    """Reject a run whose records, held twice while chunks are concatenated,
+    exceed physical memory (unchecked where ``os.sysconf`` cannot tell)."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 2 * _RECORD_BYTES * n_pairs
+    if need > physical:
+        raise ValidationError(f"--pairs {n_pairs} needs {need / 2**30:.3g} GiB of records, "
+                              f"more than the {physical / 2**30:.3g} GiB of physical memory")
+
 
 def run_timeline(
     alice: StationConfig,
@@ -401,7 +397,6 @@ def run_timeline(
     rng: "RngSpec | int",
     *,
     emission: str = "uniform",
-    rate: float | None = None,
     station_weights: tuple[float, float] = (0.5, 0.5),
     pbs: tuple[bool, bool] = (True, True),
     workers: int = 1,
@@ -411,10 +406,13 @@ def run_timeline(
 
     Emission times cover ``duration`` seconds: "uniform" draws ``n_pairs``
     independent times, "grid" spaces them evenly, "poisson" realizes a
-    Poisson process of the given ``rate`` (default n_pairs/duration, so
-    n_pairs becomes the expected count).  For each pair emitted at t the
-    texture carries the settings at t - T/2 and the outcomes use the
-    settings at t + T/2, with T the per-station round trip time.
+    Poisson process of rate n_pairs/duration (n_pairs is the expected
+    count).  For each pair emitted at t the texture carries the settings at
+    t - T/2 and the outcomes use the settings at t + T/2, with T the
+    per-station round trip time.  A periodic station at frequency 0 shows
+    the one setting its phase picks (``setting_2`` for phases in [pi, 2pi)
+    mod 2pi), as a stepped polarizer does.  ``_check_memory`` rejects a
+    run too large to hold.
 
     Chunk i owns the window [duration*i/n, duration*(i+1)/n) of the n
     chunks and draws on stream ``spec.child(i)``.  "uniform" takes the
@@ -431,8 +429,9 @@ def run_timeline(
         raise ValidationError("duration must be > 0")
     if emission not in ("uniform", "grid", "poisson"):
         raise ValidationError(f"unknown emission mode {emission!r}")
-    if emission != "poisson" and n_pairs < 1:
+    if n_pairs < 1:
         raise ValidationError("need at least one pair")
+    _check_memory(n_pairs)
     check_station_weights(station_weights)
     for name, key, cfg in (("Alice", "a", alice), ("Bob", "b", bob)):
         # |t*frequency + phase/2pi| over t in [-T/2, duration + T/2]
@@ -452,10 +451,7 @@ def run_timeline(
     spec = as_rng_spec(rng)
 
     if emission == "poisson":
-        if rate is None:
-            rate = n_pairs / duration
-        if rate <= 0.0:
-            raise ValidationError("poisson rate must be > 0")
+        rate = n_pairs / duration
         n_chunks = max(1, math.ceil(rate * duration / chunk_size))
     else:
         n_chunks = max(1, math.ceil(n_pairs / chunk_size))
@@ -508,6 +504,7 @@ def run_choice_trials(
     """
     if n < 1:
         raise ValidationError("need at least one trial")
+    _check_memory(n)
     check_station_weights(station_weights)
     gen = as_rng_spec(rng).generator()
     a_m = (gen.random(n) >= 0.5).astype(np.int8)

@@ -226,6 +226,7 @@ def measure_bell(
     through her two settings, one timeline each, as the asymmetric-distance
     protocol takes them: the main run is a on +1 followed by a' on +2,
     Alice-only runs at a' on +3 and Bob-only at a on +4, n//2 + 1 pairs each.
+    Each step is a zero-frequency wave over (a, a') at phase 0 or pi.
 
     Two layouts leave a measured setting pair empty and are realized with
     the same sync fractions another way: a periodic station at frequency 0
@@ -250,22 +251,21 @@ def measure_bell(
               <= _PHASE_ATOL):
             stations = (alice, replace(bob, switch_phase=bob.switch_phase + math.pi / 2))
 
-    def run(k: int, pbs: tuple[bool, bool], alice_setting: float | None = None) -> Trials:
+    def run(k: int, pbs: tuple[bool, bool], alice: StationConfig | None = None,
+            pairs: int = n) -> Trials:
         stream = RngSpec(rng.seed, rng.stream_id + k)
         if stations is None:
             return run_choice_trials(quad, sf, n, stream,
                                      station_weights=station_weights, pbs=pbs)
-        alice, bob = stations
-        pairs = n
-        if alice_setting is not None:
-            alice, pairs = StationConfig.fixed(alice_setting, alice.round_trip_time), n // 2 + 1
-        return run_timeline(alice, bob, pairs, duration, stream,
+        return run_timeline(alice or stations[0], stations[1], pairs, duration, stream,
                             station_weights=station_weights, pbs=pbs, workers=workers)
 
     if step_alice:
-        main = Trials.concat([run(1, (True, True), quad.a), run(2, (True, True), quad.a_alt)])
-        alice_only = run(3, (True, False), quad.a_alt)
-        bob_only = run(4, (False, True), quad.a)
+        rt, half = stations[0].round_trip_time, n // 2 + 1
+        at_a, at_alt = (StationConfig(quad.a, quad.a_alt, 0.0, j * math.pi, rt) for j in (0, 1))
+        main = Trials.concat([run(1, (True, True), at_a, half), run(2, (True, True), at_alt, half)])
+        alice_only = run(3, (True, False), at_alt, half)
+        bob_only = run(4, (False, True), at_a, half)
     else:
         main = run(1, (True, True))
         alice_only = run(2, (True, False))

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellsim
 from bellsim import ValidationError, aspect_point, cli
 from bellsim.cli import main, provenance_to_argv
 from bellsim.output import read_table
@@ -252,6 +257,35 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "runtime error" not in err
         assert option in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--engine", "mc", "--pairs"],
+        ["bell", "--f", "0.9", "--engine", "mc", "--pairs"],
+        ["export-trials", "--output", "{out}", "--pairs"],
+        ["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
+         "--points", "2", "--engines", "monte_carlo", "--mc-pairs"],
+    ])
+    def test_pairs_beyond_physical_memory_are_rejected(self, argv, tmp_path):
+        # 1e15 pairs are ~30 PB of records.  The child's address space is
+        # capped at 2 GiB, so a run that tries to allocate them fails there
+        # (exit 2) instead of exhausting the machine.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in argv] + ["1000000000000000"]
+        package_root = str(Path(bellsim.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                           os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "bellsim.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=cap_address_space)
+        assert proc.returncode == 1, proc.stderr
+        assert "--pairs 1000000000000000" in proc.stderr
+        assert "physical memory" in proc.stderr
 
 
 class TestSweepCommand:
@@ -510,6 +544,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "f_alice: 0.97" in proc.stdout
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == bellsim.__version__
 
 
 class TestConfigFile:

@@ -169,6 +169,7 @@ class TestSquareWave:
         times = np.concatenate([halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf)])
         self.check(0.25, phase, times)
         self.check(1.0, 0.0, times)
+        self.check(0.0, phase, times)  # a constant wave at the level of its phase
 
     def test_beyond_int64(self):
         # |2x| >= 2**63, where an int64 cast of floor(2x) overflows
@@ -194,6 +195,15 @@ class TestTimeline:
         assert np.all(t.a_v == t.a_m)
         assert np.all(t.b_v == t.b_m)
         assert np.all(t.a_m == STANDARD_QUAD.a)
+
+    @pytest.mark.parametrize("phase, setting", [
+        (0.0, STANDARD_QUAD.a), (math.pi, STANDARD_QUAD.a_alt), (-HALF_PI, STANDARD_QUAD.a_alt),
+    ])
+    def test_zero_frequency_station_shows_the_setting_of_its_phase(self, phase, setting):
+        alice, bob = standard_stations(0.0, 48.4e6, phase_a=phase)
+        t = run_timeline(alice, bob, 10_000, 1e-3, RngSpec(17))
+        assert np.all(t.a_v == setting) and np.all(t.a_m == setting)
+        assert np.array_equal(t.settings[0], [STANDARD_QUAD.a, STANDARD_QUAD.a_alt])
 
     def test_resonant_frequency_always_in_sync(self):
         alice, bob = standard_stations(1.0 / ROUND_TRIP, 0.0)
@@ -236,8 +246,9 @@ class TestTimeline:
         alice, bob = standard_stations(1e6, 1e6)
         with pytest.raises(ValidationError):
             run_timeline(alice, bob, 100, 0.0, RngSpec(16))
-        with pytest.raises(ValidationError):
-            run_timeline(alice, bob, 0, 1e-3, RngSpec(16))
+        for emission in ("uniform", "grid", "poisson"):
+            with pytest.raises(ValidationError, match="at least one pair"):
+                run_timeline(alice, bob, 0, 1e-3, RngSpec(16), emission=emission)
         with pytest.raises(ValidationError):
             run_timeline(alice, bob, 100, 1e-3, RngSpec(16), emission="burst")
         with pytest.raises(ValidationError, match="--duration"):  # 2**52 periods at 1 MHz
@@ -376,7 +387,7 @@ def _records_digest(t: Trials) -> str:
 
 
 class TestStreamDigests:
-    """Fixed-seed record streams as written by version 0.2.0.
+    """Fixed-seed record streams as written by versions 0.2.0 and 0.3.0.
 
     A changed digest is a stream change: it bumps the package version and
     is declared, it is never re-pinned to make a kernel change pass.

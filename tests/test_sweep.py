@@ -7,12 +7,14 @@ import pytest
 
 from bellsim import (
     STANDARD_QUAD,
+    RngSpec,
     StationConfig,
     SweepSpec,
     SweepVariable,
     ValidationError,
     aspect_point,
     find_extrema,
+    measure_bell,
     mix_fractions,
     run_sweep,
     series_extrema,
@@ -289,6 +291,34 @@ class TestMonteCarloSweep:
             assert getattr(p, field) == 0.5
             assert p.mc_s_prime.agrees_with(p.s_prime)
             assert p.mc_s_chsh.agrees_with(p.s_chsh)
+
+    # Stepped-Alice estimates as (value, std_error, n_trials), fixed seeds:
+    # Alice 20 ns, Bob 48.4 MHz over 43 ns.  Stepping Alice as a fixed
+    # setting per run or as a zero-frequency wave must give these exactly.
+    STEPPED_STATIONS = (
+        StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46.2e6, 0.0, 20e-9),
+        StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, 43e-9),
+    )
+
+    def test_stepped_alice_estimates_are_pinned(self):
+        s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(70), stations=self.STEPPED_STATIONS,
+                                step_alice=True, duration=1e-4, station_weights=(0.3, 0.7),
+                                workers=2)
+        assert (s_p.value, s_p.std_error, s_p.n_trials) == (
+            0.1375346276062024, 0.015383184197531308, 20002)
+        assert (s_c.value, s_c.std_error, s_c.n_trials) == (
+            2.5261501304837832, 0.021931549261053538, 20002)
+
+    def test_distance_ratio_point_is_pinned(self):
+        alice, bob = self.STEPPED_STATIONS
+        spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 10e6, 30e6, num_points=2,
+                         engines=(MONTE_CARLO,), mc_pairs_per_point=20_000, seed=71,
+                         alice=alice, bob=bob)
+        p = run_sweep(spec).points[1]
+        assert (p.mc_s_prime.value, p.mc_s_prime.std_error, p.mc_s_prime.n_trials) == (
+            0.11109644710850852, 0.015428987470313118, 20002)
+        assert (p.mc_s_chsh.value, p.mc_s_chsh.std_error) == (
+            2.3456720495455206, 0.02291068769864181)
 
     def test_failure_reports_offending_x(self):
         spec = SweepSpec(

@@ -6,6 +6,7 @@ against the angles of the parts it merges.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,14 +48,17 @@ def test_export_matches_independent_encoder(emission, tmp_path):
     assert body == _reference_lines(trials)
 
 
-def _fixed_alice_run(setting: float, stream: int) -> Trials:
-    alice = StationConfig.fixed(setting, ROUND_TRIP)
+def _stepped_alice_run(step: int, stream: int, alt: float = STANDARD_QUAD.a_alt) -> Trials:
+    # a zero-frequency wave over (a, alt) holds a at phase 0 and alt at phase pi
+    alice = StationConfig(STANDARD_QUAD.a, alt, 0.0, step * math.pi, ROUND_TRIP)
     bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, ROUND_TRIP)
     return run_timeline(alice, bob, 3_000, 1e-4, RngSpec(12, stream))
 
 
 def test_concat_of_fixed_alice_runs_keeps_every_angle():
-    parts = [_fixed_alice_run(STANDARD_QUAD.a, 0), _fixed_alice_run(STANDARD_QUAD.a_alt, 1)]
+    parts = [_stepped_alice_run(0, 0), _stepped_alice_run(1, 1)]
+    for part, setting in zip(parts, (STANDARD_QUAD.a, STANDARD_QUAD.a_alt)):
+        assert np.all(part.a_v == setting) and np.all(part.a_m == setting)
     merged = Trials.concat(parts)
     assert np.array_equal(merged.settings, [[STANDARD_QUAD.a, STANDARD_QUAD.a_alt],
                                             [STANDARD_QUAD.b, STANDARD_QUAD.b_alt]])
@@ -64,7 +68,7 @@ def test_concat_of_fixed_alice_runs_keeps_every_angle():
 
 
 def test_concat_rejects_a_third_setting():
-    parts = [_fixed_alice_run(s, k) for k, s in
-             enumerate((STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.3))]
-    with pytest.raises(ValidationError, match="more than two settings"):
+    # a part on another settings table is not merged into one
+    parts = [_stepped_alice_run(0, 0), _stepped_alice_run(1, 1), _stepped_alice_run(1, 2, 0.3)]
+    with pytest.raises(ValidationError, match="different settings tables"):
         Trials.concat(parts)
