@@ -105,9 +105,10 @@ class StationConfig:
     ``switch_frequency`` is the square-wave frequency in Hz.  ``switch_phase``
     is in radians within one switching period: the wave shows ``setting_1``
     for phases in [0, pi) mod 2pi and ``setting_2`` for [pi, 2pi), so at
-    frequency 0 the setting is fixed at the one the phase picks.  ``round_trip_time`` is 2d/v for source-detector
-    distance d (texture travels out, the photon travels back).  ``switching``
-    selects the periodic square wave or fully random choice per epoch.
+    frequency 0 the setting is fixed at the one the phase picks.
+    ``round_trip_time`` is 2d/v for source-detector distance d (texture
+    travels out, the photon travels back).  ``switching`` selects the
+    periodic square wave or fully random choice per epoch.
     """
 
     setting_1: float

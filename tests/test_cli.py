@@ -258,7 +258,6 @@ class TestMalformedInput:
         assert "runtime error" not in err
         assert option in err
 
-
     @pytest.mark.parametrize("argv", [
         ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--engine", "mc", "--pairs"],
         ["bell", "--f", "0.9", "--engine", "mc", "--pairs"],
@@ -269,7 +268,7 @@ class TestMalformedInput:
     def test_pairs_beyond_physical_memory_are_rejected(self, argv, tmp_path):
         # 1e15 pairs are ~30 PB of records.  The child's address space is
         # capped at 2 GiB, so a run that tries to allocate them fails there
-        # (exit 2) instead of exhausting the machine.
+        # instead of exhausting the machine.
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
