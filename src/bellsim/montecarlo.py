@@ -9,16 +9,20 @@ angle; any correlation beyond that factorization comes entirely from the
 setting-dependence of the mixture.
 
 Determinism: all sampling is chunked, each chunk owns an RNG stream derived
-from (seed, stream_id, chunk index) and a disjoint time window, and chunks
-are merged in index order.  Each chunk sorts its own emission times before
-any other draw, so the merged records are in emission order without a
-global sort.  Results are bit-identical for any worker count.
+from (seed, stream_id, chunk index) and a disjoint time window, and every
+window's record count is known before any chunk runs.  The record columns
+are allocated once and each chunk writes its slice of them, in index
+order, from its own thread; nothing is concatenated afterwards.  Each chunk
+sorts its own emission times before any other draw, so the records are in
+emission order without a global sort.  Results are bit-identical for any
+worker count.
 
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
 table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
 ``b_m``).  The estimators resolve the quad against that table once and
-group records by index.
+count records by an int8 key of (measured indices, clicks): one
+``np.bincount`` gives every group size and click fraction.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -135,16 +139,26 @@ class Trials:
         table = parts[0].settings
         if any(not np.array_equal(p.settings, table) for p in parts):
             raise ValidationError("cannot concatenate trial sets on different settings tables")
-        cols = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _RECORD_COLUMNS}
+        cols = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _RECORD_DTYPES}
         return cls(**cols, settings=table)
 
     def sorted_by_time(self) -> "Trials":
         order = np.argsort(self.emission_time, kind="stable")
-        cols = {name: getattr(self, name)[order] for name in _RECORD_COLUMNS}
+        cols = {name: getattr(self, name)[order] for name in _RECORD_DTYPES}
         return Trials(**cols, settings=self.settings)
 
 
-_RECORD_COLUMNS = tuple(f.name for f in fields(Trials) if f.name != "settings")
+#: Every record column (all of ``Trials`` but ``settings``) and its dtype: 22 bytes per pair.
+_RECORD_DTYPES = {
+    "emission_time": np.float64,
+    "hidden_angle": np.float64,
+    "a_v_idx": np.int8,
+    "b_v_idx": np.int8,
+    "a_m_idx": np.int8,
+    "b_m_idx": np.int8,
+    "alpha": np.int8,
+    "beta": np.int8,
+}
 
 
 def normalize_angles(x: np.ndarray) -> np.ndarray:
@@ -367,7 +381,7 @@ def run_static(
     measured = np.zeros(n, dtype=table.codes.dtype)
     alpha = _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True)
     beta = _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True)
-    return _mean_estimate(alpha.astype(np.float64) * beta.astype(np.float64))
+    return _mean_estimate(alpha * beta)
 
 
 # --- timeline runs ------------------------------------------------------------
@@ -376,16 +390,22 @@ def run_static(
 _RECORD_BYTES = 30
 
 
-def _check_memory(n_pairs: int) -> None:
-    """Reject a run whose records, held twice while chunks are concatenated,
-    exceed physical memory (unchecked where ``os.sysconf`` cannot tell)."""
+def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
+    """Reject a run whose records, counted twice, exceed physical memory
+    (unchecked where ``os.sysconf`` cannot tell); the message names the
+    option ``flag`` that asked for ``n_pairs``.
+
+    A run's columns are allocated once (chunks write their own slices),
+    but a measurement holds its main run and both singles runs at once, so
+    one run's records alone understate what it needs.
+    """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
     need = 2 * _RECORD_BYTES * n_pairs
     if need > physical:
-        raise ValidationError(f"--pairs {n_pairs} needs {need / 2**30:.3g} GiB of records, "
+        raise ValidationError(f"{flag} {n_pairs} needs {need / 2**30:.3g} GiB of records, "
                               f"more than the {physical / 2**30:.3g} GiB of physical memory")
 
 
@@ -417,9 +437,12 @@ def run_timeline(
     Chunk i owns the window [duration*i/n, duration*(i+1)/n) of the n
     chunks and draws on stream ``spec.child(i)``.  "uniform" takes the
     window counts from one multinomial draw on ``spec.child()``, "poisson"
-    from a Poisson draw per window; either sorts its window's times before
-    the setting, hidden-angle and detection draws.  The chunks, merged in
-    index order, are therefore in non-decreasing emission time.  At most
+    from a first Poisson draw on each window's stream; either sorts its
+    window's times before the setting, hidden-angle and detection draws.
+    With every count known up front, the record columns are allocated once
+    and chunk i writes the slice after the records of chunks 0..i-1, so the
+    run is in non-decreasing emission time and no record is held twice; a
+    single chunk's records are returned as they are.  At most
     min(workers, cpu count, chunks) threads run; the result is the same for
     any ``workers`` >= 1.
     """
@@ -456,33 +479,50 @@ def run_timeline(
     else:
         n_chunks = max(1, math.ceil(n_pairs / chunk_size))
     settings = np.array([alice.settings, bob.settings])
+    gens = [spec.child(i) for i in range(n_chunks)]
+    windows = [(duration * i / n_chunks, duration * (i + 1) / n_chunks) for i in range(n_chunks)]
+    # every window's record count, before any chunk runs
     if emission == "uniform":
         # n_pairs iid uniform times, split by window: multinomial window counts
         counts = spec.child().multinomial(n_pairs, np.full(n_chunks, 1.0 / n_chunks))
+    elif emission == "grid":
+        counts = np.minimum(chunk_size, n_pairs - chunk_size * np.arange(n_chunks))
+    else:
+        # a chunk's first draw on its stream
+        counts = np.array([gen.poisson(rate * (w1 - w0)) for gen, (w0, w1) in zip(gens, windows)])
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
 
     def one_chunk(i: int) -> Trials:
-        gen = spec.child(i)
+        gen = gens[i]
         if emission == "grid":
-            lo = i * chunk_size
-            hi = min(lo + chunk_size, n_pairs)
+            lo, hi = starts[i], starts[i + 1]
             times = (np.arange(lo, hi, dtype=np.float64) + 0.5) * (duration / n_pairs)
         else:
-            w0 = duration * i / n_chunks
-            w1 = duration * (i + 1) / n_chunks
-            count = counts[i] if emission == "uniform" else gen.poisson(rate * (w1 - w0))
-            times = np.sort(w0 + gen.random(int(count)) * (w1 - w0))
+            w0, w1 = windows[i]
+            times = np.sort(w0 + gen.random(int(counts[i])) * (w1 - w0))
         a_v, a_m = _station_indices(alice, gen, times)
         b_v, b_m = _station_indices(bob, gen, times)
         return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
 
+    if n_chunks == 1:
+        return one_chunk(0)
+    out = Trials(**{name: np.empty(starts[-1], dtype=dtype)
+                    for name, dtype in _RECORD_DTYPES.items()}, settings=settings)
+
+    def fill(i: int) -> None:
+        # disjoint ascending windows: index order is emission order
+        part = one_chunk(i)
+        for name in _RECORD_DTYPES:
+            getattr(out, name)[starts[i]:starts[i + 1]] = getattr(part, name)
+
     workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
+            list(pool.map(fill, range(n_chunks)))
     else:
-        parts = [one_chunk(i) for i in range(n_chunks)]
-    # disjoint ascending windows: index order is emission order
-    return Trials.concat(parts)
+        for i in range(n_chunks):
+            fill(i)
+    return out
 
 
 def run_choice_trials(
@@ -528,44 +568,72 @@ def _mean_estimate(x: np.ndarray) -> EstimateWithError:
     )
 
 
-def _fraction_estimate(hits: np.ndarray) -> EstimateWithError:
-    n = hits.size
+def _fraction_estimate(hits: int, n: int) -> EstimateWithError:
+    """``hits`` of ``n`` as a fraction; ``hits / n`` on exact integers is the
+    mean of the 0/1 samples."""
     if n < 1:
         raise ValidationError("no samples in group")
-    p = float(np.mean(hits))
-    return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), int(n))
+    p = hits / n
+    return EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-def _at_setting(idx: np.ndarray, table: np.ndarray, setting: float) -> np.ndarray:
-    """Records whose indexed setting in a station's 2-entry ``table`` is ``setting``."""
-    return np.isclose(table, setting, rtol=0.0, atol=_ANGLE_ATOL)[idx]
+def _bits(*flags: np.ndarray) -> np.ndarray:
+    """One int8 per record whose bits are ``flags`` (0/1 indices or bools),
+    the first most significant."""
+    key = flags[0].astype(np.int8)
+    for flag in flags[1:]:
+        key += key  # << 1, without the shift's range checks
+        key |= flag
+    return key
 
 
-def _setting_masks(
-    idx: np.ndarray, table: np.ndarray, first: float, second: float
-) -> tuple[np.ndarray, np.ndarray]:
-    m1 = _at_setting(idx, table, first)
-    m2 = _at_setting(idx, table, second)
-    if np.any(m1 & m2):
+def _at_setting(table: np.ndarray, setting: float) -> np.ndarray:
+    """Which entries of a station's 2-entry settings ``table`` are ``setting``."""
+    return np.isclose(table, setting, rtol=0.0, atol=_ANGLE_ATOL)
+
+
+def _quad_rows(seen: np.ndarray, table: np.ndarray, first: float, second: float) -> np.ndarray:
+    """Row k: the indices of ``table`` at the station's k-th quad setting,
+    checked on the indices ``seen`` in the records."""
+    rows = np.array([_at_setting(table, first), _at_setting(table, second)])
+    if np.any(rows[0] & rows[1] & seen):
         raise ValidationError("quad settings are not distinguishable")
-    if not np.all(m1 | m2):
+    if np.any(~(rows[0] | rows[1]) & seen):
         raise ValidationError("records contain settings outside the quad")
-    return m1, m2
+    return rows
 
 
-def _bell_sum(
-    trials: Trials, quad: ChoiceQuad, values: np.ndarray, estimate
-) -> tuple[float, float]:
-    """Signed CHSH sum (+, -, +, +) of per-group estimates over the four
-    measured setting pairs, with its variance."""
-    a1, a2 = _setting_masks(trials.a_m_idx, trials.settings[0], quad.a, quad.a_alt)
-    b1, b2 = _setting_masks(trials.b_m_idx, trials.settings[1], quad.b, quad.b_alt)
+def _bell_key(trials: Trials) -> np.ndarray:
+    """Each record's (a_m_idx, b_m_idx, alpha > 0, beta > 0) bits; ``key >> 2``
+    is its setting-index pair 2*a_m_idx + b_m_idx."""
+    return _bits(trials.a_m_idx, trials.b_m_idx, trials.alpha > 0, trials.beta > 0)
+
+
+def _bell_groups(trials: Trials, quad: ChoiceQuad, key: np.ndarray):
+    """The four measured setting pairs in (+, -, +, +) order, each as (sign,
+    index pairs, counts[index pair, alpha > 0, beta > 0]).
+
+    A station's table may list a setting twice or in either order, so a
+    group is every index pair that occurs at its two settings.  A group is
+    checked when it is reached: an estimate of one group fails before the
+    next is found empty.
+    """
+    counts = np.bincount(key, minlength=16).reshape(4, 2, 2)
+    seen = counts.any(axis=(1, 2)).reshape(2, 2)
+    a = _quad_rows(seen.any(axis=1), trials.settings[0], quad.a, quad.a_alt)
+    b = _quad_rows(seen.any(axis=0), trials.settings[1], quad.b, quad.b_alt)
+    for sign, i, j in ((1.0, 0, 0), (-1.0, 0, 1), (1.0, 1, 0), (1.0, 1, 1)):
+        pairs = np.flatnonzero(np.outer(a[i], b[j]) & seen)
+        if not pairs.size:
+            raise ValidationError("a measured setting pair has no records")
+        yield sign, pairs, counts[pairs]
+
+
+def _signed_sum(terms) -> tuple[float, float]:
+    """Sum of sign * estimate over (sign, estimate) ``terms``, with its variance."""
     total = 0.0
     var = 0.0
-    for mask, sign in ((a1 & b1, 1.0), (a1 & b2, -1.0), (a2 & b1, 1.0), (a2 & b2, 1.0)):
-        if not np.any(mask):
-            raise ValidationError("a measured setting pair has no records")
-        est = estimate(values[mask])
+    for sign, est in terms:
         total += sign * est.value
         var += est.std_error**2
     return total, var
@@ -576,19 +644,43 @@ def estimate_sync_fractions(
 ) -> tuple[EstimateWithError, EstimateWithError]:
     """Empirical per-station in-sync fractions P(setting at texture epoch == measured)."""
     # settings, not indices: a station may list the same setting twice
-    fa = _fraction_estimate(trials.a_v == trials.a_m)
-    return fa, _fraction_estimate(trials.b_v == trials.b_m)
+    fa = trials.a_v == trials.a_m
+    fb = trials.b_v == trials.b_m
+    return (_fraction_estimate(int(np.count_nonzero(fa)), fa.size),
+            _fraction_estimate(int(np.count_nonzero(fb)), fb.size))
 
 
 def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
     """Bell S from records grouped by measured setting pair.
 
     Per-group means of alpha*beta are assembled with the (+, -, +, +) sign
-    pattern; errors propagate in quadrature and the result is |S|.
+    pattern; errors propagate in quadrature and the result is |S|.  Each
+    group's standard error is ``np.std`` of its int8 products in record
+    order, whose float sum a count formula does not reproduce bit for bit.
     """
-    prod = trials.alpha.astype(np.float64) * trials.beta.astype(np.float64)
-    total, var = _bell_sum(trials, quad, prod, _mean_estimate)
+    key = _bell_key(trials)
+    pair = key >> 2
+    prod = trials.alpha * trials.beta
+
+    def group_mean(pairs: np.ndarray) -> EstimateWithError:
+        mask = pair == pairs[0]
+        for p in pairs[1:]:
+            mask |= pair == p
+        return _mean_estimate(np.compress(mask, prod))
+
+    total, var = _signed_sum((sign, group_mean(pairs))
+                             for sign, pairs, _ in _bell_groups(trials, quad, key))
     return EstimateWithError(abs(total), math.sqrt(var), len(trials))
+
+
+def _singles(idx: np.ndarray, clicks: np.ndarray, table: np.ndarray, setting: float,
+             where: str) -> EstimateWithError:
+    """Click fraction of a singles run's records at ``setting``."""
+    counts = np.bincount(_bits(idx, clicks > 0), minlength=4).reshape(2, 2)
+    at = counts[_at_setting(table, setting)]
+    if not at.any():
+        raise ValidationError(f"no singles records at {where}")
+    return _fraction_estimate(int(at[:, 1].sum()), int(at.sum()))
 
 
 def estimate_s_prime(
@@ -603,18 +695,16 @@ def estimate_s_prime(
     pair; the subtracted singles terms are the click fractions at Alice's
     alternate setting (Bob's polarizer absent) and at Bob's first setting
     (Alice's polarizer absent), each normalized by its own group count, the
-    stand-in for the no-polarizer rate that counts every pair.
+    stand-in for the no-polarizer rate that counts every pair.  Every
+    fraction is a ratio of record counts.
     """
-    both = (trials.alpha == 1) & (trials.beta == 1)
-    total, var = _bell_sum(trials, quad, both, _fraction_estimate)
-    sa_mask = _at_setting(alice_only.a_m_idx, alice_only.settings[0], quad.a_alt)
-    if not np.any(sa_mask):
-        raise ValidationError("no singles records at Alice's alternate setting")
-    sb_mask = _at_setting(bob_only.b_m_idx, bob_only.settings[1], quad.b)
-    if not np.any(sb_mask):
-        raise ValidationError("no singles records at Bob's first setting")
-    sa = _fraction_estimate(alice_only.alpha[sa_mask] == 1)
-    sb = _fraction_estimate(bob_only.beta[sb_mask] == 1)
+    total, var = _signed_sum(
+        (sign, _fraction_estimate(int(group[:, 1, 1].sum()), int(group.sum())))
+        for sign, _, group in _bell_groups(trials, quad, _bell_key(trials)))
+    sa = _singles(alice_only.a_m_idx, alice_only.alpha, alice_only.settings[0], quad.a_alt,
+                  "Alice's alternate setting")
+    sb = _singles(bob_only.b_m_idx, bob_only.beta, bob_only.settings[1], quad.b,
+                  "Bob's first setting")
     total -= sa.value + sb.value
     var += sa.std_error**2 + sb.std_error**2
     # the four groups partition the records

@@ -47,6 +47,7 @@ from .montecarlo import (
     EstimateWithError,
     RngSpec,
     Trials,
+    _check_memory,
     estimate_s_chsh,
     estimate_s_prime,
     run_choice_trials,
@@ -278,8 +279,11 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
 
     A ``ValidationError`` (such as too few pairs per point) is raised as
     ``SweepInputError``, still a ``ValidationError``; any other failure as
-    ``SweepError``.
+    ``SweepError``.  A ``--mc-pairs`` too large to hold is rejected before
+    the first point.
     """
+    if MONTE_CARLO in spec.engines:
+        _check_memory(spec.mc_pairs_per_point, "--mc-pairs")
     weights = spec.resolved_weights()
     bell = bell_coefficients(spec.quad, weights)
     points = []

@@ -274,6 +274,7 @@ class TestMalformedInput:
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
+        flag = argv[-1]  # the error names the command's own option
         argv = [a.format(out=tmp_path / "t.jsonl") for a in argv] + ["1000000000000000"]
         package_root = str(Path(bellsim.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -283,7 +284,7 @@ class TestMalformedInput:
                               capture_output=True, text=True, env=env, timeout=120,
                               preexec_fn=cap_address_space)
         assert proc.returncode == 1, proc.stderr
-        assert "--pairs 1000000000000000" in proc.stderr
+        assert f"{flag} 1000000000000000" in proc.stderr
         assert "physical memory" in proc.stderr
 
 

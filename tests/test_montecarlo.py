@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -377,6 +378,99 @@ class TestWindows:
         assert header["provenance"]["version"] == bellsim.__version__
 
 
+class TestPreallocatedColumns:
+    """Chunks write their slices of columns allocated once; no concat copy."""
+
+    # sha256 of the records (``_records_digest``) as the concatenating engine
+    # of version 0.3.0 wrote them
+    DIGESTS = {
+        "uniform_sparse": "25fec723781b98e1016c77e273934e3049ddefc2840221bdf7170b74589df53f",
+        "poisson_sparse": "679f453691ae9804285fafde6483da3892abcd89d25c02c0e31e701daab927ab",
+        "grid": "163c3f7ef1057924e4889f122c2deb2e2fcdf33fa0a3afd0424fcd8e349c2f66",
+        "poisson": "d5af5278ca0d6c6b65edccfa3c31c9bc76bd2f46f06f543602a48b4a206782fe",
+    }
+    RUNS = {
+        # one pair per window on average: many windows hold no record
+        "uniform_sparse": dict(n_pairs=40, duration=1e-6, rng=RngSpec(70), emission="uniform",
+                               chunk_size=1),
+        "poisson_sparse": dict(n_pairs=12, duration=1e-6, rng=RngSpec(71), emission="poisson",
+                               chunk_size=1),
+        "grid": dict(n_pairs=30_000, duration=1e-3, rng=RngSpec(72), emission="grid",
+                     chunk_size=4096),
+        "poisson": dict(n_pairs=30_000, duration=1e-3, rng=RngSpec(72), emission="poisson",
+                        chunk_size=4096),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_records_at_any_worker_count(self, run):
+        alice, bob = aspect_stations()
+        for workers in (1, 2, 3):
+            t = run_timeline(alice, bob, workers=workers, **self.RUNS[run])
+            assert _records_digest(t) == self.DIGESTS[run], workers
+
+    @pytest.mark.parametrize("run", ["uniform_sparse", "poisson_sparse"])
+    def test_windows_without_records(self, run):
+        alice, bob = aspect_stations()
+        kwargs = self.RUNS[run]
+        t = run_timeline(alice, bob, **kwargs)
+        n_chunks = kwargs["n_pairs"]  # chunk_size 1: one window per (expected) pair
+        edges = kwargs["duration"] * np.arange(n_chunks + 1) / n_chunks
+        counts, _ = np.histogram(t.emission_time, bins=edges)
+        assert counts.sum() == len(t) and np.any(counts == 0)
+        assert np.all(np.diff(t.emission_time) >= 0)
+
+    def test_multi_chunk_run_does_not_concatenate(self, monkeypatch):
+        def refuse(cls, parts):
+            raise AssertionError("run_timeline concatenated its chunks")
+
+        monkeypatch.setattr(Trials, "concat", classmethod(refuse))
+        alice, bob = aspect_stations()
+        for workers in (1, 2):
+            t = run_timeline(alice, bob, workers=workers, **self.RUNS["poisson"])
+            assert _records_digest(t) == self.DIGESTS["poisson"]
+
+    def test_more_threads_than_cores_write_their_own_slices(self, monkeypatch):
+        # 8 threads on short switch intervals: a slice written at the wrong
+        # offset, or lost, changes the records
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        alice, bob = aspect_stations()
+        kwargs = dict(n_pairs=20_000, duration=1e-3, rng=RngSpec(75), chunk_size=512)
+        serial = _records_digest(run_timeline(alice, bob, workers=1, **kwargs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                t = run_timeline(alice, bob, workers=8, **kwargs)
+                assert _records_digest(t) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_column_dtypes_match_a_single_chunk_run(self):
+        alice, bob = aspect_stations()
+        single = run_timeline(alice, bob, 1_000, 1e-3, RngSpec(73))
+        multi = run_timeline(alice, bob, 1_000, 1e-3, RngSpec(73), chunk_size=64, workers=2)
+        for name in COLUMNS:
+            assert getattr(multi, name).dtype == getattr(single, name).dtype, name
+            assert getattr(multi, name).flags.c_contiguous, name
+        assert sum(getattr(multi, name).itemsize for name in COLUMNS) == 22
+
+    def test_records_are_held_once(self):
+        # numpy reports its allocations to tracemalloc: at the peak a run
+        # holds its columns and the temporaries of one chunk, not a second
+        # copy of every record
+        tracemalloc = pytest.importorskip("tracemalloc")
+        alice, bob = aspect_stations()
+        n = 200_000
+        tracemalloc.start()
+        try:
+            t = run_timeline(alice, bob, n, 1e-3, RngSpec(74), chunk_size=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(t) == n
+        assert peak < 1.5 * 22 * n
+
+
 def _records_digest(t: Trials) -> str:
     """sha256 over every record column, in ``COLUMNS`` order, and the settings table."""
     h = hashlib.sha256()
@@ -511,6 +605,198 @@ class TestEstimators:
         wrong_quad = ChoiceQuad(0.3, 0.9, 1.2, -0.7)
         with pytest.raises(ValidationError):
             estimate_s_prime(main, a_only, b_only, wrong_quad)
+
+
+# --- the mask-based estimators of version 0.3.0, the reference for the counts ---
+
+
+def _ref_mean_estimate(x):
+    n = x.size
+    if n < 2:
+        raise ValidationError("need at least two samples for a standard error")
+    return montecarlo.EstimateWithError(
+        float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n)), int(n))
+
+
+def _ref_fraction_estimate(hits):
+    n = hits.size
+    if n < 1:
+        raise ValidationError("no samples in group")
+    p = float(np.mean(hits))
+    return montecarlo.EstimateWithError(p, math.sqrt(p * (1.0 - p) / n), int(n))
+
+
+def _ref_at_setting(idx, table, setting):
+    return np.isclose(table, setting, rtol=0.0, atol=1e-12)[idx]
+
+
+def _ref_setting_masks(idx, table, first, second):
+    m1 = _ref_at_setting(idx, table, first)
+    m2 = _ref_at_setting(idx, table, second)
+    if np.any(m1 & m2):
+        raise ValidationError("quad settings are not distinguishable")
+    if not np.all(m1 | m2):
+        raise ValidationError("records contain settings outside the quad")
+    return m1, m2
+
+
+def _ref_bell_sum(trials, quad, values, estimate):
+    a1, a2 = _ref_setting_masks(trials.a_m_idx, trials.settings[0], quad.a, quad.a_alt)
+    b1, b2 = _ref_setting_masks(trials.b_m_idx, trials.settings[1], quad.b, quad.b_alt)
+    total = 0.0
+    var = 0.0
+    for mask, sign in ((a1 & b1, 1.0), (a1 & b2, -1.0), (a2 & b1, 1.0), (a2 & b2, 1.0)):
+        if not np.any(mask):
+            raise ValidationError("a measured setting pair has no records")
+        est = estimate(values[mask])
+        total += sign * est.value
+        var += est.std_error**2
+    return total, var
+
+
+def _ref_s_chsh(trials, quad):
+    prod = trials.alpha.astype(np.float64) * trials.beta.astype(np.float64)
+    total, var = _ref_bell_sum(trials, quad, prod, _ref_mean_estimate)
+    return montecarlo.EstimateWithError(abs(total), math.sqrt(var), len(trials))
+
+
+def _ref_s_prime(trials, alice_only, bob_only, quad):
+    both = (trials.alpha == 1) & (trials.beta == 1)
+    total, var = _ref_bell_sum(trials, quad, both, _ref_fraction_estimate)
+    sa_mask = _ref_at_setting(alice_only.a_m_idx, alice_only.settings[0], quad.a_alt)
+    if not np.any(sa_mask):
+        raise ValidationError("no singles records at Alice's alternate setting")
+    sb_mask = _ref_at_setting(bob_only.b_m_idx, bob_only.settings[1], quad.b)
+    if not np.any(sb_mask):
+        raise ValidationError("no singles records at Bob's first setting")
+    sa = _ref_fraction_estimate(alice_only.alpha[sa_mask] == 1)
+    sb = _ref_fraction_estimate(bob_only.beta[sb_mask] == 1)
+    total -= sa.value + sb.value
+    var += sa.std_error**2 + sb.std_error**2
+    return montecarlo.EstimateWithError(total, math.sqrt(var), len(trials))
+
+
+def _outcome(estimator, *args):
+    """(value, std_error, n_trials), or the message of the ValidationError raised."""
+    try:
+        est = estimator(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return est.value, est.std_error, est.n_trials
+
+
+def _records(rng, a_idx, b_idx, table_a, table_b, p_click=0.5):
+    """Trials with the given setting indices and random +/-1 outcomes."""
+    a_idx = np.asarray(a_idx, dtype=np.int8)
+    b_idx = np.asarray(b_idx, dtype=np.int8)
+    n = a_idx.size
+
+    def clicks():
+        return np.where(rng.random(n) < p_click, 1, -1).astype(np.int8)
+
+    return Trials(np.arange(n, dtype=np.float64), np.zeros(n), a_idx.copy(), b_idx.copy(),
+                  a_idx, b_idx, clicks(), clicks(), np.array([table_a, table_b], dtype=float))
+
+
+Q = STANDARD_QUAD
+TABLES = {
+    "standard": ((Q.a, Q.a_alt), (Q.b, Q.b_alt)),
+    "swapped": ((Q.a_alt, Q.a), (Q.b_alt, Q.b)),
+    "alice_fixed_at_a": ((Q.a, Q.a), (Q.b, Q.b_alt)),
+    "bob_fixed_at_b_alt": ((Q.a, Q.a_alt), (Q.b_alt, Q.b_alt)),
+    "outside": ((Q.a, 1.3), (Q.b, Q.b_alt)),
+}
+
+
+class TestCountEstimators:
+    """The count-driven estimators equal the mask-based ones bit for bit,
+    and fail with the same message first."""
+
+    @pytest.mark.parametrize("n", [8, 9, 30, 1_000, 40_001])
+    @pytest.mark.parametrize("main", list(TABLES))
+    @pytest.mark.parametrize("singles", list(TABLES))
+    def test_random_records(self, main, singles, n):
+        rng = np.random.default_rng(n)
+
+        def run(table):
+            return _records(rng, rng.integers(0, 2, n), rng.integers(0, 2, n), *TABLES[table],
+                            p_click=rng.random())
+
+        t, a_only, b_only = run(main), run(singles), run(singles)
+        assert _outcome(estimate_s_chsh, t, Q) == _outcome(_ref_s_chsh, t, Q)
+        assert (_outcome(estimate_s_prime, t, a_only, b_only, Q)
+                == _outcome(_ref_s_prime, t, a_only, b_only, Q))
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 3, 2), (3, 2, 2, 1),
+                                       (1, 0, 2, 2), (2, 2, 0, 1), (2, 2, 2, 0), (0, 0, 0, 0)])
+    @pytest.mark.parametrize("table", ["standard", "swapped"])
+    def test_small_groups(self, sizes, table):
+        # sizes of the (a, b), (a, b'), (a', b), (a', b') groups, records interleaved
+        rng = np.random.default_rng(sum(sizes))
+        pairs = np.repeat(np.arange(4), sizes)
+        rng.shuffle(pairs)
+        a_idx, b_idx = pairs // 2, pairs % 2
+        if table == "swapped":
+            a_idx, b_idx = 1 - a_idx, 1 - b_idx
+        t = _records(rng, a_idx, b_idx, *TABLES[table])
+        singles = _records(rng, [0, 1, 1], [1, 0, 0], *TABLES[table])
+        assert _outcome(estimate_s_chsh, t, Q) == _outcome(_ref_s_chsh, t, Q)
+        assert (_outcome(estimate_s_prime, t, singles, singles, Q)
+                == _outcome(_ref_s_prime, t, singles, singles, Q))
+
+    @pytest.mark.parametrize("quad, message", [
+        (ChoiceQuad(0.3, 0.9, 1.2, -0.7), "records contain settings outside the quad"),
+        (ChoiceQuad(Q.a, Q.b, Q.a, Q.b_alt), "quad settings are not distinguishable"),
+        # Alice's ambiguous settings are found before Bob's outside ones
+        (ChoiceQuad(Q.a, 0.3, Q.a, 0.4), "quad settings are not distinguishable"),
+        (ChoiceQuad(Q.a, Q.b, Q.a_alt, Q.b), "quad settings are not distinguishable"),
+        (ChoiceQuad(Q.a, Q.b, Q.a_alt, 0.4), "records contain settings outside the quad"),
+    ])
+    def test_quad_errors(self, quad, message):
+        rng = np.random.default_rng(80)
+        t = _records(rng, rng.integers(0, 2, 100), rng.integers(0, 2, 100), *TABLES["standard"])
+        for estimator, ref, args in ((estimate_s_chsh, _ref_s_chsh, (t, quad)),
+                                     (estimate_s_prime, _ref_s_prime, (t, t, t, quad))):
+            assert _outcome(estimator, *args) == _outcome(ref, *args) == message
+
+    def test_ambiguous_index_is_found_before_an_outside_one(self):
+        # Alice's index 0 shows both a and a' (within 1e-12), index 1 neither
+        rng = np.random.default_rng(81)
+        t = _records(rng, [0, 1, 0, 1], [0, 1, 1, 0], (Q.a, 1.3), TABLES["standard"][1])
+        quad = ChoiceQuad(Q.a, Q.b, Q.a + 1e-13, Q.b_alt)
+        assert _outcome(estimate_s_chsh, t, quad) == _outcome(_ref_s_chsh, t, quad) == (
+            "quad settings are not distinguishable")
+
+    @pytest.mark.parametrize("a_only_idx, b_only_idx, message", [
+        ([0, 0], [0, 1], "no singles records at Alice's alternate setting"),
+        ([1, 0], [1, 1], "no singles records at Bob's first setting"),
+        ([0, 0], [1, 1], "no singles records at Alice's alternate setting"),
+        ([], [0], "no singles records at Alice's alternate setting"),
+    ])
+    def test_singles_errors(self, a_only_idx, b_only_idx, message):
+        rng = np.random.default_rng(82)
+        t = _records(rng, [0, 0, 1, 1], [0, 1, 0, 1], *TABLES["standard"])
+        a_only = _records(rng, a_only_idx, a_only_idx, *TABLES["standard"])
+        b_only = _records(rng, b_only_idx, b_only_idx, *TABLES["standard"])
+        args = (t, a_only, b_only, Q)
+        assert _outcome(estimate_s_prime, *args) == _outcome(_ref_s_prime, *args) == message
+
+    def test_timeline_runs(self):
+        # a stepped Alice (two zero-frequency runs joined), a switching run
+        # and its singles runs, as measure_bell takes them
+        alice, bob = aspect_stations()
+        rt = alice.round_trip_time
+        steps = [StationConfig(Q.a, Q.a_alt, 0.0, j * math.pi, rt) for j in (0, 1)]
+        stepped = Trials.concat([run_timeline(s, bob, 30_000, 1e-3, RngSpec(83, j))
+                                 for j, s in enumerate(steps)])
+        main = run_timeline(alice, bob, 300_000, 1e-3, RngSpec(84, 1), workers=2)
+        a_only = run_timeline(alice, bob, 300_000, 1e-3, RngSpec(84, 2), pbs=(True, False))
+        b_only = run_timeline(steps[0], bob, 30_000, 1e-3, RngSpec(84, 3), pbs=(False, True))
+        for t in (stepped, main):
+            assert _outcome(estimate_s_chsh, t, Q) == _outcome(_ref_s_chsh, t, Q)
+            args = (t, a_only, b_only, Q)
+            assert _outcome(estimate_s_prime, *args) == _outcome(_ref_s_prime, *args)
+            assert not isinstance(_outcome(estimate_s_prime, *args), str)
 
 
 class TestChoiceTrials:
