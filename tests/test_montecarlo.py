@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -458,7 +459,6 @@ class TestPreallocatedColumns:
         # numpy reports its allocations to tracemalloc: at the peak a run
         # holds its columns and the temporaries of one chunk, not a second
         # copy of every record
-        tracemalloc = pytest.importorskip("tracemalloc")
         alice, bob = aspect_stations()
         n = 200_000
         tracemalloc.start()
