@@ -202,9 +202,9 @@ EQUAL_WEIGHTS = (0.5, 0.5)
 
 
 def check_station_weights(weights: tuple[float, float]) -> None:
-    """Texture weights (w_A, w_B) must be nonnegative and sum to 1."""
+    """Texture weights (w_A, w_B) must be nonnegative and sum to 1 (so not nan)."""
     w_a, w_b = weights
-    if w_a < 0.0 or w_b < 0.0 or abs(w_a + w_b - 1.0) > WEIGHT_TOL:
+    if not (w_a >= 0.0 and w_b >= 0.0 and abs(w_a + w_b - 1.0) <= WEIGHT_TOL):
         raise ValidationError(f"station weights {weights!r} must be >= 0 and sum to 1")
 
 

@@ -42,7 +42,7 @@ from .choice import (
     sync_fraction,
 )
 from .models import Model, ValidationError, corr
-from .montecarlo import RngSpec, run_timeline
+from .montecarlo import RngSpec, _check_fits, run_timeline
 # importable here so that benchmarks/spans.py can wrap them by this module's name
 from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
 from .output import format_float, render_csv, render_jsonl, write_table
@@ -51,6 +51,7 @@ from .sweep import (
     CLOSED_FORM,
     MONTE_CARLO,
     DEFAULT_SEED,
+    POINT_BYTES,
     SweepSpec,
     SweepVariable,
     aspect_point,
@@ -75,8 +76,12 @@ class Options:
     def __init__(self, args: argparse.Namespace, command: str):
         self._args = vars(args)
         config = {}
-        if self._args.get("config"):
-            config = json.loads(Path(self._args["config"]).read_text(encoding="utf-8"))
+        path = self._args.get("config")
+        if path:
+            try:
+                config = json.loads(Path(path).read_text(encoding="utf-8"))
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ValidationError(f"--config {path}: not a JSON file ({exc})") from None
             if not isinstance(config, dict):
                 raise ValidationError("config file must hold a JSON object")
         merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
@@ -98,6 +103,14 @@ class Options:
             raise ValidationError(
                 f"--{name.replace('_', '-')}: cannot parse {value!r} ({exc})"
             ) from None
+
+
+def _seed(opts: Options) -> int:
+    """--seed: any non-negative integer (``np.random.SeedSequence`` entropy)."""
+    seed = opts.get("seed", DEFAULT_SEED, parse=int)
+    if seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _provenance(command: str, seed, params: dict) -> dict:
@@ -178,6 +191,7 @@ def cmd_curves(opts: Options) -> int:
     points = opts.get("points", 181, parse=int)
     if points < 2:
         raise ValidationError("need at least two grid points")
+    _check_fits("--points", points, POINT_BYTES, "curve points")
     rows = []
     for i in range(points):
         delta = math.pi * i / (points - 1)
@@ -273,7 +287,7 @@ def cmd_bell(opts: Options) -> int:
     if engine not in ("closed", "mc", "both"):
         raise ValidationError(f"unknown engine {engine!r}")
     quad, sf, stations, params = _resolve_fractions(opts)
-    seed = opts.get("seed", DEFAULT_SEED, parse=int)
+    seed = _seed(opts)
 
     row: dict = {
         "form": form,
@@ -324,7 +338,7 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
     weights = opts.get("weights", parse=lambda v: tuple(float(p) for p in str(v).split(",")))
     if weights is not None and len(weights) != 2:
         raise ValidationError("--weights needs two comma-separated values")
-    seed = opts.get("seed", DEFAULT_SEED, parse=int)
+    seed = _seed(opts)
     spec = SweepSpec(
         variable=variable,
         start=start,
@@ -467,7 +481,7 @@ def cmd_export_trials(opts: Options) -> int:
     duration = opts.get("duration", 1e-3, parse=parse_time)
     emission = opts.get("emission", "uniform")
     workers = opts.get("workers", 1, parse=int)
-    seed = opts.get("seed", DEFAULT_SEED, parse=int)
+    seed = _seed(opts)
     trials = run_timeline(alice, bob, pairs, duration, RngSpec(seed),
                           emission=emission, workers=workers)
     params.update(pairs=pairs, duration=repr(duration), emission=emission)

@@ -20,9 +20,9 @@ worker count.
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
 table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
-``b_m``).  The estimators resolve the quad against that table once and
-count records by an int8 key of (measured indices, clicks): one
-``np.bincount`` gives every group size and click fraction.
+``b_m``).  The estimators read no angles: one ``np.bincount`` per run
+tallies its records by measured indices and clicks (``_tally``), and every
+estimate, S's standard error included, is a function of those counts.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
@@ -381,7 +381,8 @@ def run_static(
     measured = np.zeros(n, dtype=table.codes.dtype)
     alpha = _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True)
     beta = _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True)
-    return _mean_estimate(alpha * beta)
+    mean, var = _pm1_moments(2 * int(np.count_nonzero(alpha == beta)) - n, n)
+    return EstimateWithError(mean, math.sqrt(var), n)
 
 
 # --- timeline runs ------------------------------------------------------------
@@ -390,23 +391,28 @@ def run_static(
 _RECORD_BYTES = 30
 
 
+def _check_fits(flag: str, n: int, item_bytes: int, what: str) -> None:
+    """Reject ``n`` items of ``item_bytes`` each that exceed physical memory
+    (unchecked where ``os.sysconf`` cannot tell), before any is allocated;
+    the message names the option ``flag`` that asked for ``n``."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = item_bytes * n
+    if need > physical:
+        raise ValidationError(f"{flag} {n} needs {need / 2**30:.3g} GiB of {what}, "
+                              f"more than the {physical / 2**30:.3g} GiB of physical memory")
+
+
 def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
-    """Reject a run whose records, counted twice, exceed physical memory
-    (unchecked where ``os.sysconf`` cannot tell); the message names the
-    option ``flag`` that asked for ``n_pairs``.
+    """Reject a run whose records, counted twice, exceed physical memory.
 
     A run's columns are allocated once (chunks write their own slices),
     but a measurement holds its main run and both singles runs at once, so
     one run's records alone understate what it needs.
     """
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
-    need = 2 * _RECORD_BYTES * n_pairs
-    if need > physical:
-        raise ValidationError(f"{flag} {n_pairs} needs {need / 2**30:.3g} GiB of records, "
-                              f"more than the {physical / 2**30:.3g} GiB of physical memory")
+    _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
 
 def run_timeline(
@@ -559,13 +565,13 @@ def run_choice_trials(
 # --- estimators ---------------------------------------------------------------
 
 
-def _mean_estimate(x: np.ndarray) -> EstimateWithError:
-    n = x.size
+def _pm1_moments(s: int, n: int) -> tuple[float, float]:
+    """Mean of ``n`` +/-1 samples that sum to ``s``, and the variance of that
+    mean: s/n and the unbiased (n*n - s*s) / (n*n*(n - 1)).  Both are ratios
+    of exact integers, so each is correctly rounded."""
     if n < 2:
         raise ValidationError("need at least two samples for a standard error")
-    return EstimateWithError(
-        float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n)), int(n)
-    )
+    return s / n, (n * n - s * s) / (n * n * (n - 1))
 
 
 def _fraction_estimate(hits: int, n: int) -> EstimateWithError:
@@ -587,6 +593,13 @@ def _bits(*flags: np.ndarray) -> np.ndarray:
     return key
 
 
+def _tally(trials: Trials) -> np.ndarray:
+    """counts[a_m_idx, b_m_idx, alpha > 0, beta > 0] of a run's records, from
+    one ``np.bincount``."""
+    key = _bits(trials.a_m_idx, trials.b_m_idx, trials.alpha > 0, trials.beta > 0)
+    return np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
+
+
 def _at_setting(table: np.ndarray, setting: float) -> np.ndarray:
     """Which entries of a station's 2-entry settings ``table`` are ``setting``."""
     return np.isclose(table, setting, rtol=0.0, atol=_ANGLE_ATOL)
@@ -603,80 +616,62 @@ def _quad_rows(seen: np.ndarray, table: np.ndarray, first: float, second: float)
     return rows
 
 
-def _bell_key(trials: Trials) -> np.ndarray:
-    """Each record's (a_m_idx, b_m_idx, alpha > 0, beta > 0) bits; ``key >> 2``
-    is its setting-index pair 2*a_m_idx + b_m_idx."""
-    return _bits(trials.a_m_idx, trials.b_m_idx, trials.alpha > 0, trials.beta > 0)
-
-
-def _bell_groups(trials: Trials, quad: ChoiceQuad, key: np.ndarray):
+def _bell_groups(tally: np.ndarray, settings: np.ndarray, quad: ChoiceQuad):
     """The four measured setting pairs in (+, -, +, +) order, each as (sign,
-    index pairs, counts[index pair, alpha > 0, beta > 0]).
+    counts[alpha > 0, beta > 0]) summed from a run's ``_tally``.
 
     A station's table may list a setting twice or in either order, so a
-    group is every index pair that occurs at its two settings.  A group is
-    checked when it is reached: an estimate of one group fails before the
-    next is found empty.
+    group is every index pair at its two settings.  A group is checked when
+    it is reached: an estimate of one group fails before the next is found
+    empty.
     """
-    counts = np.bincount(key, minlength=16).reshape(4, 2, 2)
-    seen = counts.any(axis=(1, 2)).reshape(2, 2)
-    a = _quad_rows(seen.any(axis=1), trials.settings[0], quad.a, quad.a_alt)
-    b = _quad_rows(seen.any(axis=0), trials.settings[1], quad.b, quad.b_alt)
+    seen = tally.any(axis=(2, 3))
+    a = _quad_rows(seen.any(axis=1), settings[0], quad.a, quad.a_alt)
+    b = _quad_rows(seen.any(axis=0), settings[1], quad.b, quad.b_alt)
     for sign, i, j in ((1.0, 0, 0), (-1.0, 0, 1), (1.0, 1, 0), (1.0, 1, 1)):
-        pairs = np.flatnonzero(np.outer(a[i], b[j]) & seen)
-        if not pairs.size:
+        group = tally[np.outer(a[i], b[j])].sum(axis=0)
+        if not group.any():
             raise ValidationError("a measured setting pair has no records")
-        yield sign, pairs, counts[pairs]
-
-
-def _signed_sum(terms) -> tuple[float, float]:
-    """Sum of sign * estimate over (sign, estimate) ``terms``, with its variance."""
-    total = 0.0
-    var = 0.0
-    for sign, est in terms:
-        total += sign * est.value
-        var += est.std_error**2
-    return total, var
+        yield sign, group
 
 
 def estimate_sync_fractions(
     trials: Trials,
 ) -> tuple[EstimateWithError, EstimateWithError]:
-    """Empirical per-station in-sync fractions P(setting at texture epoch == measured)."""
-    # settings, not indices: a station may list the same setting twice
-    fa = trials.a_v == trials.a_m
-    fb = trials.b_v == trials.b_m
-    return (_fraction_estimate(int(np.count_nonzero(fa)), fa.size),
-            _fraction_estimate(int(np.count_nonzero(fb)), fb.size))
+    """Empirical per-station in-sync fractions P(setting at texture epoch == measured).
+
+    Counted by (texture-epoch index, measured index): a pair is in sync where
+    the station's table holds one setting at both (everywhere, if it lists one twice).
+    """
+
+    def in_sync(v: np.ndarray, m: np.ndarray, table: np.ndarray) -> EstimateWithError:
+        counts = np.bincount(_bits(v, m), minlength=4).reshape(2, 2)
+        return _fraction_estimate(int(counts[table[:, None] == table].sum()), v.size)
+
+    return (in_sync(trials.a_v_idx, trials.a_m_idx, trials.settings[0]),
+            in_sync(trials.b_v_idx, trials.b_m_idx, trials.settings[1]))
 
 
 def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
     """Bell S from records grouped by measured setting pair.
 
-    Per-group means of alpha*beta are assembled with the (+, -, +, +) sign
-    pattern; errors propagate in quadrature and the result is |S|.  Each
-    group's standard error is ``np.std`` of its int8 products in record
-    order, whose float sum a count formula does not reproduce bit for bit.
+    A group's alpha*beta is +/-1, so its mean and that mean's variance
+    follow from the group's count n and s = n - 2 * (records with alpha !=
+    beta) (``_pm1_moments``).  The means are assembled with the (+, -, +, +)
+    sign pattern, the variances add, and the result is |S|.
     """
-    key = _bell_key(trials)
-    pair = key >> 2
-    prod = trials.alpha * trials.beta
-
-    def group_mean(pairs: np.ndarray) -> EstimateWithError:
-        mask = pair == pairs[0]
-        for p in pairs[1:]:
-            mask |= pair == p
-        return _mean_estimate(np.compress(mask, prod))
-
-    total, var = _signed_sum((sign, group_mean(pairs))
-                             for sign, pairs, _ in _bell_groups(trials, quad, key))
+    total = var = 0.0
+    for sign, group in _bell_groups(_tally(trials), trials.settings, quad):
+        n = int(group.sum())
+        mean, group_var = _pm1_moments(n - 2 * int(group[0, 1] + group[1, 0]), n)
+        total += sign * mean
+        var += group_var
     return EstimateWithError(abs(total), math.sqrt(var), len(trials))
 
 
-def _singles(idx: np.ndarray, clicks: np.ndarray, table: np.ndarray, setting: float,
+def _singles(counts: np.ndarray, table: np.ndarray, setting: float,
              where: str) -> EstimateWithError:
-    """Click fraction of a singles run's records at ``setting``."""
-    counts = np.bincount(_bits(idx, clicks > 0), minlength=4).reshape(2, 2)
+    """Click fraction at ``setting`` of a singles run's counts[index, click]."""
     at = counts[_at_setting(table, setting)]
     if not at.any():
         raise ValidationError(f"no singles records at {where}")
@@ -695,15 +690,18 @@ def estimate_s_prime(
     pair; the subtracted singles terms are the click fractions at Alice's
     alternate setting (Bob's polarizer absent) and at Bob's first setting
     (Alice's polarizer absent), each normalized by its own group count, the
-    stand-in for the no-polarizer rate that counts every pair.  Every
-    fraction is a ratio of record counts.
+    stand-in for the no-polarizer rate that counts every pair.  Each run is
+    tallied once (``_tally``) and every fraction is a ratio of its counts;
+    a singles term reads its station's marginal.
     """
-    total, var = _signed_sum(
-        (sign, _fraction_estimate(int(group[:, 1, 1].sum()), int(group.sum())))
-        for sign, _, group in _bell_groups(trials, quad, _bell_key(trials)))
-    sa = _singles(alice_only.a_m_idx, alice_only.alpha, alice_only.settings[0], quad.a_alt,
+    total = var = 0.0
+    for sign, group in _bell_groups(_tally(trials), trials.settings, quad):
+        est = _fraction_estimate(int(group[1, 1]), int(group.sum()))
+        total += sign * est.value
+        var += est.std_error**2
+    sa = _singles(_tally(alice_only).sum(axis=(1, 3)), alice_only.settings[0], quad.a_alt,
                   "Alice's alternate setting")
-    sb = _singles(bob_only.b_m_idx, bob_only.beta, bob_only.settings[1], quad.b,
+    sb = _singles(_tally(bob_only).sum(axis=(0, 2)), bob_only.settings[1], quad.b,
                   "Bob's first setting")
     total -= sa.value + sb.value
     var += sa.std_error**2 + sb.std_error**2

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .models import ValidationError
 from .output import format_float
@@ -24,6 +23,25 @@ MARGIN_TOP = 40.0
 MARGIN_BOTTOM = 50.0
 
 _SERIES_COLORS = ("#000000", "#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+# xml.sax.saxutils' escape and quoteattr, byte for byte; that module imports
+# urllib.request, http.client and ssl
+def escape(text: str) -> str:
+    """&, > and < as entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """``escape`` with newline, carriage return and tab as character
+    references, quoted: in single quotes if it holds " but not ', else in
+    double quotes (with " as &quot;)."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .montecarlo import (
     EstimateWithError,
     RngSpec,
     Trials,
+    _check_fits,
     _check_memory,
     estimate_s_chsh,
     estimate_s_prime,
@@ -65,6 +66,11 @@ ASPECT_1982_REPORTED_F_BOB = 0.83
 
 #: Phase differences within this of a multiple of pi count as locked waves.
 _PHASE_ATOL = 1e-12
+
+#: Bytes per grid point that the memory check counts for ``--points``.  The
+#: points, rows and rendered table or plot of a closed-form sweep or of
+#: ``curves`` peak at 0.6-1.4 kB a point (csv, jsonl or svg; 220k points).
+POINT_BYTES = 2048
 
 
 class SweepError(RuntimeError):
@@ -280,8 +286,9 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     A ``ValidationError`` (such as too few pairs per point) is raised as
     ``SweepInputError``, still a ``ValidationError``; any other failure as
     ``SweepError``.  A ``--mc-pairs`` too large to hold is rejected before
-    the first point.
+    the first point, and so is a ``--points`` grid too large to hold.
     """
+    _check_fits("--points", spec.num_points, POINT_BYTES, "sweep points")
     if MONTE_CARLO in spec.engines:
         _check_memory(spec.mc_pairs_per_point, "--mc-pairs")
     weights = spec.resolved_weights()

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bellsim
-from bellsim import ValidationError, aspect_point, cli
+from bellsim import (
+    RngSpec, StationConfig, ValidationError, aspect_point, cli, run_timeline, svgplot,
+)
 from bellsim.cli import main, provenance_to_argv
 from bellsim.output import read_table
 from bellsim.sweep import SweepError
@@ -287,6 +290,82 @@ class TestMalformedInput:
         assert f"{flag} 1000000000000000" in proc.stderr
         assert "physical memory" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--start", "0", "--stop", "1MHz"],
+        ["sweep", "--start", "0", "--stop", "1MHz", "--engines", "closed_form,monte_carlo",
+         "--mc-pairs", "1000"],
+        ["curves"],
+        ["curves", "--format", "svg"],
+    ])
+    def test_points_beyond_physical_memory_are_rejected(self, argv):
+        # 1e11 grid points are ~200 TB of rows; the grid is never built in
+        # this process, and the child's address space is capped at 2 GiB
+        proc = _run_capped([*argv, "--points", "100000000000"])
+        assert proc.returncode == 1, proc.stderr
+        assert "--points 100000000000" in proc.stderr
+        assert "physical memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["bell", "--f", "0.5", "--engine", "mc", "--pairs", "1000"],
+        ["bell", "--f", "0.5"],
+        ["sweep", "--start", "0", "--stop", "1MHz", "--points", "3"],
+        ["export-trials", "--output", "{out}", "--pairs", "10"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+    def test_negative_seed_is_validation_error(self, argv, seed, tmp_path, capsys):
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in argv]
+        assert main([*argv, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert f"--seed must be a non-negative integer, got {seed}" in err
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64)])
+    def test_non_negative_seed_keeps_its_stream(self, seed, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert main(["export-trials", "--output", str(out), "--pairs", "50", "--seed", seed]) == 0
+        alice, bob = StationConfig(0.0, math.pi / 4), StationConfig(math.pi / 8, 3 * math.pi / 8)
+        trials = run_timeline(alice, bob, 50, 1e-3, RngSpec(int(seed)))
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(line)["emission_time"] for line in lines] == \
+            trials.emission_time.tolist()
+
+    @pytest.mark.parametrize("weights", ["nan,nan", "nan,1", "1,nan"])
+    def test_nan_station_weights_are_rejected(self, weights, capsys):
+        assert main(["sweep", "--start", "0", "--stop", "1MHz", "--points", "3",
+                     "--weights", weights]) == 1
+        assert "station weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"seed": 1,', "", "{'seed': 1}"])
+    def test_malformed_config_is_validation_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["bell", "--f", "0.5", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert f"--config {cfg}:" in err
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this bellsim."""
+    package_root = str(Path(bellsim.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m bellsim.cli argv`` in a child whose address space is capped
+    at 2 GiB, so a run that allocates too much fails there."""
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-m", "bellsim.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=120,
+                          preexec_fn=cap_address_space)
+
 
 class TestSweepCommand:
     def test_unknown_variable_is_validation_error(self, capsys):
@@ -544,6 +623,32 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "f_alice: 0.97" in proc.stdout
+
+
+class TestSvgEscaping:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="&<>\"'\n\r\t a;#"))
+    @example("")
+    @example("a & b < c > d")
+    @example("&amp; &lt;")
+    @example('say "hi"')
+    @example("it's")
+    @example("\"both' kinds\"")
+    @example("line\nbreak\rreturn\ttab")
+    @example("<\"'&\n\r\t'\">")
+    def test_matches_saxutils(self, text):
+        # imported here only: the package must not import it
+        from xml.sax import saxutils
+
+        assert svgplot.escape(text) == saxutils.escape(text)
+        assert svgplot.quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_cli_import_leaves_ssl_unloaded(self):
+        code = "import sys, bellsim.cli; bellsim.cli.build_parser(); print('ssl' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestVersion:

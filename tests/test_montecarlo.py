@@ -11,9 +11,11 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import bellsim
@@ -481,7 +483,7 @@ def _records_digest(t: Trials) -> str:
 
 
 class TestStreamDigests:
-    """Fixed-seed record streams as written by versions 0.2.0 and 0.3.0.
+    """Fixed-seed record streams as written by versions 0.2.0, 0.3.0 and 0.4.0.
 
     A changed digest is a stream change: it bumps the package version and
     is declared, it is never re-pinned to make a kernel change pass.
@@ -502,10 +504,11 @@ class TestStreamDigests:
             "ed5396c643fc94c935f75eb5a9f9915b559092e42d95ebf4055c99d29bbd99fc",
     }
     CHOICE_DIGEST = "67469451541e2a17bcf5c9896bf87162dd90c3b562d100d3c91b22eebfb77162"
-    # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error)
+    # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error); the std errors
+    # of 0.4.0 are the exact +/-1 variance, an ulp off np.std in two of three
     STATIC_ESTIMATES = (
-        ("texture", (0.3541, 0.006613081440773817)),
-        ("atoms_and_uniform", (0.3737, 0.006558930284606166)),
+        ("texture", (0.3541, 0.0066130814407738174)),
+        ("atoms_and_uniform", (0.3737, 0.006558930284606165)),
         ("uniform", (0.3527, 0.006616821337789831)),
     )
     STATIC_MIXTURES = {
@@ -797,6 +800,30 @@ class TestCountEstimators:
             args = (t, a_only, b_only, Q)
             assert _outcome(estimate_s_prime, *args) == _outcome(_ref_s_prime, *args)
             assert not isinstance(_outcome(estimate_s_prime, *args), str)
+
+
+class TestPlusMinusOneMoments:
+    """The +/-1 estimator behind S and ``run_static``: the exact mean s/n and
+    variance of the mean (n^2 - s^2) / (n^2 (n - 1)), correctly rounded, and
+    within 4 ulp of numpy's float sums."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 100_000), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_samples(self, n, p_plus, seed):
+        x = np.where(np.random.default_rng(seed).random(n) < p_plus, 1, -1).astype(np.int8)
+        s = int(x.sum(dtype=np.int64))
+        mean, var = montecarlo._pm1_moments(s, n)
+        assert mean == s / n
+        assert var == float(Fraction(n * n - s * s, n * n * (n - 1)))
+        ref_mean = float(np.mean(x))
+        ref_var = float(np.var(x, ddof=1)) / n
+        assert abs(mean - ref_mean) <= 4 * math.ulp(ref_mean)
+        assert abs(var - ref_var) <= 4 * math.ulp(ref_var)
+
+    @pytest.mark.parametrize("s, n", [(0, 0), (1, 1), (-1, 1)])
+    def test_needs_two_samples(self, s, n):
+        with pytest.raises(ValidationError, match="at least two samples"):
+            montecarlo._pm1_moments(s, n)
 
 
 class TestChoiceTrials:
