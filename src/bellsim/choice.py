@@ -64,6 +64,10 @@ ASPECT_ROUND_TRIP = 43e-9
 ASPECT_FREQUENCY_ALICE = 46.2e6
 ASPECT_FREQUENCY_BOB = 48.4e6
 
+#: Beyond 2**52 periods a float64 count of periods has no fractional part,
+#: so a square wave can no longer resolve its half periods.
+MAX_PERIODS = 2.0**52
+
 
 @dataclass(frozen=True)
 class ChoiceQuad:
@@ -157,13 +161,19 @@ def sync_fraction(frequency: float, round_trip_time: float) -> float:
     number of switching periods and 0 at half-integers.  This is
     (1/pi) * arccos(cos(2*pi*(x - 1/2))) without the arccos, which loses
     half the digits near the nodes.  A station that never switches (nu = 0,
-    x = 0) is always in sync, f = 1 exactly.
+    x = 0) is always in sync, f = 1 exactly.  An x beyond ``MAX_PERIODS``,
+    or not finite, is rejected.
     """
     if round_trip_time <= 0.0:
         raise ValidationError("round_trip_time must be > 0")
     if frequency < 0.0:
         raise ValidationError("frequency must be >= 0")
     x = round_trip_time * frequency
+    if not x <= MAX_PERIODS:
+        raise ValidationError(
+            f"a {round_trip_time!r} s round trip holds {x:.3g} periods at {frequency!r} Hz, "
+            f"more than 2**52: its half periods cannot be resolved"
+        )
     return 1.0 - 2.0 * abs(x - round(x))
 
 

@@ -61,6 +61,8 @@ from .sweep import (
 from .units import parse_angle_list, parse_frequency, parse_phase, parse_time
 
 STANDARD_QUAD_TEXT = "0deg,22.5deg,45deg,67.5deg"
+#: --format of the commands that also draw an SVG plot; the others write tables only
+_PLOT_FORMATS = ("csv", "jsonl", "svg")
 _MODEL_ORDER = (Model.QUANTUM, Model.SEMI_CLASSICAL, Model.TEXTURE, Model.MAX_CLASSICAL_LHV)
 
 
@@ -91,18 +93,22 @@ class Options:
         merged.update(section)
         self._cfg = merged
 
-    def get(self, name, default=None, parse=None):
+    def get(self, name, default=None, parse=None, choices=None):
+        """Option ``name`` parsed by ``parse`` or, if enumerated, checked against
+        ``choices``; a bad value raises a ``ValidationError`` naming the flag."""
         value = self._args.get(name)
         if value is None:
             value = self._cfg.get(name, default)
+        flag = f"--{name.replace('_', '-')}"
+        if choices is not None and value not in choices:
+            raise ValidationError(f"{flag}: unknown value {value!r} (choose from "
+                                  f"{' | '.join(choices)})")
         if value is None or parse is None:
             return value
         try:
             return parse(value)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"--{name.replace('_', '-')}: cannot parse {value!r} ({exc})"
-            ) from None
+            raise ValidationError(f"{flag}: cannot parse {value!r} ({exc})") from None
 
 
 def _seed(opts: Options) -> int:
@@ -142,9 +148,7 @@ def _quad_text(quad: ChoiceQuad) -> str:
 
 def _emit(opts: Options, rows: list[dict], provenance: dict) -> None:
     output = opts.get("output")
-    fmt = opts.get("format", "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown table format {fmt!r}")
+    fmt = opts.get("format", "csv", choices=("csv", "jsonl"))
     if output is None:
         text = render_csv(rows, provenance) if fmt == "csv" else render_jsonl(rows, provenance)
         sys.stdout.write(text)
@@ -192,6 +196,7 @@ def cmd_curves(opts: Options) -> int:
     if points < 2:
         raise ValidationError("need at least two grid points")
     _check_fits("--points", points, POINT_BYTES, "curve points")
+    fmt = opts.get("format", "csv", choices=_PLOT_FORMATS)
     rows = []
     for i in range(points):
         delta = math.pi * i / (points - 1)
@@ -201,9 +206,9 @@ def cmd_curves(opts: Options) -> int:
                 row[m.value] = corr(m, delta, 0.0)
         rows.append(row)
     params = {"models": ",".join(m.value for m in _MODEL_ORDER if m in models),
-              "points": points, "format": opts.get("format", "csv")}
+              "points": points, "format": fmt}
     provenance = _provenance("curves", None, params)
-    if opts.get("format") == "svg":
+    if fmt == "svg":
         plot = LinePlot("Correlation vs angle difference", "a - b (rad)", "E(a,b)",
                         provenance)
         for m in _MODEL_ORDER:
@@ -280,12 +285,8 @@ _BELL_LABELS = {
 
 
 def cmd_bell(opts: Options) -> int:
-    form = opts.get("form", "sprime")
-    if form not in ("sprime", "s"):
-        raise ValidationError(f"unknown Bell form {form!r}")
-    engine = opts.get("engine", "closed")
-    if engine not in ("closed", "mc", "both"):
-        raise ValidationError(f"unknown engine {engine!r}")
+    form = opts.get("form", "sprime", choices=("sprime", "s"))
+    engine = opts.get("engine", "closed", choices=("closed", "mc", "both"))
     quad, sf, stations, params = _resolve_fractions(opts)
     seed = _seed(opts)
 
@@ -409,12 +410,10 @@ def _sweep_plot(series, provenance, which: str) -> LinePlot:
 
 def cmd_sweep(opts: Options) -> int:
     spec, params = _sweep_spec(opts)
+    fmt = opts.get("format", "csv", choices=_PLOT_FORMATS)
+    which = opts.get("plot_field", "s_prime", choices=("s_prime", "s_chsh"))
     series = run_sweep(spec)
     provenance = _provenance("sweep", spec.seed, params)
-    fmt = opts.get("format", "csv")
-    which = opts.get("plot_field", "s_prime")
-    if which not in ("s_prime", "s_chsh"):
-        raise ValidationError(f"unknown plot field {which!r}")
     if fmt == "svg":
         _emit_plot(opts, _sweep_plot(series, provenance, which))
     else:

@@ -49,14 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .choice import ChoiceQuad, StationConfig, SyncFractions, check_station_weights
+from .choice import MAX_PERIODS, ChoiceQuad, StationConfig, SyncFractions, check_station_weights
 from .models import HALF_PI, HvMixture, ValidationError, normalize_angle
 
 DEFAULT_CHUNK = 1 << 18
-
-#: Beyond 2**52 periods a float64 t*frequency + phase/2pi has no fractional
-#: part, so a square wave can no longer resolve its half periods.
-_MAX_PERIODS = 2.0**52
 
 _ANGLE_ATOL = 1e-12
 
@@ -467,11 +463,16 @@ def run_timeline(
         spanned = (duration + cfg.round_trip_time / 2.0) * cfg.switch_frequency
         offset = abs(cfg.switch_phase) / (2.0 * math.pi)
         periodic = cfg.switching == "periodic" and cfg.switch_frequency != 0.0
-        if periodic and spanned + offset > _MAX_PERIODS:
+        if periodic and spanned + offset > MAX_PERIODS:
             given = f"--duration {duration!r} s"
+            fix = "shorten --duration"
+            if cfg.round_trip_time / 2.0 > duration:
+                given += f", --round-trip-{key} {cfg.round_trip_time!r} s"
+                fix = f"shorten --round-trip-{key}"
             if offset:
                 given += f", --phase-{key} {cfg.switch_phase!r} rad"
-            fix = f"reduce --phase-{key}" if offset > spanned else "shorten --duration"
+                if offset > spanned:
+                    fix = f"reduce --phase-{key}"
             raise ValidationError(
                 f"{name}'s square wave reaches {spanned + offset:.3g} periods ({given}), "
                 f"more than 2**52: every time would fall in the same half period; "
@@ -481,6 +482,9 @@ def run_timeline(
 
     if emission == "poisson":
         rate = n_pairs / duration
+        if math.isinf(rate):
+            raise ValidationError(f"--duration {duration!r} s is too short for a Poisson "
+                                  f"rate of {n_pairs} pairs in it: the rate overflows")
         n_chunks = max(1, math.ceil(rate * duration / chunk_size))
     else:
         n_chunks = max(1, math.ceil(n_pairs / chunk_size))

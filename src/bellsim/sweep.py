@@ -239,9 +239,10 @@ def measure_bell(
     the same sync fractions another way: a periodic station at frequency 0
     (under ``step_alice``, Bob) shows one setting per run, so the choice
     sampler at the stations' sync fractions stands in; equal-frequency
-    waves in phase or in anti-phase (phases a multiple of pi apart, within
-    1e-12 rad) show only two of the four pairs, so Bob's is offset a quarter
-    period.
+    waves that are read in phase or in anti-phase at photon arrival
+    (t + T/2) show only two of the four pairs, so Bob's is offset a quarter
+    period.  Those waves are locked when (phi_B - phi_A) + pi nu (T_B - T_A)
+    is within 1e-12 rad of a multiple of pi.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
@@ -249,13 +250,16 @@ def measure_bell(
         raise ValidationError("duration must be > 0")
     if stations is not None:
         alice, bob = stations
+        # at equal frequencies, Bob's wave phase minus Alice's as each is read
+        # at photon arrival, t + T/2
+        gap = (bob.switch_phase - alice.switch_phase) + math.pi * bob.switch_frequency * (
+            bob.round_trip_time - alice.round_trip_time)
         switching = (bob,) if step_alice else (alice, bob)
         if any(s.switching == "periodic" and s.switch_frequency == 0.0 for s in switching):
             sf = _station_fractions(alice, bob, step_alice)
             stations, step_alice = None, False
         elif (not step_alice and alice.switch_frequency == bob.switch_frequency
-              and abs(math.remainder(bob.switch_phase - alice.switch_phase, math.pi))
-              <= _PHASE_ATOL):
+              and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
             stations = (alice, replace(bob, switch_phase=bob.switch_phase + math.pi / 2))
 
     def run(k: int, pbs: tuple[bool, bool], alice: StationConfig | None = None,

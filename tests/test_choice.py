@@ -109,6 +109,14 @@ class TestSyncFraction:
         with pytest.raises(ValidationError):
             sync_fraction(-1.0, ROUND_TRIP)
 
+    def test_rejects_more_than_2_52_periods(self):
+        # beyond 2**52 a float has no fractional part: f would read 1
+        assert sync_fraction(2.0**52, 1.0) == 1.0
+        for nu, rt in ((2.0**53, 1.0), (1e300, ROUND_TRIP), (1e300, 1e300),
+                       (math.inf, ROUND_TRIP), (math.nan, ROUND_TRIP), (1e6, math.inf)):
+            with pytest.raises(ValidationError, match=r"more than 2\*\*52"):
+                sync_fraction(nu, rt)
+
 
 class TestMixFractions:
     def test_aspect_reported_chain(self):

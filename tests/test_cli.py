@@ -17,6 +17,7 @@ from bellsim import (
     RngSpec, StationConfig, ValidationError, aspect_point, cli, run_timeline, svgplot,
 )
 from bellsim.cli import main, provenance_to_argv
+from bellsim.models import normalize_angle
 from bellsim.output import read_table
 from bellsim.sweep import SweepError
 from bellsim.units import (
@@ -75,6 +76,22 @@ class TestUnits:
         assert parse_time(4.3e-8) == 4.3e-8
         with pytest.raises(ValidationError):
             parse_time("soon")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e300, 1e300))
+    def test_deg_tag_scales_like_math_radians(self, x):
+        # one unit table for angles and phases: x * pi/180 has math.radians' bits
+        assert parse_phase(f"{x!r}deg") == math.radians(x)
+        assert parse_angle(f"{x!r}deg") == normalize_angle(math.radians(x))
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_angle, "infdeg"), (parse_angle, "nanrad"), (parse_phase, "-infrad"),
+        (parse_phase, "nan"), (parse_frequency, "1e300GHz"), (parse_frequency, "inf"),
+        (parse_time, "1e400ns"), (parse_time, "-inf"),
+    ])
+    def test_non_finite_values_are_rejected(self, parse, text):
+        with pytest.raises(ValidationError, match="must be finite|cannot parse"):
+            parse(text)
 
 
 class TestCurves:
@@ -188,6 +205,18 @@ class TestBell:
         row = rows[0]
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
+    def test_monte_carlo_waves_in_quadrature_through_their_round_trips(self, tmp_path):
+        # equal phases, but 43 and 93 ns read the 10 MHz waves a quarter period
+        # apart: all four setting pairs are measured without an offset
+        out = tmp_path / "bell.csv"
+        code = main(["bell", "--nu-a", "10MHz", "--nu-b", "10MHz", "--round-trip-a", "43ns",
+                     "--round-trip-b", "93ns", "--engine", "both", "--pairs", "20000",
+                     "--seed", "9", "--output", str(out), "--format", "csv"])
+        assert code == 0
+        _, rows = read_table(out)
+        row = rows[0]
+        assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
+
     def test_tagged_phase_equals_bare_radians(self, tmp_path):
         deg = tmp_path / "deg.csv"
         rad = tmp_path / "rad.csv"
@@ -235,6 +264,39 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "runtime error" not in err
         assert f"error: {option}:" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["bell", "--f", "0.5", "--form", "S"], "--form"),
+        (["bell", "--f", "0.5", "--engine", "monte_carlo"], "--engine"),
+        (["bell", "--f", "0.5", "--format", "svg"], "--format"),
+        (["sync", "--nu-a", "1MHz", "--format", "xml"], "--format"),
+        (["curves", "--points", "3", "--format", "png"], "--format"),
+        (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3", "--plot-field", "s"],
+         "--plot-field"),
+        (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3", "--format", "xml"],
+         "--format"),
+    ])
+    def test_unknown_choice_names_its_flag(self, argv, option, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {option}: unknown value {argv[-1]!r} (choose from " in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sync", "--nu-a", "1e300"], "more than 2**52"),
+        (["sync", "--nu-a", "1e300", "--round-trip-a", "1e300s"], "more than 2**52"),
+        (["sweep", "--start", "0", "--stop", "1e300Hz", "--points", "3"], "more than 2**52"),
+        (["export-trials", "--nu-a", "46MHz", "--nu-b", "48MHz", "--round-trip", "1e300s",
+          "--pairs", "10", "--output", "{out}"],
+         "(--duration 0.001 s, --round-trip-a 1e+300 s), more than 2**52"),
+        (["export-trials", "--pairs", "10", "--emission", "poisson", "--duration", "1e-320",
+          "--output", "{out}"], "--duration 1e-320 s is too short"),
+    ])
+    def test_out_of_range_timing_is_validation_error(self, argv, message, tmp_path, capsys):
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert message in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_validation_error(self, workers, capsys):
@@ -402,6 +464,20 @@ class TestSweepCommand:
                     assert r1[k] == r2[k]  # exact: 17 significant digits round-trip
                 else:
                     assert r1[k] == r2[k]
+
+    def test_monte_carlo_with_unequal_round_trips(self, tmp_path):
+        # at 10 MHz the 43 and 93 ns stations' waves are in quadrature
+        out = tmp_path / "mc.csv"
+        code = main(["sweep", "--variable", "frequency_common", "--start", "0",
+                     "--stop", "100MHz", "--points", "11", "--round-trip-a", "43ns",
+                     "--round-trip-b", "93ns", "--engines", "monte_carlo",
+                     "--mc-pairs", "20000", "--output", str(out)])
+        assert code == 0
+        _, rows = read_table(out)
+        assert len(rows) == 11
+        for row in rows:
+            assert abs(row["mc_s_prime"] - row["s_prime"]) <= 4 * row["mc_s_prime_err"]
+            assert abs(row["mc_s_chsh"] - row["s_chsh"]) <= 4 * row["mc_s_chsh_err"]
 
     def test_monte_carlo_columns(self, tmp_path):
         out = tmp_path / "mc.jsonl"

@@ -258,6 +258,20 @@ class TestTimeline:
         with pytest.raises(ValidationError, match="--duration"):  # 2**52 periods at 1 MHz
             run_timeline(alice, bob, 100, 4.6e9, RngSpec(16))
 
+    def test_overlong_round_trip_is_named(self):
+        # T/2 beyond the duration: the round trip, not --duration, spans the periods
+        alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46e6, 0.0, 1e300)
+        bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48e6, 0.0, 1e300)
+        with pytest.raises(ValidationError) as info:
+            run_timeline(alice, bob, 10, 1e-3, RngSpec(16))
+        assert "--round-trip-a 1e+300 s" in str(info.value)
+        assert str(info.value).endswith("shorten --round-trip-a")
+
+    def test_poisson_rate_overflow_names_duration(self):
+        alice, bob = standard_stations(0.0, 0.0)
+        with pytest.raises(ValidationError, match="--duration 1e-320 s"):
+            run_timeline(alice, bob, 10, 1e-320, RngSpec(16), emission="poisson")
+
 
 class TestWorkers:
     def test_rejects_fewer_than_one(self):

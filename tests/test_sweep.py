@@ -1,6 +1,7 @@
 """Sweep engine: grids, extrema, distance asymmetry, and the 1982 reconstruction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from bellsim import (
     SweepVariable,
     ValidationError,
     aspect_point,
+    estimate_s_chsh,
+    estimate_s_prime,
     find_extrema,
     measure_bell,
     mix_fractions,
     run_sweep,
+    run_timeline,
     series_extrema,
     sync_fraction,
 )
@@ -319,6 +323,22 @@ class TestMonteCarloSweep:
             0.11109644710850852, 0.015428987470313118, 20002)
         assert (p.mc_s_chsh.value, p.mc_s_chsh.std_error) == (
             2.3456720495455206, 0.02291068769864181)
+
+    @pytest.mark.parametrize("rt_b, phase_b, locked", [
+        (93e-9, 0.0, False),  # arrival readings a quarter period apart
+        (93e-9, math.pi / 2, True),  # the phase closes the gap to half a period
+        (143e-9, 0.0, True),  # the round trips alone put them half a period apart
+    ])
+    def test_equal_waves_lock_through_their_round_trips(self, rt_b, phase_b, locked):
+        # at 10 MHz, (phi_B - phi_A) + pi nu (T_B - T_A) decides whether Bob is offset
+        alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 10e6, 0.0, 43e-9)
+        bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 10e6, phase_b, rt_b)
+        measured = replace(bob, switch_phase=phase_b + math.pi / 2) if locked else bob
+        runs = [run_timeline(alice, measured, 20_000, 1e-3, RngSpec(72, k), pbs=pbs)
+                for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
+        s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(72), stations=(alice, bob))
+        assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
+        assert s_c == estimate_s_chsh(runs[0], STANDARD_QUAD)
 
     def test_failure_reports_offending_x(self):
         spec = SweepSpec(
