@@ -13,6 +13,9 @@ from that header.
 A JSON config file (``--config``) may supply any long-option value; keys use
 underscores ("nu_a"), top-level keys apply to every subcommand and a section
 named after a subcommand overrides them.  Explicit flags win over the file.
+A value reads as the same text on the command line would: a JSON string as
+it is, a JSON number as its ``repr`` ("seed": 1.5 fails as --seed 1.5 does);
+true, false, null, arrays and objects are rejected for a key that is read.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/numeric error, 3 I/O
 error.
@@ -32,6 +35,7 @@ from . import __version__
 from .choice import (
     ASPECT_ROUND_TRIP,
     ChoiceQuad,
+    STANDARD_QUAD,
     StationConfig,
     SyncFractions,
     corr_fc,
@@ -39,7 +43,6 @@ from .choice import (
     mix_fractions,
     s_chsh_fc,
     s_prime_fc,
-    sync_fraction,
 )
 from .models import Model, ValidationError, corr
 from .montecarlo import RngSpec, _check_fits, run_timeline
@@ -94,21 +97,36 @@ class Options:
         self._cfg = merged
 
     def get(self, name, default=None, parse=None, choices=None):
-        """Option ``name`` parsed by ``parse`` or, if enumerated, checked against
-        ``choices``; a bad value raises a ``ValidationError`` naming the flag."""
+        """Option ``name`` parsed by ``parse``, then, if enumerated, checked
+        against ``choices`` (each item, if ``parse`` gives a tuple); a bad
+        value raises a ``ValidationError`` naming the flag or config key."""
         value = self._args.get(name)
+        if value is None and name in self._cfg:
+            value = self._cfg[name]
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                value = repr(value)
+            elif not isinstance(value, str):
+                raise ValidationError(f"config key {name!r} must be a JSON string or number, "
+                                      f"not {json.dumps(value)}")
         if value is None:
-            value = self._cfg.get(name, default)
+            value = default
         flag = f"--{name.replace('_', '-')}"
-        if choices is not None and value not in choices:
-            raise ValidationError(f"{flag}: unknown value {value!r} (choose from "
-                                  f"{' | '.join(choices)})")
-        if value is None or parse is None:
-            return value
-        try:
-            return parse(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{flag}: cannot parse {value!r} ({exc})") from None
+        if value is not None and parse is not None:
+            try:
+                value = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{flag}: cannot parse {value!r} ({exc})") from None
+        if choices is not None:
+            for item in value if isinstance(value, tuple) else (value,):
+                if item not in choices:
+                    raise ValidationError(f"{flag}: unknown value {item!r} (choose from "
+                                          f"{' | '.join(choices)})")
+        return value
+
+
+def _items(text: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated list."""
+    return tuple(item for item in text.split(",") if item)
 
 
 def _seed(opts: Options) -> int:
@@ -185,13 +203,11 @@ def _emit_plot(opts: Options, plot: LinePlot) -> None:
 
 
 def cmd_curves(opts: Options) -> int:
-    names = [m for m in str(opts.get("models", "qm,sc,vt,mclhv")).split(",") if m]
+    names = opts.get("models", "qm,sc,vt,mclhv", parse=_items,
+                     choices=tuple(m.value for m in _MODEL_ORDER))
     if not names:
         raise ValidationError("no models selected")
-    try:
-        models = [Model(n) for n in names]
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    models = [Model(n) for n in names]
     points = opts.get("points", 181, parse=int)
     if points < 2:
         raise ValidationError("need at least two grid points")
@@ -228,11 +244,13 @@ def _parse_quad(text: str) -> ChoiceQuad:
     return ChoiceQuad(*parse_angle_list(text, 4))
 
 
-def _stations(opts: Options, phases: bool = True) -> tuple[ChoiceQuad, StationConfig, StationConfig, dict]:
-    """The quad and both stations from --quad, --nu-a/--nu-b (default 0, not
-    switching), --round-trip[-a|-b] and, unless ``phases`` is off,
-    --phase-a/--phase-b; with the provenance params that rebuild them."""
-    quad = opts.get("quad", STANDARD_QUAD_TEXT, parse=_parse_quad)
+def _stations(opts: Options, quad: bool = True,
+              phases: bool = True) -> tuple[ChoiceQuad, StationConfig, StationConfig, dict]:
+    """The quad and both stations from --nu-a/--nu-b (default 0, not
+    switching), --round-trip[-a|-b] and, unless each is off, --quad (else the
+    standard quad) and --phase-a/--phase-b; with the provenance params that
+    rebuild them."""
+    quad = opts.get("quad", STANDARD_QUAD_TEXT, parse=_parse_quad) if quad else STANDARD_QUAD
     rt = opts.get("round_trip", ASPECT_ROUND_TRIP, parse=parse_time)
 
     def station(key: str, setting_1: float, setting_2: float) -> StationConfig:
@@ -326,8 +344,8 @@ def cmd_bell(opts: Options) -> int:
 
 
 def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
-    # SweepSpec rejects an unknown variable
-    variable = opts.get("variable", "frequency_common")
+    variable = opts.get("variable", "frequency_common",
+                        choices=tuple(v.value for v in SweepVariable))
     parse_x = float if variable == SweepVariable.F_DIRECT else parse_frequency
     start = opts.get("start", parse=parse_x)
     stop = opts.get("stop", parse=parse_x)
@@ -335,8 +353,8 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
         raise ValidationError("sweep needs --start and --stop")
     # the sweep has no phase flags; its stations switch in phase
     quad, alice, bob, station_params = _stations(opts, phases=False)
-    engines = tuple(e for e in str(opts.get("engines", CLOSED_FORM)).split(",") if e)
-    weights = opts.get("weights", parse=lambda v: tuple(float(p) for p in str(v).split(",")))
+    engines = opts.get("engines", CLOSED_FORM, parse=_items, choices=(CLOSED_FORM, MONTE_CARLO))
+    weights = opts.get("weights", parse=lambda v: tuple(float(p) for p in v.split(",")))
     if weights is not None and len(weights) != 2:
         raise ValidationError("--weights needs two comma-separated values")
     seed = _seed(opts)
@@ -428,22 +446,17 @@ def cmd_sweep(opts: Options) -> int:
 
 
 def cmd_sync(opts: Options) -> int:
-    nu_a = opts.get("nu_a", parse=parse_frequency)
-    if nu_a is None:
+    if opts.get("nu_a") is None:
         raise ValidationError("sync needs --nu-a")
-    nu_b = opts.get("nu_b", parse=parse_frequency)
-    rt = opts.get("round_trip", ASPECT_ROUND_TRIP, parse=parse_time)
-    rt_a = opts.get("round_trip_a", rt, parse=parse_time)
-    rt_b = opts.get("round_trip_b", rt, parse=parse_time)
-    f_a = sync_fraction(nu_a, rt_a)
-    row: dict = {"nu_a": nu_a, "round_trip_a": rt_a, "f_alice": f_a}
-    params = {"nu_a": repr(nu_a), "round_trip_a": repr(rt_a),
-              "format": opts.get("format", "csv")}
-    if nu_b is not None:
-        f_b = sync_fraction(nu_b, rt_b)
-        sf = mix_fractions(f_a, f_b)
-        row.update(nu_b=nu_b, round_trip_b=rt_b, f_bob=f_b, f=sf.f, f_prime=sf.f_prime)
-        params.update(nu_b=repr(nu_b), round_trip_b=repr(rt_b))
+    _quad, alice, bob, station_params = _stations(opts, quad=False, phases=False)
+    sf = fractions_for(alice, bob)
+    row: dict = {"nu_a": alice.switch_frequency, "round_trip_a": alice.round_trip_time,
+                 "f_alice": sf.f_alice}
+    if opts.get("nu_b") is not None:
+        row.update(nu_b=bob.switch_frequency, round_trip_b=bob.round_trip_time,
+                   f_bob=sf.f_bob, f=sf.f, f_prime=sf.f_prime)
+    params = {key: value for key, value in station_params.items() if key in row}
+    params["format"] = opts.get("format", "csv")
     _emit_row(opts, row, _provenance("sync", None, params))
     return 0
 
@@ -478,7 +491,7 @@ def cmd_export_trials(opts: Options) -> int:
         raise ValidationError("export-trials needs --output")
     _quad, alice, bob, params = _stations(opts)
     duration = opts.get("duration", 1e-3, parse=parse_time)
-    emission = opts.get("emission", "uniform")
+    emission = opts.get("emission", "uniform", choices=("uniform", "grid", "poisson"))
     workers = opts.get("workers", 1, parse=int)
     seed = _seed(opts)
     trials = run_timeline(alice, bob, pairs, duration, RngSpec(seed),
@@ -524,16 +537,19 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"bellsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, formats=True):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", help=f"RNG seed (default {DEFAULT_SEED})")
+        if seed:
+            p.add_argument("--seed", help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--output", help="output file path (default: stdout)")
-        p.add_argument("--format", help="csv | jsonl | svg (where supported)")
+        if formats:
+            p.add_argument("--format", help="csv | jsonl | svg (where supported)")
 
-    def stations(p, phases=True):
+    def stations(p, quad=True, phases=True):
         # the flags _stations reads
-        p.add_argument("--quad", help="a,b,a',b' as tagged angles")
-        p.add_argument("--nu-a", help="Alice's switching frequency (default 0: fixed)")
+        if quad:
+            p.add_argument("--quad", help="a,b,a',b' as tagged angles")
+        p.add_argument("--nu-a", help="Alice's switching frequency (default 0: fixed; sync needs it)")
         p.add_argument("--nu-b", help="Bob's switching frequency (default 0: fixed)")
         p.add_argument("--round-trip", help="shared round trip time, e.g. 43ns (default 43ns)")
         p.add_argument("--round-trip-a", help="Alice's round trip time")
@@ -548,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", help="grid points over [0, pi]")
 
     p = sub.add_parser("bell", help="one Bell value (S or S') with its components")
-    common(p)
+    common(p, seed=True)
     stations(p)
     p.add_argument("--form", help="sprime | s")
     p.add_argument("--engine", help="closed | mc | both")
@@ -560,7 +576,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", help="Monte Carlo worker threads")
 
     p = sub.add_parser("sweep", help="sweep frequency, fraction, or distance split")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--variable", help="frequency_common | frequency_alice_only | f_direct | distance_ratio")
     p.add_argument("--start", help="sweep start (frequency or fraction)")
     p.add_argument("--stop", help="sweep stop")
@@ -575,17 +591,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sync", help="square-wave sync fractions f_A, f_B, f, f'")
     common(p)
-    p.add_argument("--nu-a", help="Alice's switching frequency")
-    p.add_argument("--nu-b", help="Bob's switching frequency")
-    p.add_argument("--round-trip", help="shared round trip time (default 43ns)")
-    p.add_argument("--round-trip-a", help="Alice's round trip time")
-    p.add_argument("--round-trip-b", help="Bob's round trip time")
+    stations(p, quad=False, phases=False)
 
     p = sub.add_parser("aspect", help="the 1982 reconstruction report")
     common(p)
 
     p = sub.add_parser("export-trials", help="write a Monte Carlo event stream as JSON lines")
-    common(p)
+    common(p, seed=True, formats=False)
     stations(p)
     p.add_argument("--pairs", help="number of pairs to simulate")
     p.add_argument("--duration", help="timeline duration (default 1ms)")

@@ -306,6 +306,10 @@ def _station_indices(
         v = rng.integers(0, 2, size=times.size).astype(np.int8)
         m = rng.integers(0, 2, size=times.size).astype(np.int8)
         return v, m
+    if cfg.switch_frequency == 0.0:
+        # a still wave shows the level its phase picks at every time
+        level = _square_wave_index(0.0, cfg.switch_phase, np.zeros(1))[0]
+        return np.full(times.size, level, np.int8), np.full(times.size, level, np.int8)
     half = cfg.round_trip_time / 2.0
     return (
         _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times - half),

@@ -10,16 +10,17 @@ quad (``bell_coefficients``) and evaluates it at every point, at the sync
 fractions of the stations that the optional Monte Carlo estimate runs.
 
 The ``distance_ratio`` variable realizes the asymmetric-distance protocol:
-Alice's polarizer is fixed (one run per required setting), Bob switches at
-the swept frequency, and the texture weight of each station follows from the
-configured distances (nearer polarizer textures more strongly,
-w = other_distance / total by default).  With all weight on Bob the
-oscillation has full amplitude; with all weight on fixed Alice the series is
-constant.
+Alice's polarizer is held still and stepped through her settings, Bob
+switches at the swept frequency, and the texture weight of each station
+follows from the configured distances (nearer polarizer textures more
+strongly, w = other_distance / total by default).  With all weight on Bob
+the oscillation has full amplitude; with all weight on still Alice the
+series is constant.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -35,6 +36,7 @@ from .choice import (
     SyncFractions,
     bell_coefficients,
     bell_values,
+    fractions_for,
     mix_fractions,
     s_chsh_fixed,
     s_prime_fixed,
@@ -186,27 +188,21 @@ class SweepSeries:
     reference: ReferenceLines
 
 
-def _station_fractions(alice: StationConfig, bob: StationConfig, step_alice: bool) -> SyncFractions:
-    """Sync fractions read from the stations; a stepped Alice is always in sync."""
-    return mix_fractions(1.0 if step_alice else alice.sync_fraction(), bob.sync_fraction())
-
-
 def _sweep_point(
     spec: SweepSpec, x: float
-) -> tuple[tuple[StationConfig, StationConfig] | None, bool, SyncFractions]:
-    """The stations at grid value x (None for f_direct), whether Alice is
-    stepped through her settings (distance_ratio), and their sync fractions."""
+) -> tuple[tuple[StationConfig, StationConfig] | None, SyncFractions]:
+    """The stations at grid value x (None for f_direct) and their sync
+    fractions."""
     v = spec.variable
     if v is SweepVariable.F_DIRECT:
         if not 0.0 <= x <= 1.0:
             raise ValidationError(f"f value {x!r} outside [0, 1]")
-        return None, False, mix_fractions(x, x)
+        return None, mix_fractions(x, x)
     sweeps_a = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY)
     sweeps_b = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.DISTANCE_RATIO)
     alice = replace(spec.alice, switch_frequency=x) if sweeps_a else spec.alice
     bob = replace(spec.bob, switch_frequency=x) if sweeps_b else spec.bob
-    step_alice = v is SweepVariable.DISTANCE_RATIO
-    return (alice, bob), step_alice, _station_fractions(alice, bob, step_alice)
+    return (alice, bob), fractions_for(alice, bob)
 
 
 def measure_bell(
@@ -216,7 +212,6 @@ def measure_bell(
     *,
     sf: SyncFractions | None = None,
     stations: tuple[StationConfig, StationConfig] | None = None,
-    step_alice: bool = False,
     duration: float = 1e-3,
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
     workers: int = 1,
@@ -225,62 +220,59 @@ def measure_bell(
 
     Pairs come from the switching timeline of ``stations`` over
     ``duration`` seconds or, without stations, from the per-trial choice
-    sampler at ``sf``.  Run k draws from stream ``rng.stream_id + k``: the
-    main run on +1, Alice-only (Bob's polarizer removed) on +2 and Bob-only
-    on +3, ``n`` pairs each.
+    sampler at ``sf``.  A periodic station at frequency 0 shows one setting
+    per timeline, so it is stepped through its two settings as
+    zero-frequency waves at phases 0 and pi (its own phase is not used),
+    one timeline per step.  The main run is the m = 1, 2 or 4 (Alice step,
+    Bob step) parts in order, part k on stream ``rng.stream_id + k + 1``
+    with n//m + (k < n % m) pairs; Alice-only (Bob's polarizer removed)
+    runs on +m+1 at her last step and Bob-only on +m+2 at both first steps,
+    ``n`` pairs each.  Unstepped, that is main on +1, Alice-only on +2 and
+    Bob-only on +3.
 
-    With ``step_alice`` Alice's polarizer does not switch but is stepped
-    through her two settings, one timeline each, as the asymmetric-distance
-    protocol takes them: the main run is a on +1 followed by a' on +2,
-    Alice-only runs at a' on +3 and Bob-only at a on +4, n//2 + 1 pairs each.
-    Each step is a zero-frequency wave over (a, a') at phase 0 or pi.
-
-    Two layouts leave a measured setting pair empty and are realized with
-    the same sync fractions another way: a periodic station at frequency 0
-    (under ``step_alice``, Bob) shows one setting per run, so the choice
-    sampler at the stations' sync fractions stands in; equal-frequency
-    waves that are read in phase or in anti-phase at photon arrival
-    (t + T/2) show only two of the four pairs, so Bob's is offset a quarter
-    period.  Those waves are locked when (phi_B - phi_A) + pi nu (T_B - T_A)
-    is within 1e-12 rad of a multiple of pi.
+    When neither station is stepped, equal-frequency waves read in phase or
+    in anti-phase at photon arrival (t + T/2) show only two of the four
+    measured pairs, so Bob's is offset a quarter period.  Those waves are
+    locked when (phi_B - phi_A) + pi nu (T_B - T_A) is within 1e-12 rad of
+    a multiple of pi.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
+    _check_memory(n)
+    a_steps = b_steps = (None,)
     if stations is not None:
         alice, bob = stations
+        a_steps, b_steps = (
+            tuple(replace(s, switch_phase=j * math.pi) for j in (0, 1))
+            if s.switching == "periodic" and s.switch_frequency == 0.0 else (s,)
+            for s in stations)
         # at equal frequencies, Bob's wave phase minus Alice's as each is read
         # at photon arrival, t + T/2
         gap = (bob.switch_phase - alice.switch_phase) + math.pi * bob.switch_frequency * (
             bob.round_trip_time - alice.round_trip_time)
-        switching = (bob,) if step_alice else (alice, bob)
-        if any(s.switching == "periodic" and s.switch_frequency == 0.0 for s in switching):
-            sf = _station_fractions(alice, bob, step_alice)
-            stations, step_alice = None, False
-        elif (not step_alice and alice.switch_frequency == bob.switch_frequency
-              and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
-            stations = (alice, replace(bob, switch_phase=bob.switch_phase + math.pi / 2))
+        if (len(a_steps) == len(b_steps) == 1 and alice.switch_frequency == bob.switch_frequency
+                and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
+            b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
 
-    def run(k: int, pbs: tuple[bool, bool], alice: StationConfig | None = None,
-            pairs: int = n) -> Trials:
+    def run(k: int, alice: StationConfig | None, bob: StationConfig | None, pairs: int,
+            pbs: tuple[bool, bool]) -> Trials:
         stream = RngSpec(rng.seed, rng.stream_id + k)
         if stations is None:
-            return run_choice_trials(quad, sf, n, stream,
+            return run_choice_trials(quad, sf, pairs, stream,
                                      station_weights=station_weights, pbs=pbs)
-        return run_timeline(alice or stations[0], stations[1], pairs, duration, stream,
+        return run_timeline(alice, bob, pairs, duration, stream,
                             station_weights=station_weights, pbs=pbs, workers=workers)
 
-    if step_alice:
-        rt, half = stations[0].round_trip_time, n // 2 + 1
-        at_a, at_alt = (StationConfig(quad.a, quad.a_alt, 0.0, j * math.pi, rt) for j in (0, 1))
-        main = Trials.concat([run(1, (True, True), at_a, half), run(2, (True, True), at_alt, half)])
-        alice_only = run(3, (True, False), at_alt, half)
-        bob_only = run(4, (False, True), at_a, half)
-    else:
-        main = run(1, (True, True))
-        alice_only = run(2, (True, False))
-        bob_only = run(3, (False, True))
+    parts = list(itertools.product(a_steps, b_steps))
+    m = len(parts)
+    if n < m:
+        raise ValidationError(f"{n} pairs cannot fill the {m} stepped parts of a measurement")
+    main = Trials.concat([run(k + 1, *pair, n // m + (k < n % m), (True, True))
+                          for k, pair in enumerate(parts)])
+    alice_only = run(m + 1, a_steps[-1], b_steps[0], n, (True, False))
+    bob_only = run(m + 2, a_steps[0], b_steps[0], n, (False, True))
     return estimate_s_prime(main, alice_only, bob_only, quad), estimate_s_chsh(main, quad)
 
 
@@ -291,7 +283,12 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     ``SweepInputError``, still a ``ValidationError``; any other failure as
     ``SweepError``.  A ``--mc-pairs`` too large to hold is rejected before
     the first point, and so is a ``--points`` grid too large to hold.
+    ``distance_ratio`` holds Alice's polarizer still (its series' spec has
+    her periodic at frequency 0), so ``measure_bell`` steps her through her
+    two settings.
     """
+    if spec.variable is SweepVariable.DISTANCE_RATIO:
+        spec = replace(spec, alice=replace(spec.alice, switch_frequency=0.0, switching="periodic"))
     _check_fits("--points", spec.num_points, POINT_BYTES, "sweep points")
     if MONTE_CARLO in spec.engines:
         _check_memory(spec.mc_pairs_per_point, "--mc-pairs")
@@ -299,13 +296,13 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     bell = bell_coefficients(spec.quad, weights)
     points = []
     for i, x in enumerate(spec.grid()):
-        stations, step_alice, sf = _sweep_point(spec, x)
+        stations, sf = _sweep_point(spec, x)
         mc_p = mc_c = None
         if MONTE_CARLO in spec.engines:
             try:
                 mc_p, mc_c = measure_bell(
                     spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, i * 8),
-                    sf=sf, stations=stations, step_alice=step_alice,
+                    sf=sf, stations=stations,
                     duration=spec.mc_duration, station_weights=weights,
                 )
             except Exception as exc:

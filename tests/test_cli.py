@@ -1,5 +1,6 @@
 """Command-line surface: unit parsing, goldens, round-trips, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -177,18 +178,21 @@ class TestBell:
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
     @pytest.mark.parametrize("form", ["sprime", "s"])
-    @pytest.mark.parametrize("nu_a, nu_b", [("0", "48.4MHz"), ("46.2MHz", "46.2MHz")])
+    @pytest.mark.parametrize("nu_a, nu_b", [("0", "48.4MHz"), ("46.2MHz", "46.2MHz"),
+                                            ("0", "0")])
     def test_monte_carlo_when_one_timeline_misses_a_setting_pair(self, nu_a, nu_b, form,
                                                                tmp_path):
         # a station that never switches, and two identical waves, leave a
-        # measured setting pair without records in a plain timeline run
+        # measured setting pair without records in a plain timeline run; a
+        # still station is stepped, in parts that split --pairs exactly
         out = tmp_path / "bell.csv"
         code = main(["bell", "--nu-a", nu_a, "--nu-b", nu_b, "--round-trip", "43ns",
-                     "--form", form, "--engine", "both", "--pairs", "150000", "--seed", "9",
+                     "--form", form, "--engine", "both", "--pairs", "150003", "--seed", "9",
                      "--output", str(out), "--format", "csv"])
         assert code == 0
         _, rows = read_table(out)
         row = rows[0]
+        assert row["mc_pairs"] == 150003
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
     @pytest.mark.parametrize("form", ["sprime", "s"])
@@ -275,11 +279,20 @@ class TestMalformedInput:
          "--plot-field"),
         (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3", "--format", "xml"],
          "--format"),
+        (["export-trials", "--pairs", "10", "--output", "{out}", "--emission", "burst"],
+         "--emission"),
+        (["sweep", "--start", "0", "--stop", "1", "--variable", "bogus"], "--variable"),
+        (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3",
+          "--engines", "closed_form,mc"], "--engines"),
+        (["curves", "--points", "3", "--models", "qm,xx"], "--models"),
     ])
-    def test_unknown_choice_names_its_flag(self, argv, option, capsys):
+    def test_unknown_choice_names_its_flag(self, argv, option, tmp_path, capsys):
+        # the bad value is the last item of the last argument
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"error: {option}: unknown value {argv[-1]!r} (choose from " in err
+        assert f"error: {option}: unknown value {argv[-1].split(',')[-1]!r} (choose from " in err
+        assert not (tmp_path / "t.jsonl").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["sync", "--nu-a", "1e300"], "more than 2**52"),
@@ -329,6 +342,8 @@ class TestMalformedInput:
         ["export-trials", "--output", "{out}", "--pairs"],
         ["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
          "--points", "2", "--engines", "monte_carlo", "--mc-pairs"],
+        # stepped: n is checked before the first of its four parts runs
+        ["bell", "--nu-a", "0", "--nu-b", "0", "--engine", "mc", "--pairs"],
     ])
     def test_pairs_beyond_physical_memory_are_rejected(self, argv, tmp_path):
         # 1e15 pairs are ~30 PB of records.  The child's address space is
@@ -430,10 +445,6 @@ def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
 
 
 class TestSweepCommand:
-    def test_unknown_variable_is_validation_error(self, capsys):
-        assert main(["sweep", "--variable", "bogus", "--start", "0", "--stop", "1"]) == 1
-        assert "unknown sweep variable 'bogus'" in capsys.readouterr().err
-
     def test_default_grid_golden_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -757,5 +768,71 @@ class TestConfigFile:
         _, rows2 = read_table(out2)
         assert len(rows2) == 5
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["bell", "--f", "0.5", "--engine", "mc"], {"pairs": None},
+         "config key 'pairs' must be a JSON string or number, not null"),
+        (["bell"], {"nu_a": [1], "nu_b": "1MHz"},
+         "config key 'nu_a' must be a JSON string or number, not [1]"),
+        (["bell"], {"quad": 5, "f": 0.5}, "--quad: cannot parse '5'"),
+        (["sync", "--nu-a", "1MHz"], {"output": True, "format": "csv"},
+         "config key 'output' must be a JSON string or number, not true"),
+        (["export-trials", "--output", "{out}"], {"pairs": float("inf")},
+         "--pairs: cannot parse 'inf'"),
+        (["bell", "--f", "0.5"], {"seed": 1.5}, "--seed: cannot parse '1.5'"),
+    ], ids=["null", "array", "number-quad", "bool-output", "infinite-pairs", "fractional-seed"])
+    def test_config_value_reads_as_flag_text(self, argv, config, message, tmp_path, capsys):
+        # a JSON string is read as it is and a number as its repr, as the same
+        # text on the command line; other JSON values are rejected
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in argv]
+        assert main([*argv, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert message in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_config_number_equals_its_flag_text(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu_a": 46200000.0, "nu_b": 48400000, "pairs": 2000,
+                                   "engine": "mc"}), encoding="utf-8")
+        assert main(["bell", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["bell", "--nu-a", "46200000.0", "--nu-b", "48400000", "--pairs", "2000",
+                     "--engine", "mc"]) == 0
+        assert capsys.readouterr().out == from_config
+
     def test_bad_angle_flag_is_validation_error(self, tmp_path):
         assert main(["bell", "--f", "0.9", "--quad", "0,0.3927,0.7854,1.178"]) == 1
+
+
+class TestDeclaredFlags:
+    #: a run of each subcommand that reaches every option it reads
+    RUNS = {
+        "curves": ["curves", "--points", "3"],
+        "bell": ["bell", "--f", "0.5", "--engine", "mc", "--pairs", "1000"],
+        "sweep": ["sweep", "--start", "0", "--stop", "1MHz", "--points", "3"],
+        "sync": ["sync", "--nu-a", "1MHz"],
+        "aspect": ["aspect"],
+        "export-trials": ["export-trials", "--pairs", "10", "--output", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_every_value_flag_is_read(self, command, tmp_path, monkeypatch, capsys):
+        # a declared flag that is never read accepts any value without effect
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {action.dest for action in sub.choices[command]._actions
+                    if action.nargs != 0}
+        read = set()
+        get = cli.Options.get
+
+        def recording_get(self, name, *args, **kwargs):
+            read.add(name)
+            return get(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(cli.Options, "get", recording_get)
+        argv = [a.format(out=tmp_path / "t.jsonl") for a in self.RUNS[command]]
+        assert main(argv) == 0
+        # --config is read by Options itself
+        assert declared - {"config"} <= read, sorted(declared - {"config"} - read)

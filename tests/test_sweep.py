@@ -12,6 +12,7 @@ from bellsim import (
     StationConfig,
     SweepSpec,
     SweepVariable,
+    Trials,
     ValidationError,
     aspect_point,
     estimate_s_chsh,
@@ -297,32 +298,76 @@ class TestMonteCarloSweep:
             assert p.mc_s_chsh.agrees_with(p.s_chsh)
 
     # Stepped-Alice estimates as (value, std_error, n_trials), fixed seeds:
-    # Alice 20 ns, Bob 48.4 MHz over 43 ns.  Stepping Alice as a fixed
-    # setting per run or as a zero-frequency wave must give these exactly.
+    # Alice over 20 ns, Bob at 48.4 MHz over 43 ns.  A still Alice is
+    # stepped through a and a' on the timeline, two parts of n/2 pairs in
+    # the main run (version 0.5.0).
     STEPPED_STATIONS = (
         StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46.2e6, 0.0, 20e-9),
         StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, 43e-9),
     )
 
     def test_stepped_alice_estimates_are_pinned(self):
-        s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(70), stations=self.STEPPED_STATIONS,
-                                step_alice=True, duration=1e-4, station_weights=(0.3, 0.7),
-                                workers=2)
+        alice, bob = self.STEPPED_STATIONS
+        s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(70),
+                                stations=(replace(alice, switch_frequency=0.0), bob),
+                                duration=1e-4, station_weights=(0.3, 0.7), workers=2)
         assert (s_p.value, s_p.std_error, s_p.n_trials) == (
-            0.1375346276062024, 0.015383184197531308, 20002)
+            0.1287661569231091, 0.014137309876378993, 20000)
         assert (s_c.value, s_c.std_error, s_c.n_trials) == (
-            2.5261501304837832, 0.021931549261053538, 20002)
+            2.5053861473151118, 0.022047906981650846, 20000)
 
     def test_distance_ratio_point_is_pinned(self):
+        # the sweep holds the 46.2 MHz Alice still
         alice, bob = self.STEPPED_STATIONS
         spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 10e6, 30e6, num_points=2,
                          engines=(MONTE_CARLO,), mc_pairs_per_point=20_000, seed=71,
                          alice=alice, bob=bob)
         p = run_sweep(spec).points[1]
         assert (p.mc_s_prime.value, p.mc_s_prime.std_error, p.mc_s_prime.n_trials) == (
-            0.11109644710850852, 0.015428987470313118, 20002)
+            0.10031047964078521, 0.01417779582947921, 20000)
         assert (p.mc_s_chsh.value, p.mc_s_chsh.std_error) == (
-            2.3456720495455206, 0.02291068769864181)
+            2.315867932497307, 0.023059002945173)
+
+    @pytest.mark.parametrize("still", ["alice", "bob", "both"])
+    def test_still_stations_are_stepped_on_the_timeline(self, still):
+        # a periodic station at nu = 0 is stepped at phases 0 and pi, whatever
+        # its own phase (4 rad would show its second setting); the main run is
+        # the (Alice step, Bob step) parts in order on streams +1..+m, splitting
+        # n, then Alice-only at her last step and Bob-only at the first steps
+        alice, bob = self.STEPPED_STATIONS
+        a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 0.0, 20e-9)
+        b0 = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 0.0, 0.0, 43e-9)
+        a1, b1 = replace(a0, switch_phase=math.pi), replace(b0, switch_phase=math.pi)
+        stations, parts, alice_only, bob_only = {
+            "alice": ((replace(a0, switch_phase=4.0), bob), [(a0, bob), (a1, bob)],
+                      (a1, bob), (a0, bob)),
+            "bob": ((alice, replace(b0, switch_phase=4.0)), [(alice, b0), (alice, b1)],
+                    (alice, b0), (alice, b0)),
+            "both": ((replace(a0, switch_phase=4.0), replace(b0, switch_phase=4.0)),
+                     [(a0, b0), (a0, b1), (a1, b0), (a1, b1)], (a1, b0), (a0, b0)),
+        }[still]
+        n, m, weights = 20_003, len(parts), (0.3, 0.7)
+
+        def run(pair, pairs, stream, pbs):
+            return run_timeline(*pair, pairs, 1e-4, RngSpec(73, stream),
+                                station_weights=weights, pbs=pbs)
+
+        main = Trials.concat([run(pair, n // m + (k < n % m), k + 1, (True, True))
+                              for k, pair in enumerate(parts)])
+        assert len(main) == n
+        runs = (main, run(alice_only, n, m + 1, (True, False)),
+                run(bob_only, n, m + 2, (False, True)))
+        s_p, s_c = measure_bell(STANDARD_QUAD, n, RngSpec(73), stations=stations,
+                                duration=1e-4, station_weights=weights)
+        assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
+        assert s_c == estimate_s_chsh(main, STANDARD_QUAD)
+
+    def test_too_few_pairs_for_the_stepped_parts(self):
+        # both stations still: four parts
+        alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt)
+        bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt)
+        with pytest.raises(ValidationError, match="3 pairs cannot fill the 4 stepped parts"):
+            measure_bell(STANDARD_QUAD, 3, RngSpec(76), stations=(alice, bob))
 
     @pytest.mark.parametrize("rt_b, phase_b, locked", [
         (93e-9, 0.0, False),  # arrival readings a quarter period apart
