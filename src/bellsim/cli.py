@@ -48,7 +48,7 @@ from .models import Model, ValidationError, corr
 from .montecarlo import RngSpec, _check_fits, run_timeline
 # importable here so that benchmarks/spans.py can wrap them by this module's name
 from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
-from .output import format_float, render_csv, render_jsonl, write_table
+from .output import format_float, provenance_header, render_table, write_table
 from .svgplot import LinePlot
 from .sweep import (
     CLOSED_FORM,
@@ -64,8 +64,8 @@ from .sweep import (
 from .units import parse_angle_list, parse_frequency, parse_phase, parse_time
 
 STANDARD_QUAD_TEXT = "0deg,22.5deg,45deg,67.5deg"
-#: --format of the commands that also draw an SVG plot; the others write tables only
-_PLOT_FORMATS = ("csv", "jsonl", "svg")
+#: --format of every table; a command that draws a plot also takes svg
+_TABLE_FORMATS = ("csv", "jsonl")
 _MODEL_ORDER = (Model.QUANTUM, Model.SEMI_CLASSICAL, Model.TEXTURE, Model.MAX_CLASSICAL_LHV)
 
 
@@ -96,6 +96,10 @@ class Options:
         merged.update(section)
         self._cfg = merged
 
+    def __contains__(self, name) -> bool:
+        """Whether the subcommand declares option ``name``."""
+        return name in self._args
+
     def get(self, name, default=None, parse=None, choices=None):
         """Option ``name`` parsed by ``parse``, then, if enumerated, checked
         against ``choices`` (each item, if ``parse`` gives a tuple); a bad
@@ -116,7 +120,7 @@ class Options:
                 value = parse(value)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{flag}: cannot parse {value!r} ({exc})") from None
-        if choices is not None:
+        if choices is not None and value is not None:
             for item in value if isinstance(value, tuple) else (value,):
                 if item not in choices:
                     raise ValidationError(f"{flag}: unknown value {item!r} (choose from "
@@ -148,55 +152,61 @@ def _provenance(command: str, seed, params: dict) -> dict:
 
 
 def provenance_to_argv(provenance: dict) -> list[str]:
-    """Rebuild an equivalent argv (minus --output) from a provenance header."""
+    """Rebuild an equivalent argv (minus --output) from a provenance header.
+    Each option is one ``--key=value`` word, so a value such as a quad that
+    starts with a negative angle is not read as an option."""
     argv = [provenance["command"]]
     params = dict(provenance["params"])
     if provenance.get("seed") is not None:
         params.setdefault("seed", provenance["seed"])
-    for key, value in params.items():
-        if value is None:
-            continue
-        argv += [f"--{key.replace('_', '-')}", str(value)]
-    return argv
+    return argv + [f"--{key.replace('_', '-')}={value}"
+                   for key, value in params.items() if value is not None]
 
 
 def _quad_text(quad: ChoiceQuad) -> str:
     return ",".join(f"{v!r}rad" for v in (quad.a, quad.b, quad.a_alt, quad.b_alt))
 
 
-def _emit(opts: Options, rows: list[dict], provenance: dict) -> None:
-    output = opts.get("output")
-    fmt = opts.get("format", "csv", choices=("csv", "jsonl"))
+def _path(text: str) -> str:
+    """A file path: any text without a NUL byte, which no file system accepts."""
+    if "\0" in text:
+        raise ValueError("a path cannot hold a NUL byte")
+    return text
+
+
+def _emit(opts: Options, command: str, seed, params: dict, rows: list[dict],
+          plot=None, text: tuple[str, str] | None = None) -> int:
+    """Write a command's result, the one way out of the CLI.
+
+    --format is csv or jsonl, or also svg when ``plot`` (a builder taking the
+    provenance) is given, and the provenance records it.  The table or plot
+    goes to --output, else stdout; --plot, where declared, also gets the plot.
+    A command with a ``text`` (heading, footer; either may be empty) prints
+    its one row as ``key: value`` lines instead when neither --output nor
+    --format is given.
+    """
+    output = opts.get("output", parse=_path)
+    plot_path = opts.get("plot", parse=_path) if "plot" in opts else None
+    report = text is not None and output is None
+    fmt = opts.get("format", None if report else "csv",
+                   choices=(*_TABLE_FORMATS, "svg") if plot else _TABLE_FORMATS)
+    if fmt is None:
+        head, foot = text
+        lines = [f"{key}: {format_float(value) if isinstance(value, float) else value}"
+                 for key, value in rows[0].items()]
+        sys.stdout.write("".join(f"{line}\n" for line in (head, *lines, foot) if line))
+        return 0
+    provenance = _provenance(command, seed, {**params, "format": fmt})
+    figure = plot(provenance) if fmt == "svg" else None
     if output is None:
-        text = render_csv(rows, provenance) if fmt == "csv" else render_jsonl(rows, provenance)
-        sys.stdout.write(text)
+        sys.stdout.write(figure.render() if figure else render_table(rows, provenance, fmt))
+    elif figure:
+        figure.write(output)
     else:
         write_table(output, rows, provenance, fmt)
-
-
-def _text_report(opts: Options) -> bool:
-    """No --output and no --format: print ``key: value`` lines instead of a table."""
-    return opts.get("output") is None and opts.get("format") is None
-
-
-def _print_row(row: dict) -> None:
-    for key, value in row.items():
-        print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
-
-
-def _emit_row(opts: Options, row: dict, provenance: dict) -> None:
-    if _text_report(opts):
-        _print_row(row)
-    else:
-        _emit(opts, [row], provenance)
-
-
-def _emit_plot(opts: Options, plot: LinePlot) -> None:
-    output = opts.get("output")
-    if output is None:
-        sys.stdout.write(plot.render())
-    else:
-        plot.write(output)
+    if plot_path is not None:
+        (figure or plot(provenance)).write(plot_path)
+    return 0
 
 
 # --- curves -------------------------------------------------------------------
@@ -212,7 +222,6 @@ def cmd_curves(opts: Options) -> int:
     if points < 2:
         raise ValidationError("need at least two grid points")
     _check_fits("--points", points, POINT_BYTES, "curve points")
-    fmt = opts.get("format", "csv", choices=_PLOT_FORMATS)
     rows = []
     for i in range(points):
         delta = math.pi * i / (points - 1)
@@ -222,19 +231,18 @@ def cmd_curves(opts: Options) -> int:
                 row[m.value] = corr(m, delta, 0.0)
         rows.append(row)
     params = {"models": ",".join(m.value for m in _MODEL_ORDER if m in models),
-              "points": points, "format": fmt}
-    provenance = _provenance("curves", None, params)
-    if fmt == "svg":
-        plot = LinePlot("Correlation vs angle difference", "a - b (rad)", "E(a,b)",
-                        provenance)
+              "points": points}
+
+    def plot(provenance) -> LinePlot:
+        figure = LinePlot("Correlation vs angle difference", "a - b (rad)", "E(a,b)",
+                          provenance)
         for m in _MODEL_ORDER:
             if m in models:
-                plot.add_series(m.value, [r["delta"] for r in rows],
-                                [r[m.value] for r in rows])
-        _emit_plot(opts, plot)
-        return 0
-    _emit(opts, rows, provenance)
-    return 0
+                figure.add_series(m.value, [r["delta"] for r in rows],
+                                  [r[m.value] for r in rows])
+        return figure
+
+    return _emit(opts, "curves", None, params, rows, plot=plot)
 
 
 # --- bell ---------------------------------------------------------------------
@@ -334,10 +342,8 @@ def cmd_bell(opts: Options) -> int:
         row["mc_std_error"] = est.std_error
         row["mc_pairs"] = est.n_trials
         params.update(pairs=pairs, duration=repr(duration))
-    params.update(form=form, engine=engine, format=opts.get("format", "csv"))
-
-    _emit_row(opts, row, _provenance("bell", seed, params))
-    return 0
+    params.update(form=form, engine=engine)
+    return _emit(opts, "bell", seed, params, [row], text=("", ""))
 
 
 # --- sweep --------------------------------------------------------------------
@@ -379,7 +385,6 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
         "points": spec.num_points,
         **station_params,
         "engines": ",".join(engines),
-        "format": opts.get("format", "csv"),
     }
     if MONTE_CARLO in engines:
         params.update(mc_pairs=spec.mc_pairs_per_point, duration=repr(spec.mc_duration))
@@ -389,21 +394,17 @@ def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
 
 
 def _series_rows(series) -> list[dict]:
-    rows = []
-    for p in series.points:
-        row = {
-            "x": p.x,
-            "f_alice": p.f_alice,
-            "f_bob": p.f_bob,
-            "s_prime": p.s_prime,
-            "s_chsh": p.s_chsh,
-            "mc_s_prime": None if p.mc_s_prime is None else p.mc_s_prime.value,
-            "mc_s_prime_err": None if p.mc_s_prime is None else p.mc_s_prime.std_error,
-            "mc_s_chsh": None if p.mc_s_chsh is None else p.mc_s_chsh.value,
-            "mc_s_chsh_err": None if p.mc_s_chsh is None else p.mc_s_chsh.std_error,
-        }
-        rows.append(row)
-    return rows
+    return [{
+        "x": p.x,
+        "f_alice": p.f_alice,
+        "f_bob": p.f_bob,
+        "s_prime": p.s_prime,
+        "s_chsh": p.s_chsh,
+        "mc_s_prime": None if p.mc_s_prime is None else p.mc_s_prime.value,
+        "mc_s_prime_err": None if p.mc_s_prime is None else p.mc_s_prime.std_error,
+        "mc_s_chsh": None if p.mc_s_chsh is None else p.mc_s_chsh.value,
+        "mc_s_chsh_err": None if p.mc_s_chsh is None else p.mc_s_chsh.std_error,
+    } for p in series.points]
 
 
 def _sweep_plot(series, provenance, which: str) -> LinePlot:
@@ -428,18 +429,11 @@ def _sweep_plot(series, provenance, which: str) -> LinePlot:
 
 def cmd_sweep(opts: Options) -> int:
     spec, params = _sweep_spec(opts)
-    fmt = opts.get("format", "csv", choices=_PLOT_FORMATS)
     which = opts.get("plot_field", "s_prime", choices=("s_prime", "s_chsh"))
+    params["plot_field"] = which
     series = run_sweep(spec)
-    provenance = _provenance("sweep", spec.seed, params)
-    if fmt == "svg":
-        _emit_plot(opts, _sweep_plot(series, provenance, which))
-    else:
-        _emit(opts, _series_rows(series), provenance)
-    plot_path = opts.get("plot")
-    if plot_path is not None and fmt != "svg":
-        _sweep_plot(series, provenance, which).write(plot_path)
-    return 0
+    return _emit(opts, "sweep", spec.seed, params, _series_rows(series),
+                 plot=lambda provenance: _sweep_plot(series, provenance, which))
 
 
 # --- sync ---------------------------------------------------------------------
@@ -456,9 +450,7 @@ def cmd_sync(opts: Options) -> int:
         row.update(nu_b=bob.switch_frequency, round_trip_b=bob.round_trip_time,
                    f_bob=sf.f_bob, f=sf.f, f_prime=sf.f_prime)
     params = {key: value for key, value in station_params.items() if key in row}
-    params["format"] = opts.get("format", "csv")
-    _emit_row(opts, row, _provenance("sync", None, params))
-    return 0
+    return _emit(opts, "sync", None, params, [row], text=("", ""))
 
 
 # --- aspect -------------------------------------------------------------------
@@ -466,17 +458,10 @@ def cmd_sync(opts: Options) -> int:
 
 def cmd_aspect(opts: Options) -> int:
     report = aspect_point()
-    row = report.as_dict()
-    if _text_report(opts):
-        print("1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)")
-        _print_row(row)
-        print(
-            f"predicted S' {format_float(report.reported.s_prime)} vs measured "
-            f"{report.measured_s_prime} +/- {report.measured_s_prime_error}"
-        )
-        return 0
-    _emit(opts, [row], _provenance("aspect", None, {"format": opts.get("format", "csv")}))
-    return 0
+    heading = "1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)"
+    comparison = (f"predicted S' {format_float(report.reported.s_prime)} vs measured "
+                  f"{report.measured_s_prime} +/- {report.measured_s_prime_error}")
+    return _emit(opts, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
 
 
 # --- export-trials --------------------------------------------------------------
@@ -486,7 +471,7 @@ def cmd_export_trials(opts: Options) -> int:
     pairs = opts.get("pairs", parse=int)
     if pairs is None or pairs < 1:
         raise ValidationError("no trials requested (need --pairs >= 1)")
-    output = opts.get("output")
+    output = opts.get("output", parse=_path)
     if output is None:
         raise ValidationError("export-trials needs --output")
     _quad, alice, bob, params = _stations(opts)
@@ -499,7 +484,7 @@ def cmd_export_trials(opts: Options) -> int:
     params.update(pairs=pairs, duration=repr(duration), emission=emission)
     provenance = _provenance("export-trials", seed, params)
     with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
+        fh.write(provenance_header(provenance) + "\n")
         _write_trial_lines(fh, trials)
     return 0
 

@@ -44,12 +44,13 @@ def normalize_angle(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValidationError(f"angle must be finite, got {theta!r}")
+    # fmod is exact and leaves (-pi, pi) as it is; each shift is exact too
+    # (Sterbenz), so a canonical angle comes back unchanged
     r = math.fmod(theta, math.pi)
-    if r < 0.0:
-        r += math.pi
-    # r is now in [0, pi); shift the upper half down one period.
     if r > HALF_PI:
         r -= math.pi
+    if r <= -HALF_PI:
+        r += math.pi
     return r + 0.0  # collapse -0.0
 
 

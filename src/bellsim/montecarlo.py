@@ -158,14 +158,14 @@ _RECORD_DTYPES = {
 
 
 def normalize_angles(x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of models.normalize_angle (same fmod formula).
+    """Vectorized twin of models.normalize_angle (same fmod and folds).
 
     Each fold adds 0 or pi, the same floats as branching but without a
     data-dependent choice per element.
     """
     r = np.fmod(x, np.pi)
-    r += (r < 0.0) * np.pi
     r -= (r > HALF_PI) * np.pi
+    r += (r <= -HALF_PI) * np.pi
     r += 0.0
     return r
 

@@ -46,22 +46,31 @@ def render_csv(rows: list[dict], provenance: dict) -> str:
     return buf.getvalue()
 
 
+def provenance_header(provenance: dict) -> str:
+    """The header of a JSON-lines table, trial stream or SVG plot:
+    ``{"provenance": {...}}`` with sorted keys, on one line."""
+    return json.dumps({"provenance": provenance}, sort_keys=True)
+
+
 def render_jsonl(rows: list[dict], provenance: dict) -> str:
     if not rows:
         raise ValidationError("no rows to write")
-    lines = [json.dumps({"provenance": provenance}, sort_keys=True)]
+    lines = [provenance_header(provenance)]
     lines.extend(json.dumps(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def write_table(path: "str | Path", rows: list[dict], provenance: dict, fmt: str) -> None:
+def render_table(rows: list[dict], provenance: dict, fmt: str) -> str:
+    """``rows`` as a csv or jsonl table."""
     if fmt == "csv":
-        text = render_csv(rows, provenance)
-    elif fmt == "jsonl":
-        text = render_jsonl(rows, provenance)
-    else:
-        raise ValidationError(f"unknown table format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8", newline="")
+        return render_csv(rows, provenance)
+    if fmt == "jsonl":
+        return render_jsonl(rows, provenance)
+    raise ValidationError(f"unknown table format {fmt!r}")
+
+
+def write_table(path: "str | Path", rows: list[dict], provenance: dict, fmt: str) -> None:
+    Path(path).write_text(render_table(rows, provenance, fmt), encoding="utf-8", newline="")
 
 
 def _decode_cell(text: str):

@@ -8,12 +8,11 @@ formatting, no timestamps or generated ids).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .models import ValidationError
-from .output import format_float
+from .output import format_float, provenance_header
 
 WIDTH = 960.0
 HEIGHT = 560.0
@@ -93,7 +92,7 @@ class LinePlot:
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}"'
             f' height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">',
-            f"<metadata>{escape(json.dumps({'provenance': self.provenance}, sort_keys=True))}</metadata>",
+            f"<metadata>{escape(provenance_header(self.provenance))}</metadata>",
             f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>',
         ]
         if self.band is not None:

@@ -294,6 +294,17 @@ class TestMalformedInput:
         assert f"error: {option}: unknown value {argv[-1].split(',')[-1]!r} (choose from " in err
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["aspect", "--output", "a\0b"], "--output"),
+        (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3", "--plot", "\0"], "--plot"),
+        (["export-trials", "--pairs", "10", "--output", "\0"], "--output"),
+    ])
+    def test_nul_byte_in_a_path_names_its_flag(self, argv, option, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert f"error: {option}: cannot parse" in err
+
     @pytest.mark.parametrize("argv, message", [
         (["sync", "--nu-a", "1e300"], "more than 2**52"),
         (["sync", "--nu-a", "1e300", "--round-trip-a", "1e300s"], "more than 2**52"),
@@ -542,18 +553,6 @@ class TestSweepCommand:
         band = next(e for e in root.iter() if e.get("class") == "band")
         assert (float(band.get("data-y0")), float(band.get("data-y1"))) == (-1.0, 0.0)
 
-    def test_rerun_from_provenance_header_reproduces_output(self, tmp_path):
-        first = tmp_path / "a.csv"
-        args = ["sweep", "--variable", "frequency_common", "--start", "5MHz",
-                "--stop", "25MHz", "--points", "21", "--round-trip", "43ns",
-                "--output", str(first), "--format", "csv"]
-        assert main(args) == 0
-        provenance, _ = read_table(first)
-        second = tmp_path / "b.csv"
-        argv = provenance_to_argv(provenance) + ["--output", str(second)]
-        assert main(argv) == 0
-        assert first.read_bytes() == second.read_bytes()
-
     def test_extra_plot_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         plot = tmp_path / "sweep.svg"
@@ -563,6 +562,12 @@ class TestSweepCommand:
         ])
         assert code == 0
         assert plot.exists() and out.exists()
+
+    def test_svg_output_and_plot_file_are_the_same_plot(self, tmp_path):
+        out, plot = tmp_path / "sweep.svg", tmp_path / "plot.svg"
+        assert main(["sweep", "--start", "0", "--stop", "50MHz", "--points", "5",
+                     "--format", "svg", "--plot", str(plot), "--output", str(out)]) == 0
+        assert plot.read_bytes() == out.read_bytes()
 
     MC_SWEEP = ["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
                 "--points", "2", "--engines", "monte_carlo", "--mc-pairs", "2"]
@@ -682,16 +687,53 @@ class TestExportTrials:
                      "--output", str(tmp_path / "no_dir" / "t.jsonl")])
         assert code == 3
 
-    def test_rerun_from_provenance_header(self, tmp_path):
-        first = tmp_path / "a.jsonl"
-        args = ["export-trials", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz",
-                "--round-trip", "43ns", "--pairs", "20000", "--seed", "6",
-                "--output", str(first)]
-        assert main(args) == 0
-        head = json.loads(first.read_text().splitlines()[0])
-        second = tmp_path / "b.jsonl"
-        argv = provenance_to_argv(head["provenance"]) + ["--output", str(second)]
-        assert main(argv) == 0
+
+def _header_provenance(path: Path) -> dict:
+    """The provenance of a csv or jsonl table, trial stream or svg plot."""
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("<svg"):
+        metadata = ET.fromstring(text).find("{http://www.w3.org/2000/svg}metadata")
+        return json.loads(metadata.text)["provenance"]
+    return read_table(path)[0]
+
+
+class TestProvenanceRoundTrip:
+    SWEEP = ["sweep", "--start", "0", "--stop", "50MHz", "--points", "5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--points", "7", "--models", "qm,vt", "--format", "csv"],
+        ["curves", "--points", "7", "--format", "svg"],
+        ["bell", "--f-a", "0.9", "--f-b", "0.8", "--form", "s", "--format", "csv"],
+        ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--phase-b", "90deg",
+         "--engine", "mc", "--pairs", "5000", "--seed", "3", "--format", "jsonl"],
+        ["bell", "--nu-a", "0", "--nu-b", "48.4MHz", "--round-trip-a", "20ns",
+         "--engine", "both", "--pairs", "5000", "--format", "csv"],
+        ["sweep", "--variable", "frequency_common", "--start", "5MHz", "--stop", "25MHz",
+         "--points", "21", "--round-trip", "43ns", "--format", "csv"],
+        ["sweep", "--variable", "distance_ratio", "--start", "0", "--stop", "50MHz",
+         "--points", "5", "--weights", "0.3,0.7", "--format", "csv"],
+        ["sweep", "--variable", "f_direct", "--start", "0.5", "--stop", "1", "--points", "3",
+         "--engines", "closed_form,monte_carlo", "--mc-pairs", "2000", "--format", "jsonl"],
+        [*SWEEP, "--format", "svg", "--plot-field", "s_chsh"],
+        ["sweep", "--variable", "frequency_alice_only", "--start", "0", "--stop", "50MHz",
+         "--points", "5", "--quad=-10deg,0.3rad,45deg,1.2rad", "--format", "csv"],
+        ["sync", "--nu-a", "46.2MHz", "--format", "csv"],
+        ["sync", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip-b", "93ns",
+         "--format", "jsonl"],
+        ["aspect", "--format", "jsonl"],
+        ["export-trials", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip", "43ns",
+         "--pairs", "20000", "--seed", "6"],
+        ["export-trials", "--pairs", "500", "--emission", "poisson", "--nu-a", "46.2MHz",
+         "--nu-b", "48.4MHz", "--seed", "5"],
+    ], ids=["curves-csv", "curves-svg", "bell-f-a-f-b", "bell-stations-mc", "bell-still-alice",
+            "sweep-csv", "sweep-distance-weights", "sweep-f-direct-mc", "sweep-svg-s-chsh",
+            "sweep-alice-only-quad", "sync-one", "sync-two", "aspect-jsonl",
+            "export-trials-uniform", "export-trials-poisson"])
+    def test_rerun_from_header_gives_the_same_bytes(self, argv, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, "--output", str(first)]) == 0
+        rerun = provenance_to_argv(_header_provenance(first))
+        assert main([*rerun, "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -819,7 +861,8 @@ class TestDeclaredFlags:
 
     @pytest.mark.parametrize("command", list(RUNS))
     def test_every_value_flag_is_read(self, command, tmp_path, monkeypatch, capsys):
-        # a declared flag that is never read accepts any value without effect
+        # a declared flag that is never read accepts any value without effect,
+        # and one read but not declared could be set only by a config file
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         declared = {action.dest for action in sub.choices[command]._actions
@@ -832,7 +875,14 @@ class TestDeclaredFlags:
             return get(self, name, *args, **kwargs)
 
         monkeypatch.setattr(cli.Options, "get", recording_get)
+        monkeypatch.chdir(tmp_path)
         argv = [a.format(out=tmp_path / "t.jsonl") for a in self.RUNS[command]]
-        assert main(argv) == 0
+        # every way out: each format, a file, and the extra plot
+        formats = ("csv", "jsonl", "svg") if command in ("curves", "sweep") else ("csv", "jsonl")
+        variants = [[], ["--output=out"]]
+        variants += [[f"--format={fmt}"] for fmt in formats if "format" in declared]
+        variants += [["--plot=plot.svg"]] if "plot" in declared else []
+        for extra in variants:
+            assert main(argv + extra) == 0, extra
         # --config is read by Options itself
-        assert declared - {"config"} <= read, sorted(declared - {"config"} - read)
+        assert read == declared - {"config"}, sorted(read ^ (declared - {"config"}))

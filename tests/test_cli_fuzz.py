@@ -1,4 +1,5 @@
-"""Adversarial command lines: every subcommand's flags with edge values.
+"""Adversarial command lines and config files: every subcommand's flags with
+edge values.
 
 Whatever the input, the CLI exits 0, 1 (validation) or 3 (i/o), never 2 or
 with a traceback, and a run that succeeds prints only finite numbers.  Pair
@@ -9,6 +10,8 @@ rejects them before anything is allocated.
 import argparse
 import contextlib
 import io
+import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -51,15 +54,18 @@ VALUES = {
 GENERIC = NUMBERS + TAGGED + CHOICES
 
 
-def _flags() -> dict[str, tuple[str, ...]]:
-    """Each subcommand's flags that take a value, read from the parser."""
+def _value_actions() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's options that take a value, read from the parser."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: tuple(opt for action in parser._actions if action.nargs != 0
-                        for opt in action.option_strings)
+    return {name: [action for action in parser._actions if action.nargs != 0]
             for name, parser in sub.choices.items()}
 
 
-FLAGS = _flags()
+ACTIONS = _value_actions()
+FLAGS = {name: tuple(opt for action in actions for opt in action.option_strings)
+         for name, actions in ACTIONS.items()}
+#: the same options as config keys ("nu_a" for --nu-a)
+KEYS = {name: tuple(action.dest for action in actions) for name, actions in ACTIONS.items()}
 
 
 @st.composite
@@ -109,3 +115,50 @@ def test_exit_code_and_finite_output(argv):
                                            for p in (out, plot) if p.is_file()]
             for text in texts:
                 assert not NON_FINITE.search(text), (argv, NON_FINITE.search(text))
+
+
+#: JSON values of a config key: numbers, non-finite and huge ones too, the
+#: types a key must not hold, tagged text and a NUL byte
+JSON_VALUES = (1e300, -1e300, float("nan"), float("inf"), float("-inf"), 10**30, 0, -1, 0.5,
+               2000, True, False, None, [], ["46.2MHz"], {}, {"points": 3}, "\u0000",
+               *TAGGED, *CHOICES, *SEEDS, *PATHS, *PLOTS)
+
+
+@st.composite
+def config_files(draw) -> tuple[list[str], dict, bool]:
+    """A valid base invocation, 1-3 of its subcommand's keys with values, and
+    whether they go in the subcommand's section (else at the top level)."""
+    command = draw(st.sampled_from(sorted(BASE)))
+    keys = draw(st.lists(st.sampled_from(KEYS[command]), min_size=1, max_size=3, unique=True))
+    values = {key: draw(st.sampled_from(JSON_VALUES)) for key in keys}
+    return list(BASE[command]), values, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_files())
+# a NUL byte in a path from the config file exited 2 ("embedded null byte")
+@example((["aspect"], {"output": "\u0000"}, True))
+@example((list(BASE["sweep"]), {"plot": "\u0000"}, False))
+@example((["export-trials", "--pairs", "50"], {"output": "\u0000"}, True))
+def test_config_file_exit_code(case):
+    argv, values, in_section = case
+    with tempfile.TemporaryDirectory() as tmp:
+        fields = dict(out=Path(tmp, "out"), plot=Path(tmp, "plot.svg"),
+                      missing=Path(tmp, "missing"), dir=tmp)
+        # path templates become paths under tmp
+        values = {k: v.format(**fields) if isinstance(v, str) else v for k, v in values.items()}
+        config = {argv[0]: values} if in_section else values
+        cfg = Path(tmp, "cfg.json")
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = [a.format(**fields) for a in argv] + ["--config", str(cfg)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a bare path from the config, such as "abc", is written here
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        err = stderr.getvalue()
+        assert code in (0, 1, 3), (argv, config, code, err)
+        assert "Traceback" not in err and "runtime error" not in err, (argv, config, err)

@@ -22,6 +22,7 @@ from bellsim import (
     normalize_angle,
     texture_mixture,
 )
+from bellsim.montecarlo import normalize_angles
 
 HALF_PI = math.pi / 2
 
@@ -86,6 +87,20 @@ class TestNormalizeAngle:
         r = normalize_angle(theta)
         # sin of the difference vanishes iff r = theta (mod pi)
         assert abs(math.sin(r - theta)) < 1e-9
+
+    @given(st.floats(min_value=-HALF_PI, max_value=HALF_PI, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_angle_is_kept(self, theta):
+        # the scalar and the vector fold give a canonical angle back bit for bit
+        assert normalize_angle(theta) == theta
+        assert normalize_angles(np.array([theta]))[0] == theta
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_fold_is_idempotent(self, theta):
+        r = normalize_angle(theta)
+        assert normalize_angle(r) == r
+        assert normalize_angles(np.array([theta]))[0] == r
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=300, deadline=None)

@@ -497,7 +497,9 @@ def _records_digest(t: Trials) -> str:
 
 
 class TestStreamDigests:
-    """Fixed-seed record streams as written by versions 0.2.0, 0.3.0 and 0.4.0.
+    """Fixed-seed record streams as written by versions 0.2.0, 0.3.0 and 0.4.0;
+    the singles runs (one side's flat hidden angles) as written by 0.6.0,
+    whose angle fold leaves a canonical angle unchanged.
 
     A changed digest is a stream change: it bumps the package version and
     is declared, it is never re-pinned to make a kernel change pass.
@@ -507,15 +509,15 @@ class TestStreamDigests:
         ("uniform", (True, True)):
             "75f0974d9d7bb2c4cd937fa056d41fd51669c8c8fc6ea9b8c1957ad5b040ba82",
         ("uniform", (True, False)):
-            "66fbd0f954011d63b556e19a9f03d8b4b64629e0e658e733e9691a51dbb55756",
+            "bc95f3ab233aafc74f4f6a6d4650bfb7042219ae3af48b476531ee631e179c64",
         ("uniform", (False, True)):
-            "cccdd15f3f89c11aa84c2c184c23e605f5b17dc777149c0eac5c41c4cd188d71",
+            "0f5c133330a363c65d385e1390010e8b71f2ed0f81f5c9dfb0947672d487ff15",
         ("poisson", (True, True)):
             "b205c405ee62f59fa283e85e2bb979d77d5fd17b63391f4d7abea538dc722c24",
         ("poisson", (True, False)):
-            "8708674e4f11611050102e636c0b0779c3560469633ca83d8381eb0960e0c521",
+            "588cd50eade6c42ad9d088359d5d091e197a7cbb6ba7e662d9b6cf52d60f053e",
         ("poisson", (False, True)):
-            "ed5396c643fc94c935f75eb5a9f9915b559092e42d95ebf4055c99d29bbd99fc",
+            "3fb02b1508cc161e191b8e868ea3449a366fe27c5322bc7b36d2b9a766b4da4f",
     }
     CHOICE_DIGEST = "67469451541e2a17bcf5c9896bf87162dd90c3b562d100d3c91b22eebfb77162"
     # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error); the std errors
