@@ -45,7 +45,7 @@ from .choice import (
     s_prime_fc,
 )
 from .models import Model, ValidationError, corr
-from .montecarlo import RngSpec, _check_fits, run_timeline
+from .montecarlo import RngSpec, _bits, _check_fits, run_timeline
 # importable here so that benchmarks/spans.py can wrap them by this module's name
 from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
 from .output import format_float, provenance_header, render_table, write_table
@@ -174,22 +174,33 @@ def _path(text: str) -> str:
     return text
 
 
-def _emit(opts: Options, command: str, seed, params: dict, rows: list[dict],
-          plot=None, text: tuple[str, str] | None = None) -> int:
-    """Write a command's result, the one way out of the CLI.
+def _outlet(opts: Options, plot: bool = False,
+            report: bool = False) -> tuple[str | None, str | None, str | None]:
+    """Where a command's result goes: (--output, --plot, --format), read
+    before the command computes, so a bad value fails at once.
 
-    --format is csv or jsonl, or also svg when ``plot`` (a builder taking the
-    provenance) is given, and the provenance records it.  The table or plot
-    goes to --output, else stdout; --plot, where declared, also gets the plot.
-    A command with a ``text`` (heading, footer; either may be empty) prints
-    its one row as ``key: value`` lines instead when neither --output nor
-    --format is given.
+    --format is csv or jsonl, or also svg for a command that draws a ``plot``;
+    it is None, for a command that can ``report``, when neither --output nor
+    --format is given.  --plot is None where it is not declared.
     """
     output = opts.get("output", parse=_path)
     plot_path = opts.get("plot", parse=_path) if "plot" in opts else None
-    report = text is not None and output is None
-    fmt = opts.get("format", None if report else "csv",
+    fmt = opts.get("format", None if report and output is None else "csv",
                    choices=(*_TABLE_FORMATS, "svg") if plot else _TABLE_FORMATS)
+    return output, plot_path, fmt
+
+
+def _emit(outlet: tuple, command: str, seed, params: dict, rows: list[dict],
+          plot=None, text: tuple[str, str] = ("", "")) -> int:
+    """Write a command's result to its ``_outlet``, the one way out of the CLI.
+
+    With a format, the provenance records it, and the table, or the plot
+    that ``plot`` (a builder taking the provenance) draws for svg, goes to
+    --output, else stdout; --plot, where given, also gets the plot.  Without
+    one, the one row prints as ``key: value`` lines between the heading and
+    footer of ``text`` (either may be empty).
+    """
+    output, plot_path, fmt = outlet
     if fmt is None:
         head, foot = text
         lines = [f"{key}: {format_float(value) if isinstance(value, float) else value}"
@@ -213,6 +224,7 @@ def _emit(opts: Options, command: str, seed, params: dict, rows: list[dict],
 
 
 def cmd_curves(opts: Options) -> int:
+    outlet = _outlet(opts, plot=True)
     names = opts.get("models", "qm,sc,vt,mclhv", parse=_items,
                      choices=tuple(m.value for m in _MODEL_ORDER))
     if not names:
@@ -242,7 +254,7 @@ def cmd_curves(opts: Options) -> int:
                                   [r[m.value] for r in rows])
         return figure
 
-    return _emit(opts, "curves", None, params, rows, plot=plot)
+    return _emit(outlet, "curves", None, params, rows, plot=plot)
 
 
 # --- bell ---------------------------------------------------------------------
@@ -311,6 +323,7 @@ _BELL_LABELS = {
 
 
 def cmd_bell(opts: Options) -> int:
+    outlet = _outlet(opts, report=True)
     form = opts.get("form", "sprime", choices=("sprime", "s"))
     engine = opts.get("engine", "closed", choices=("closed", "mc", "both"))
     quad, sf, stations, params = _resolve_fractions(opts)
@@ -343,7 +356,7 @@ def cmd_bell(opts: Options) -> int:
         row["mc_pairs"] = est.n_trials
         params.update(pairs=pairs, duration=repr(duration))
     params.update(form=form, engine=engine)
-    return _emit(opts, "bell", seed, params, [row], text=("", ""))
+    return _emit(outlet, "bell", seed, params, [row])
 
 
 # --- sweep --------------------------------------------------------------------
@@ -428,11 +441,12 @@ def _sweep_plot(series, provenance, which: str) -> LinePlot:
 
 
 def cmd_sweep(opts: Options) -> int:
+    outlet = _outlet(opts, plot=True)
     spec, params = _sweep_spec(opts)
     which = opts.get("plot_field", "s_prime", choices=("s_prime", "s_chsh"))
     params["plot_field"] = which
     series = run_sweep(spec)
-    return _emit(opts, "sweep", spec.seed, params, _series_rows(series),
+    return _emit(outlet, "sweep", spec.seed, params, _series_rows(series),
                  plot=lambda provenance: _sweep_plot(series, provenance, which))
 
 
@@ -440,6 +454,7 @@ def cmd_sweep(opts: Options) -> int:
 
 
 def cmd_sync(opts: Options) -> int:
+    outlet = _outlet(opts, report=True)
     if opts.get("nu_a") is None:
         raise ValidationError("sync needs --nu-a")
     _quad, alice, bob, station_params = _stations(opts, quad=False, phases=False)
@@ -450,18 +465,19 @@ def cmd_sync(opts: Options) -> int:
         row.update(nu_b=bob.switch_frequency, round_trip_b=bob.round_trip_time,
                    f_bob=sf.f_bob, f=sf.f, f_prime=sf.f_prime)
     params = {key: value for key, value in station_params.items() if key in row}
-    return _emit(opts, "sync", None, params, [row], text=("", ""))
+    return _emit(outlet, "sync", None, params, [row])
 
 
 # --- aspect -------------------------------------------------------------------
 
 
 def cmd_aspect(opts: Options) -> int:
+    outlet = _outlet(opts, report=True)
     report = aspect_point()
     heading = "1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)"
     comparison = (f"predicted S' {format_float(report.reported.s_prime)} vs measured "
                   f"{report.measured_s_prime} +/- {report.measured_s_prime_error}")
-    return _emit(opts, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
+    return _emit(outlet, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
 
 
 # --- export-trials --------------------------------------------------------------
@@ -489,28 +505,40 @@ def cmd_export_trials(opts: Options) -> int:
     return 0
 
 
-# json.dumps of a record dict, field for field: floats and ints print as their repr
-_TRIAL_LINE = ('{{"emission_time": {}, "lambda": {}, "a_v": {}, "b_v": {}, '
-               '"a_m": {}, "b_m": {}, "alpha": {}, "beta": {}}}\n').format
+# a record is json.dumps of its dict, field for field (floats and ints print as
+# their repr): its emission time, then a tail fixed by the other seven fields
+_HEAD = '{"emission_time": '
+_TAIL = (', "lambda": {}, "a_v": {}, "b_v": {}, "a_m": {}, "b_m": {}, '
+         '"alpha": {}, "beta": {}}}\n{{"emission_time": ').format
 _WRITE_BLOCK = 4096  # records per write; larger blocks raise peak memory
 
 
 def _write_trial_lines(fh, trials) -> None:
-    """One JSON line per record.  Settings and hidden angles take few values
-    (the settings table, the texture atoms): each distinct one is repr'd once."""
+    """One JSON line per record.  A block's records share few tails (the
+    texture atoms times the 64 setting and outcome bits): each distinct tail
+    is formatted once, and it ends with the next record's head."""
+    if not len(trials):
+        return
     a_text, b_text = ([repr(v) for v in row] for row in trials.settings.tolist())
+    sign = ("-1", "1")
+    fh.write(_HEAD)
     for lo in range(0, len(trials), _WRITE_BLOCK):
         block = slice(lo, lo + _WRITE_BLOCK)
         lam, lam_idx = np.unique(trials.hidden_angle[block], return_inverse=True)
+        key = lam_idx * 64 + _bits(trials.a_v_idx[block], trials.b_v_idx[block],
+                                   trials.a_m_idx[block], trials.b_m_idx[block],
+                                   trials.alpha[block] > 0, trials.beta[block] > 0)
+        keys, tail_idx = np.unique(key, return_inverse=True)
         lam_text = [repr(v) for v in lam.tolist()]
-        fh.write("".join(map(
-            _TRIAL_LINE, map(repr, trials.emission_time[block].tolist()),
-            map(lam_text.__getitem__, lam_idx.tolist()),
-            map(a_text.__getitem__, trials.a_v_idx[block].tolist()),
-            map(b_text.__getitem__, trials.b_v_idx[block].tolist()),
-            map(a_text.__getitem__, trials.a_m_idx[block].tolist()),
-            map(b_text.__getitem__, trials.b_m_idx[block].tolist()),
-            trials.alpha[block].tolist(), trials.beta[block].tolist())))
+        tails = [_TAIL(lam_text[k >> 6], a_text[k >> 5 & 1], b_text[k >> 4 & 1],
+                       a_text[k >> 3 & 1], b_text[k >> 2 & 1], sign[k >> 1 & 1], sign[k & 1])
+                 for k in keys.tolist()]
+        parts = [""] * (2 * len(tail_idx))
+        parts[::2] = map(float.__repr__, trials.emission_time[block].tolist())
+        parts[1::2] = map(tails.__getitem__, tail_idx.tolist())
+        if block.stop >= len(trials):
+            parts[-1] = parts[-1][:-len(_HEAD)]  # no record follows the last
+        fh.write("".join(parts))
 
 
 # --- parser -------------------------------------------------------------------

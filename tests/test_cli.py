@@ -294,6 +294,16 @@ class TestMalformedInput:
         assert f"error: {option}: unknown value {argv[-1].split(',')[-1]!r} (choose from " in err
         assert not (tmp_path / "t.jsonl").exists()
 
+    def test_bad_format_fails_before_the_sweep_runs(self, monkeypatch, capsys):
+        def refuse(spec):
+            raise AssertionError("the sweep ran before --format was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        assert main(["sweep", "--start", "0", "--stop", "50MHz", "--points", "11",
+                     "--engines", "monte_carlo", "--mc-pairs", "200000", "--format", "xml"]) == 1
+        err = capsys.readouterr().err
+        assert "error: --format: unknown value 'xml' (choose from csv | jsonl | svg)" in err
+
     @pytest.mark.parametrize("argv, option", [
         (["aspect", "--output", "a\0b"], "--output"),
         (["sweep", "--start", "0", "--stop", "1MHz", "--points", "3", "--plot", "\0"], "--plot"),
@@ -786,6 +796,12 @@ class TestVersion:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == bellsim.__version__
+
+    def test_module_entry_point_prints_the_version(self):
+        proc = subprocess.run([sys.executable, "-m", "bellsim", "--version"],
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == f"bellsim {bellsim.__version__}\n"
 
 
 class TestConfigFile:

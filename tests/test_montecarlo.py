@@ -436,6 +436,24 @@ class TestPreallocatedColumns:
         assert counts.sum() == len(t) and np.any(counts == 0)
         assert np.all(np.diff(t.emission_time) >= 0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["uniform", "grid", "poisson"]), st.integers(1, 400),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_any_worker_count_gives_the_serial_columns(self, emission, n_pairs, chunk_size,
+                                                       seed):
+        # small chunks over few pairs: many windows hold one record or none
+        alice, bob = aspect_stations()
+        kwargs = dict(n_pairs=n_pairs, duration=1e-6, rng=RngSpec(seed), emission=emission,
+                      chunk_size=chunk_size)
+        serial = run_timeline(alice, bob, workers=1, **kwargs)
+        for workers in (2, 3):
+            t = run_timeline(alice, bob, workers=workers, **kwargs)
+            assert np.array_equal(t.settings, serial.settings)
+            for name in COLUMNS:
+                column = getattr(t, name)
+                assert column.dtype == getattr(serial, name).dtype, (workers, name)
+                assert np.array_equal(column, getattr(serial, name)), (workers, name)
+
     def test_multi_chunk_run_does_not_concatenate(self, monkeypatch):
         def refuse(cls, parts):
             raise AssertionError("run_timeline concatenated its chunks")

@@ -5,6 +5,7 @@ The export stream is checked byte for byte against an independent encoder
 against the angles of the parts it merges.
 """
 
+import io
 import json
 import math
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from bellsim import STANDARD_QUAD, RngSpec, StationConfig, Trials, ValidationError, run_timeline
-from bellsim.cli import main
+from bellsim.cli import _write_trial_lines, main
 
 ROUND_TRIP = 43e-9
 QUAD_TEXT = ",".join(f"{v!r}rad" for v in (STANDARD_QUAD.a, STANDARD_QUAD.b,
@@ -46,6 +47,45 @@ def test_export_matches_independent_encoder(emission, tmp_path):
     header, body = path.read_text(encoding="utf-8").split("\n", 1)
     assert json.loads(header)["provenance"]["params"]["emission"] == emission
     assert body == _reference_lines(trials)
+
+
+ALICE = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46.2e6, 0.0, ROUND_TRIP)
+BOB = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, ROUND_TRIP)
+
+
+def _written(trials: Trials) -> str:
+    fh = io.StringIO()
+    _write_trial_lines(fh, trials)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("pairs", [1, 4095, 4096, 4097, 8192])
+def test_writer_at_block_edges(pairs):
+    # the writer formats whole 4096-record blocks; the last record ends the file
+    trials = run_timeline(ALICE, BOB, pairs, 1e-3, RngSpec(13), workers=2)
+    assert len(trials) == pairs
+    assert _written(trials) == _reference_lines(trials)
+
+
+@pytest.mark.parametrize("pbs", [(True, False), (False, True), (False, False)])
+def test_writer_with_flat_hidden_angles(pbs):
+    # without a polarizer the texture has a flat component: almost every
+    # record has its own hidden angle, so almost every tail is distinct
+    trials = run_timeline(ALICE, BOB, 5_000, 1e-3, RngSpec(14), pbs=pbs)
+    assert len(np.unique(trials.hidden_angle)) > 1_000
+    assert _written(trials) == _reference_lines(trials)
+
+
+def test_poisson_stream_without_records_is_its_header(tmp_path):
+    # one expected pair: seed 5 draws none
+    path = tmp_path / "trials.jsonl"
+    assert main(["export-trials", "--pairs", "1", "--emission", "poisson", "--seed", "5",
+                 "--output", str(path)]) == 0
+    header, body = path.read_text(encoding="utf-8").split("\n", 1)
+    assert json.loads(header)["provenance"]["params"]["emission"] == "poisson"
+    assert body == ""
+    trials = run_timeline(ALICE, BOB, 1, 1e-3, RngSpec(5), emission="poisson")
+    assert len(trials) == 0 and _written(trials) == ""
 
 
 def _stepped_alice_run(step: int, stream: int, alt: float = STANDARD_QUAD.a_alt) -> Trials:
