@@ -10,12 +10,14 @@ setting-dependence of the mixture.
 
 Determinism: all sampling is chunked, each chunk owns an RNG stream derived
 from (seed, stream_id, chunk index) and a disjoint time window, and every
-window's record count is known before any chunk runs.  The record columns
-are allocated once and each chunk writes its slice of them, in index
-order, from its own thread; nothing is concatenated afterwards.  Each chunk
-sorts its own emission times before any other draw, so the records are in
-emission order without a global sort.  Results are bit-identical for any
-worker count.
+window's record count is known before any chunk runs.  Every run's record
+columns are allocated once, a single chunk's included, and each chunk
+writes straight into its slice of them, in index order, from its own
+thread: its times are drawn into the slice and sorted there, and its
+setting indices, hidden angles and outcomes are written in place.  Nothing
+is copied or concatenated afterwards.  Each chunk sorts its own emission
+times before any other draw, so the records are in emission order without
+a global sort.  Results are bit-identical for any worker count.
 
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
@@ -37,6 +39,15 @@ uniform mixture component) evaluate ``cos`` per pair.  ``run_timeline``,
 ``run_choice_trials``, ``run_static`` and ``sample_lambda`` share that one
 sampler and detector; the random numbers and their order are those of the
 per-pair formulas, so every record column is unchanged.
+
+Scratch: a running chunk takes a scratch arena (``_Arena``) from one
+module-level pool and puts it back when it ends.  The kernels write every
+temporary into it through the ``out=`` forms of numpy calls, so after the
+first chunks a run allocates its columns and almost nothing else.  The pool
+holds as many arenas as chunks ever ran at once (at most min(workers, cpu
+count) of one run), and an arena keeps no buffer longer than
+``_ARENA_RECORDS`` records, so the scratch is bounded whatever a run's
+size.  No returned column is ever a scratch buffer.
 """
 
 from __future__ import annotations
@@ -44,8 +55,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -157,20 +169,91 @@ _RECORD_DTYPES = {
 }
 
 
-def normalize_angles(x: np.ndarray) -> np.ndarray:
+def _allocate(n: int, settings: np.ndarray) -> Trials:
+    """Uninitialized columns for ``n`` records on ``settings``: a run's
+    columns, allocated once and filled by its chunks."""
+    return Trials(**{name: np.empty(n, dtype) for name, dtype in _RECORD_DTYPES.items()},
+                  settings=settings)
+
+
+def normalize_angles(x: np.ndarray, out: np.ndarray | None = None,
+                     fold: np.ndarray | None = None) -> np.ndarray:
     """Vectorized twin of models.normalize_angle (same fmod and folds).
 
     Each fold adds 0 or pi, the same floats as branching but without a
-    data-dependent choice per element.
+    data-dependent choice per element.  ``out`` (which may be ``x``) takes
+    the result and ``fold``, a float64 buffer of ``x``'s size, the folds;
+    each is allocated when None.
     """
-    r = np.fmod(x, np.pi)
-    r -= (r > HALF_PI) * np.pi
-    r += (r <= -HALF_PI) * np.pi
+    r = np.fmod(x, np.pi, out=out)
+    fold = np.empty_like(r) if fold is None else fold
+    np.greater(r, HALF_PI, out=fold)
+    fold *= np.pi
+    r -= fold
+    np.less_equal(r, -HALF_PI, out=fold)
+    fold *= np.pi
+    r += fold
     r += 0.0
     return r
 
 
 # --- sampling primitives ----------------------------------------------------
+
+#: Records a scratch buffer may hold and still be kept for the next chunk.
+#: A larger request (an unchunked choice or static run, or a ``chunk_size``
+#: above the default) gets a buffer that is used once.
+_ARENA_RECORDS = 2 * DEFAULT_CHUNK
+
+
+class _Arena:
+    """Scratch buffers of one running chunk, one per role.
+
+    The roles share buffers by lifetime.  Per pair, "u" holds a uniform
+    draw or the square wave's x, "p" the Malus probability or the wave's
+    2x (float64 each), "index" a table key widened to intp, "key" that key
+    at the table's code width, "code" the atom code (kept from the
+    hidden-angle draw through both detections) and "mask" one byte (a
+    comparison, or a flat pair's setting index).  A buffer grows to the
+    largest chunk it has served, up to ``_ARENA_RECORDS`` records, so an
+    arena of a timeline holds at most 27 bytes per record of that bound.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, n: int, dtype: "np.dtype | type") -> np.ndarray:
+        """The first ``n`` items of the ``role`` buffer as ``dtype``."""
+        size = n * np.dtype(dtype).itemsize
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, np.uint8)
+            if n <= _ARENA_RECORDS:
+                self.buffers[role] = buf
+        return buf[:size].view(dtype)
+
+
+#: Arenas of chunks that have ended, the last one ended on top; it holds as
+#: many as ever ran at once.
+_ARENAS: list[_Arena] = []
+
+
+@contextmanager
+def _scratch() -> Iterator[_Arena]:
+    """An arena from the pool for one chunk, put back when the chunk ends.
+
+    The pool is module-level because ``run_timeline`` starts new threads
+    on every call: an arena outlives the thread that used it.  ``pop`` and
+    ``append`` of a list are each atomic, so chunks on several threads
+    never share an arena.
+    """
+    try:
+        arena = _ARENAS.pop()
+    except IndexError:
+        arena = _Arena()
+    try:
+        yield arena
+    finally:
+        _ARENAS.append(arena)
 
 
 @dataclass(frozen=True)
@@ -231,131 +314,190 @@ def sample_lambda(
     Atoms are chosen with their weights; the uniform component draws flat
     over one period.  Scalar when ``size`` is None.
     """
-    m = 1 if size is None else int(size)
-    out, _, _ = _mixture_draw(rng, _AtomTable.of_mixture(q), m)
-    return float(out[0]) if size is None else out
+    lam = np.empty(1 if size is None else int(size))
+    with _scratch() as arena:
+        _mixture_draw(rng, _AtomTable.of_mixture(q), lam, arena)
+    return float(lam[0]) if size is None else lam
 
 
 def _mixture_draw(
-    rng: np.random.Generator, table: _AtomTable, m: int, state: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice | None]:
-    """The one hidden-angle sampler: (angles, atom codes, flat pairs) of ``m`` pairs.
+    rng: np.random.Generator, table: _AtomTable, lam: np.ndarray, arena: _Arena,
+    state: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The one hidden-angle sampler: writes the hidden angles of ``lam.size``
+    pairs into ``lam`` and returns (``lam``, atom codes, flat pairs).
 
     A first draw per pair picks a slot by ``table.probs`` (in the pair's
-    ``state``; one state when None); with a uniform component a second draw
-    gives the flat angle of pairs that pick none.  Without atoms the first
-    draw is the flat angle.  Flat pairs are listed by index (``slice(None)``
-    when every pair is flat), None when no pair can be flat.
+    ``state``, held in the arena's "key" buffer and overwritten there; one
+    state when None); with a uniform component a second draw gives the
+    flat angle of pairs that pick none.  Without atoms the first draw is
+    the flat angle and there are no codes.  Flat pairs are listed by
+    index, None when no pair can be flat or when every pair is (no atoms).
+    The codes live in the arena's "code" buffer.
     """
-    u = rng.random(m)
+    m = lam.size
+    u = rng.random(out=arena.take("u", m, np.float64))
     if not table.probs:
-        lam = normalize_angles(-HALF_PI + np.pi * u)
-        return lam, np.full(m, table.flat, dtype=table.codes.dtype), slice(None)
+        np.multiply(u, np.pi, out=lam)
+        lam += -HALF_PI
+        return normalize_angles(lam, out=lam, fold=u), None, None
     n_slots = table.codes.shape[1]
-    # searchsorted(cumsum(probs), u, "right") by one comparison pass per
-    # threshold; without a uniform component the last threshold is left
-    # out, which clamps to the last atom
-    slot = np.zeros(m, dtype=table.codes.dtype)
+    if state is None:
+        key = arena.take("key", m, table.codes.dtype)
+        key.fill(0)
+    else:
+        key = np.multiply(state, n_slots, out=state)
+    # state * n_slots + searchsorted(cumsum(probs), u, "right") by one
+    # comparison pass per threshold; without a uniform component the last
+    # threshold is left out, which clamps to the last atom
+    above = arena.take("mask", m, np.bool_)
     for c in np.cumsum(table.probs)[: n_slots - 1]:
-        slot += u >= c
-    code = table.codes.ravel()[slot if state is None else state * n_slots + slot]
-    lam = table.angles[code]
+        key += np.greater_equal(u, c, out=above)
+    codes = table.codes.ravel()
+    index = _index(key, arena)
+    code = np.take(codes, index, out=arena.take("code", m, codes.dtype), mode="clip")
+    np.take(table.angles[codes], index, out=lam, mode="clip")
     if not table.uniform:
         return lam, code, None
-    flat = np.flatnonzero(code == table.flat)  # indices gather faster than a mask
-    lam[flat] = normalize_angles(-HALF_PI + np.pi * rng.random(m)[flat])
+    # indices gather faster than a mask
+    flat = np.flatnonzero(np.equal(code, table.flat, out=above))
+    v = np.take(rng.random(out=u), flat, out=arena.take("p", flat.size, np.float64), mode="clip")
+    v *= np.pi
+    v += -HALF_PI
+    lam[flat] = normalize_angles(v, out=v, fold=u[: flat.size])
     return lam, code, flat
 
 
 def _detect(
     rng: np.random.Generator,
     table: _AtomTable,
-    hidden: tuple[np.ndarray, np.ndarray, np.ndarray | slice | None],
+    hidden: tuple[np.ndarray, np.ndarray | None, np.ndarray | None],
     settings: np.ndarray,
     setting_idx: np.ndarray,
     present: bool,
-) -> np.ndarray:
-    """Draw +/-1 outcomes at ``settings[setting_idx]`` against the ``hidden``
-    angles of ``_mixture_draw``; an absent polarizer detects every photon.
+    out: np.ndarray,
+    arena: _Arena,
+) -> None:
+    """Write +/-1 outcomes at ``settings[setting_idx]`` against the ``hidden``
+    angles of ``_mixture_draw`` into the int8 ``out``; an absent polarizer
+    detects every photon.
 
     Atom pairs gather their Malus probability from a (setting, atom code)
-    table; only pairs with a flat hidden angle evaluate cos per pair.
+    table; only pairs with a flat hidden angle evaluate cos per pair.  The
+    probabilities take no random numbers, so they are found before the one
+    uniform draw per pair.
     """
     lam, code, flat = hidden
-    u = rng.random(lam.size)
+    n = lam.size
+    u = arena.take("u", n, np.float64)
     if not present:
-        return np.ones(lam.size, dtype=np.int8)  # u < 1 always
-    if not table.probs:  # no atoms: every hidden angle is flat
-        p = np.cos(settings[setting_idx] - lam) ** 2
+        rng.random(out=u)
+        out.fill(1)  # u < 1 always
+        return
+    p = arena.take("p", n, np.float64)
+    if code is None:  # no atoms: every hidden angle is flat
+        _malus(np.take(settings, _index(setting_idx, arena), out=p, mode="clip"), lam)
     else:
-        malus = np.cos(settings[:, None] - table.angles) ** 2
-        p = malus.ravel()[setting_idx * code.dtype.type(table.angles.size) + code]
         if flat is not None:
-            p[flat] = np.cos(settings[setting_idx[flat]] - lam[flat]) ** 2
-    hit = (u < p).view(np.int8)
-    hit += hit
-    hit -= 1
-    return hit
+            # their probabilities wait in u until the table fills p
+            f = flat.size
+            idx = np.take(setting_idx, flat, out=arena.take("mask", f, np.int8), mode="clip")
+            _malus(np.take(settings, _index(idx, arena), out=u[:f], mode="clip"),
+                   np.take(lam, flat, out=p[:f], mode="clip"))
+        malus = np.cos(settings[:, None] - table.angles) ** 2
+        key = np.multiply(setting_idx, code.dtype.type(table.angles.size),
+                          out=arena.take("key", n, code.dtype))
+        key += code
+        np.take(malus.ravel(), _index(key, arena), out=p, mode="clip")
+        if flat is not None:
+            p[flat] = u[:f]
+    np.less(rng.random(out=u), p, out=out.view(np.bool_))
+    out += out
+    out -= 1
+
+
+def _index(key: np.ndarray, arena: _Arena) -> np.ndarray:
+    """``key`` widened to intp in the arena's "index" buffer.
+
+    ``np.take`` gathers by intp; given narrower keys it would allocate
+    their intp copy itself.  Every key is in range, so the gathers use
+    ``mode="clip"``, which also writes ``out`` in place (the default
+    "raise" buffers it).
+    """
+    index = arena.take("index", key.size, np.intp)
+    np.copyto(index, key)
+    return index
+
+
+def _malus(setting: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """cos(setting - lam)**2 per pair, in place in ``setting``."""
+    setting -= lam
+    np.cos(setting, out=setting)
+    return np.square(setting, out=setting)
 
 
 def _station_indices(
-    cfg: StationConfig, rng: np.random.Generator, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Setting index (0 or 1) at the texture epoch and at photon arrival."""
+    cfg: StationConfig, rng: np.random.Generator, times: np.ndarray,
+    v: np.ndarray, m: np.ndarray, arena: _Arena,
+) -> None:
+    """Write the setting index (0 or 1) at the texture epoch into ``v`` and
+    at photon arrival into ``m``."""
     if cfg.switching == "random":
-        v = rng.integers(0, 2, size=times.size).astype(np.int8)
-        m = rng.integers(0, 2, size=times.size).astype(np.int8)
-        return v, m
-    if cfg.switch_frequency == 0.0:
+        # int64 draws, cast on assignment: an int8 draw is another stream
+        v[...] = rng.integers(0, 2, size=v.size)
+        m[...] = rng.integers(0, 2, size=m.size)
+    elif cfg.switch_frequency == 0.0:
         # a still wave shows the level its phase picks at every time
         level = _square_wave_index(0.0, cfg.switch_phase, np.zeros(1))[0]
-        return np.full(times.size, level, np.int8), np.full(times.size, level, np.int8)
-    half = cfg.round_trip_time / 2.0
-    return (
-        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times - half),
-        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times + half),
-    )
+        v.fill(level)
+        m.fill(level)
+    else:
+        half = cfg.round_trip_time / 2.0
+        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times, -half, arena, v)
+        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times, half, arena, m)
 
 
-def _square_wave_index(frequency: float, phase: float, times: np.ndarray) -> np.ndarray:
-    """50%-duty square wave: 0 for the first half of each period, else 1.
+def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift: float = 0.0,
+                       arena: _Arena | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """50%-duty square wave at ``times + shift``: 0 for the first half of
+    each period, else 1, as int8 (into ``out`` when given).
 
     The index is the parity of floor(2x), x = t*frequency + phase/2pi,
     i.e. whether floor(2x) differs from 2*floor(x).  Both are exact, so it
     equals ``mod(x, 1) >= 0.5`` for every x, negative or beyond 2**63.  At
     frequency 0 the wave holds the level its phase picks: 0 for phases in
-    [0, pi) mod 2pi, 1 for [pi, 2pi).
+    [0, pi) mod 2pi, 1 for [pi, 2pi).  x and 2x live in the arena's "u" and
+    "p" buffers (a fresh arena's when None).
     """
-    x = times * frequency
+    arena = _Arena() if arena is None else arena
+    x = np.add(times, shift, out=arena.take("u", times.size, np.float64))
+    x *= frequency
     x += phase / (2.0 * math.pi)
-    twice = np.floor(x + x)
+    twice = np.add(x, x, out=arena.take("p", times.size, np.float64))
+    np.floor(twice, out=twice)
     np.floor(x, out=x)
     x += x
-    return (twice != x).view(np.int8)
+    out = np.empty(times.size, np.int8) if out is None else out
+    np.not_equal(twice, x, out=out.view(np.bool_))
+    return out
 
 
-def _simulate(
-    times: np.ndarray,
-    settings: np.ndarray,
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    station_weights: tuple[float, float],
-    pbs: tuple[bool, bool],
-    gen: np.random.Generator,
-) -> Trials:
-    """Hidden angles and outcomes of pairs with (a_v, b_v, a_m, b_m) setting indices.
+def _simulate(trials: Trials, station_weights: tuple[float, float], pbs: tuple[bool, bool],
+              gen: np.random.Generator, arena: _Arena) -> None:
+    """Hidden angles and outcomes of pairs whose times and (a_v, b_v, a_m,
+    b_m) setting indices ``trials`` holds, written into its other columns.
 
     The hidden angle comes from the texture atoms of each present polarizer
     at its texture-epoch setting; a station without a polarizer leaves its
     share of the texture uniform.
     """
-    a_v, b_v, a_m, b_m = indices
-    table = _AtomTable.of_stations(settings, station_weights, pbs)
-    state = a_v + a_v
-    state += b_v
-    hidden = _mixture_draw(gen, table, times.size, state)
-    alpha = _detect(gen, table, hidden, settings[0], a_m, pbs[0])
-    beta = _detect(gen, table, hidden, settings[1], b_m, pbs[1])
-    return Trials(times, hidden[0], a_v, b_v, a_m, b_m, alpha, beta, settings)
+    t = trials
+    table = _AtomTable.of_stations(t.settings, station_weights, pbs)
+    state = np.add(t.a_v_idx, t.a_v_idx, out=arena.take("key", len(t), table.codes.dtype))
+    state += t.b_v_idx
+    hidden = _mixture_draw(gen, table, t.hidden_angle, arena, state)
+    _detect(gen, table, hidden, t.settings[0], t.a_m_idx, pbs[0], t.alpha, arena)
+    _detect(gen, table, hidden, t.settings[1], t.b_m_idx, pbs[1], t.beta, arena)
 
 
 # --- static-mixture runs -----------------------------------------------------
@@ -377,17 +519,25 @@ def run_static(
         raise ValidationError("need at least one trial")
     gen = as_rng_spec(rng).generator()
     table = _AtomTable.of_mixture(q)
-    hidden = _mixture_draw(gen, table, n)
-    measured = np.zeros(n, dtype=table.codes.dtype)
-    alpha = _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True)
-    beta = _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True)
+    lam = np.empty(n)
+    measured = np.zeros(n, dtype=np.int8)
+    alpha = np.empty(n, dtype=np.int8)
+    beta = np.empty(n, dtype=np.int8)
+    with _scratch() as arena:
+        hidden = _mixture_draw(gen, table, lam, arena)
+        _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True, alpha, arena)
+        _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True, beta, arena)
     mean, var = _pm1_moments(2 * int(np.count_nonzero(alpha == beta)) - n, n)
     return EstimateWithError(mean, math.sqrt(var), n)
 
 
 # --- timeline runs ------------------------------------------------------------
 
-#: Bytes per record that the memory check counts (``Trials`` columns: 22).
+#: Bytes per record that the memory check counts: the 22 of the ``Trials``
+#: columns, and 8 of an unchunked run's scratch or a singles run's flat-pair
+#: indices.  A timeline's arenas are not counted per record: there are at
+#: most min(workers, cpu count) of them, of at most 27 bytes times
+#: ``_ARENA_RECORDS`` records (14 MB) each, whatever the run's size.
 _RECORD_BYTES = 30
 
 
@@ -410,7 +560,10 @@ def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
 
     A run's columns are allocated once (chunks write their own slices),
     but a measurement holds its main run and both singles runs at once, so
-    one run's records alone understate what it needs.
+    one run's records alone understate what it needs.  The chunks' scratch
+    arenas are bounded apart from the records (``_RECORD_BYTES``); the
+    scratch of an unchunked choice run, 27 bytes per record used once,
+    fits in the doubled count.
     """
     _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
@@ -445,12 +598,13 @@ def run_timeline(
     window counts from one multinomial draw on ``spec.child()``, "poisson"
     from a first Poisson draw on each window's stream; either sorts its
     window's times before the setting, hidden-angle and detection draws.
-    With every count known up front, the record columns are allocated once
-    and chunk i writes the slice after the records of chunks 0..i-1, so the
-    run is in non-decreasing emission time and no record is held twice; a
-    single chunk's records are returned as they are.  At most
-    min(workers, cpu count, chunks) threads run; the result is the same for
-    any ``workers`` >= 1.
+    With every count known up front, the record columns are allocated once,
+    for one chunk as for many, and chunk i writes straight into the slice
+    after the records of chunks 0..i-1, so the run is in non-decreasing
+    emission time and no record is held twice or copied.  Each running
+    chunk keeps its temporaries in a pooled scratch arena (``_scratch``).
+    At most min(workers, cpu count, chunks) threads run; the result is the
+    same for any ``workers`` >= 1.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
@@ -506,36 +660,36 @@ def run_timeline(
         counts = np.array([gen.poisson(rate * (w1 - w0)) for gen, (w0, w1) in zip(gens, windows)])
     starts = np.concatenate(([0], np.cumsum(counts))).tolist()
 
-    def one_chunk(i: int) -> Trials:
+    out = _allocate(starts[-1], settings)
+
+    def one_chunk(i: int) -> None:
+        # disjoint ascending windows: index order is emission order
+        lo, hi = starts[i], starts[i + 1]
+        part = Trials(**{name: getattr(out, name)[lo:hi] for name in _RECORD_DTYPES},
+                      settings=settings)
         gen = gens[i]
+        times = part.emission_time
         if emission == "grid":
-            lo, hi = starts[i], starts[i + 1]
-            times = (np.arange(lo, hi, dtype=np.float64) + 0.5) * (duration / n_pairs)
+            np.add(np.arange(lo, hi, dtype=np.float64), 0.5, out=times)
+            times *= duration / n_pairs
         else:
             w0, w1 = windows[i]
-            times = np.sort(w0 + gen.random(int(counts[i])) * (w1 - w0))
-        a_v, a_m = _station_indices(alice, gen, times)
-        b_v, b_m = _station_indices(bob, gen, times)
-        return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
-
-    if n_chunks == 1:
-        return one_chunk(0)
-    out = Trials(**{name: np.empty(starts[-1], dtype=dtype)
-                    for name, dtype in _RECORD_DTYPES.items()}, settings=settings)
-
-    def fill(i: int) -> None:
-        # disjoint ascending windows: index order is emission order
-        part = one_chunk(i)
-        for name in _RECORD_DTYPES:
-            getattr(out, name)[starts[i]:starts[i + 1]] = getattr(part, name)
+            gen.random(out=times)
+            times *= w1 - w0
+            times += w0
+            times.sort()
+        with _scratch() as arena:
+            _station_indices(alice, gen, times, part.a_v_idx, part.a_m_idx, arena)
+            _station_indices(bob, gen, times, part.b_v_idx, part.b_m_idx, arena)
+            _simulate(part, station_weights, pbs, gen, arena)
 
     workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
+            list(pool.map(one_chunk, range(n_chunks)))
     else:
         for i in range(n_chunks):
-            fill(i)
+            one_chunk(i)
     return out
 
 
@@ -561,13 +715,21 @@ def run_choice_trials(
     _check_memory(n)
     check_station_weights(station_weights)
     gen = as_rng_spec(rng).generator()
-    a_m = (gen.random(n) >= 0.5).astype(np.int8)
-    b_m = (gen.random(n) >= 0.5).astype(np.int8)
-    a_v = np.where(gen.random(n) < sf.f_alice, a_m, 1 - a_m)
-    b_v = np.where(gen.random(n) < sf.f_bob, b_m, 1 - b_m)
     settings = np.array([[quad.a, quad.a_alt], [quad.b, quad.b_alt]])
-    times = np.arange(n, dtype=np.float64)
-    return _simulate(times, settings, (a_v, b_v, a_m, b_m), station_weights, pbs, gen)
+    out = _allocate(n, settings)
+    out.emission_time = np.arange(n, dtype=np.float64)  # the trial index stands in for a time
+    with _scratch() as arena:
+        u = arena.take("u", n, np.float64)
+        for m in (out.a_m_idx, out.b_m_idx):
+            np.greater_equal(gen.random(out=u), 0.5, out=m.view(np.bool_))
+        keep = arena.take("mask", n, np.bool_)
+        for v, m, f in ((out.a_v_idx, out.a_m_idx, sf.f_alice),
+                        (out.b_v_idx, out.b_m_idx, sf.f_bob)):
+            # the measured index with probability f, else the other one
+            np.less(gen.random(out=u), f, out=keep)
+            np.equal(m.view(np.bool_), keep, out=v.view(np.bool_))
+        _simulate(out, station_weights, pbs, gen, arena)
+    return out
 
 
 # --- estimators ---------------------------------------------------------------

@@ -8,10 +8,13 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +515,147 @@ def _records_digest(t: Trials) -> str:
         h.update(np.ascontiguousarray(getattr(t, name)).tobytes())
     h.update(np.ascontiguousarray(t.settings).tobytes())
     return h.hexdigest()
+
+
+# --- scratch arenas ------------------------------------------------------------
+
+
+def _scratch_stations(kind: str) -> tuple[StationConfig, StationConfig]:
+    alice, bob = aspect_stations()
+    if kind == "still":
+        alice = StationConfig(alice.setting_1, alice.setting_2, 0.0, math.pi, ROUND_TRIP)
+    elif kind == "random":
+        alice = StationConfig.random_choice(alice.setting_1, alice.setting_2)
+        bob = StationConfig.random_choice(bob.setting_1, bob.setting_2)
+    return alice, bob
+
+
+def _scratch_runs() -> dict:
+    """Name -> run(seed) of every kernel path that takes a scratch arena:
+    timelines of one chunk and of several (2 workers) for each emission and
+    station kind, the flat-angle singles path, and the other samplers."""
+    runs = {}
+    for emission in ("uniform", "grid", "poisson"):
+        for kind in ("periodic", "still", "random"):
+            for chunks, kwargs in (("one", {}), ("several", dict(chunk_size=700, workers=2))):
+                runs[f"timeline/{emission}/{kind}/{chunks}"] = (
+                    lambda seed, e=emission, k=kind, kw=kwargs: run_timeline(
+                        *_scratch_stations(k), 3000, 1e-4, RngSpec(seed), emission=e, **kw))
+    for pbs in ((True, False), (False, True)):
+        runs[f"timeline/singles/{pbs}"] = lambda seed, p=pbs: run_timeline(
+            *aspect_stations(), 3000, 1e-4, RngSpec(seed), pbs=p)
+    mixture = HvMixture(((0.3, 0.25), (-0.4, 0.25)), 0.5)
+    runs["sample_lambda"] = lambda seed: sample_lambda(mixture, RngSpec(seed).generator(), 3000)
+    runs["run_static"] = lambda seed: run_static(0.0, math.pi / 8, mixture, 3000, RngSpec(seed))
+    for pbs in ((True, True), (False, True)):
+        runs[f"choice/{pbs}"] = lambda seed, p=pbs: run_choice_trials(
+            STANDARD_QUAD, mix_fractions(0.9, 0.8), 3000, RngSpec(seed), pbs=p)
+    return runs
+
+
+SCRATCH_RUNS = _scratch_runs()
+SCRATCH_SEEDS = (96, 97)
+
+
+def _result_digest(result) -> str:
+    if isinstance(result, Trials):
+        return _records_digest(result)
+    if isinstance(result, np.ndarray):
+        return hashlib.sha256(result.tobytes()).hexdigest()
+    return repr((result.value, result.std_error, result.n_trials))
+
+
+def _scratch_digests() -> dict:
+    """Digest of every ``SCRATCH_RUNS`` run at each seed; the reference
+    that a fresh interpreter computes."""
+    return {f"{name}@{seed}": _result_digest(run(seed))
+            for name, run in SCRATCH_RUNS.items() for seed in SCRATCH_SEEDS}
+
+
+@pytest.fixture(scope="module")
+def fresh_process_digests():
+    # this file's runs, evaluated by an interpreter that has run nothing else
+    code = ("import json, runpy, sys; "
+            "print(json.dumps(runpy.run_path(sys.argv[1])['_scratch_digests']()))")
+    package_root = str(Path(bellsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                                    os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, __file__], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScratchArenas:
+    """Chunks keep their temporaries in pooled arenas; no result is one."""
+
+    @pytest.mark.parametrize("name", list(SCRATCH_RUNS))
+    def test_no_result_aliases_scratch(self, name, fresh_process_digests):
+        # a result that were an arena view would be overwritten by the next run
+        run = SCRATCH_RUNS[name]
+        first_seed, second_seed = SCRATCH_SEEDS
+        first = run(first_seed)
+        before = _result_digest(first)
+        second = run(second_seed)
+        assert _result_digest(first) == before == fresh_process_digests[f"{name}@{first_seed}"]
+        assert _result_digest(second) == fresh_process_digests[f"{name}@{second_seed}"]
+        for result in (first, second):
+            columns = ([getattr(result, c) for c in COLUMNS] if isinstance(result, Trials)
+                       else [result] if isinstance(result, np.ndarray) else [])
+            for column in columns:
+                for arena in montecarlo._ARENAS:
+                    for buf in arena.buffers.values():
+                        assert not np.shares_memory(column, buf), name
+
+    # numpy reports its data buffers to tracemalloc: once the arena has grown,
+    # a 1e5-pair single-chunk run allocates its columns and little else
+    # (version 0.6.0: 21.0 and 29.1 bytes per pair)
+    @pytest.mark.parametrize("pbs, bound", [((True, True), 12.0), ((False, True), 20.0)])
+    def test_allocation_budget_per_pair(self, pbs, bound, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_ARENAS", [])
+        alice, bob = aspect_stations()
+        n = 100_000
+        run_timeline(alice, bob, n, 1e-3, RngSpec(98), pbs=pbs)
+        tracemalloc.start()
+        try:
+            t = run_timeline(alice, bob, n, 1e-3, RngSpec(99), pbs=pbs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(t, name).nbytes for name in COLUMNS)
+        assert len(t) == n
+        assert (peak - columns) / n <= bound
+
+    def test_pool_and_arenas_stay_bounded(self, monkeypatch):
+        pool = []
+        monkeypatch.setattr(montecarlo, "_ARENAS", pool)
+        alice, bob = aspect_stations()
+        for workers in (1, 2, 3):
+            run_timeline(alice, bob, 20_000, 1e-3, RngSpec(100), workers=workers, chunk_size=2048)
+            assert 1 <= len(pool) <= min(workers, os.cpu_count() or 1)
+        # chunks of the default size, and an unchunked run larger than an arena keeps
+        run_timeline(alice, bob, 3 * montecarlo.DEFAULT_CHUNK + 1, 1e-3, RngSpec(101), workers=2)
+        run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.8), 2 * montecarlo.DEFAULT_CHUNK + 1,
+                          RngSpec(102))
+        assert 1 <= len(pool) <= min(3, os.cpu_count() or 1)
+        for arena in pool:
+            sizes = [buf.nbytes for buf in arena.buffers.values()]
+            assert 0 < sum(sizes) <= 30 * 2 * montecarlo.DEFAULT_CHUNK
+            # no buffer kept from the oversized choice run: at most 8 bytes a record
+            assert max(sizes) <= 8 * 2 * montecarlo.DEFAULT_CHUNK
+
+    def test_worker_invariance_as_arenas_grow_and_shrink(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_ARENAS", [])
+        alice, bob = aspect_stations()
+        # (pairs, chunk size, polarizers): arenas grow, shrink back and grow again
+        runs = [(2_000, 512, (True, True)), (30_000, 8192, (True, False)),
+                (5_000, 1024, (True, True)), (40_000, 16384, (False, True)),
+                (300, 64, (True, True)), (20_000, 4096, (True, False))]
+        for k, (n, chunk, pbs) in enumerate(runs):
+            digests = {_records_digest(run_timeline(alice, bob, n, 1e-3, RngSpec(103, k), pbs=pbs,
+                                                    workers=w, chunk_size=chunk))
+                       for w in (1, 2, 3)}
+            assert len(digests) == 1, (n, chunk, pbs)
 
 
 class TestStreamDigests:
