@@ -22,9 +22,9 @@ a global sort.  Results are bit-identical for any worker count.
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
 table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
-``b_m``).  The estimators read no angles: one ``np.bincount`` per run
-tallies its records by measured indices and clicks (``_tally``), and every
-estimate, S's standard error included, is a function of those counts.
+``b_m``).  The estimators read no angles: one count per run tallies its
+records by measured indices and clicks (``_tally``), and every estimate,
+S's standard error included, is a function of those counts.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
@@ -35,19 +35,29 @@ per pair from the slot probabilities and the stations' texture-epoch
 indices, and gathers both the angle and the Malus probability (a 2x8
 ``cos**2`` table of measured setting by atom code) from it.  Only pairs
 whose hidden angle is a flat draw (the singles runs' uniform share, or a
-uniform mixture component) evaluate ``cos`` per pair.  ``run_timeline``,
+uniform mixture component) evaluate ``cos`` per pair; a flat angle needs
+no ``fmod`` (``_flat_angles``).  An absent polarizer detects every photon
+and skips its uniforms by advancing the generator.  ``run_timeline``,
 ``run_choice_trials``, ``run_static`` and ``sample_lambda`` share that one
 sampler and detector; the random numbers and their order are those of the
 per-pair formulas, so every record column is unchanged.
+
+Tiles: after its time draw and sort, a chunk runs every per-pair pass over
+tiles of ``_TILE`` records (``_tiles``), stage by stage: the station
+indices, all first hidden-angle draws, then all flat draws, then Alice's
+detection, then Bob's.  Each stage draws its uniforms tile after tile, in
+the order of one whole-chunk draw, and a tile's temporaries stay in a
+core's L2 cache.  The estimators count tile by tile too (``_count``).
 
 Scratch: a running chunk takes a scratch arena (``_Arena``) from one
 module-level pool and puts it back when it ends.  The kernels write every
 temporary into it through the ``out=`` forms of numpy calls, so after the
 first chunks a run allocates its columns and almost nothing else.  The pool
 holds as many arenas as chunks ever ran at once (at most min(workers, cpu
-count) of one run), and an arena keeps no buffer longer than
-``_ARENA_RECORDS`` records, so the scratch is bounded whatever a run's
-size.  No returned column is ever a scratch buffer.
+count) of one run).  An arena holds tile-sized buffers and one byte per
+record of the chunk (its atom codes), about 2 MB, and keeps no buffer
+longer than ``_ARENA_RECORDS`` records, so the scratch is bounded whatever
+a run's size.  No returned column is ever a scratch buffer.
 """
 
 from __future__ import annotations
@@ -199,23 +209,35 @@ def normalize_angles(x: np.ndarray, out: np.ndarray | None = None,
 
 # --- sampling primitives ----------------------------------------------------
 
-#: Records a scratch buffer may hold and still be kept for the next chunk.
-#: A larger request (an unchunked choice or static run, or a ``chunk_size``
-#: above the default) gets a buffer that is used once.
+#: Records per tile.  Every per-pair pass of a chunk after its time sort
+#: runs over consecutive tiles of at most this many records, so that a
+#: stage's temporaries (26 bytes per tile record) stay in a core's L2 cache.
+_TILE = 1 << 16
+
+#: Records a chunk-sized scratch buffer (the atom codes) may hold and still
+#: be kept for the next chunk.  A larger request (an unchunked choice or
+#: static run or hidden-angle draw, or a ``chunk_size`` above the default)
+#: gets a buffer that is used once.
 _ARENA_RECORDS = 2 * DEFAULT_CHUNK
+
+
+def _tiles(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_TILE`` records that cover ``n``."""
+    tile = _TILE
+    return (slice(lo, min(lo + tile, n)) for lo in range(0, n, tile))
 
 
 class _Arena:
     """Scratch buffers of one running chunk, one per role.
 
-    The roles share buffers by lifetime.  Per pair, "u" holds a uniform
-    draw or the square wave's x, "p" the Malus probability or the wave's
-    2x (float64 each), "index" a table key widened to intp, "key" that key
-    at the table's code width, "code" the atom code (kept from the
-    hidden-angle draw through both detections) and "mask" one byte (a
-    comparison, or a flat pair's setting index).  A buffer grows to the
-    largest chunk it has served, up to ``_ARENA_RECORDS`` records, so an
-    arena of a timeline holds at most 27 bytes per record of that bound.
+    The roles share buffers by lifetime.  Per pair of a tile, "u" holds a
+    uniform draw or the square wave's x, "p" the Malus probability or the
+    wave's 2x (float64 each), "index" a table key widened to intp, "key"
+    that key at the table's code width and "mask" one byte (a comparison,
+    or a flat pair's setting index): 26 bytes per record of a ``_TILE``.
+    Only "code", the atom code of every pair of the chunk (kept from the
+    hidden-angle draw through both detections), is chunk-sized; it grows to
+    the largest chunk it has served, up to ``_ARENA_RECORDS`` records.
     """
 
     def __init__(self) -> None:
@@ -320,100 +342,130 @@ def sample_lambda(
     return float(lam[0]) if size is None else lam
 
 
+def _flat_angles(u: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Flat hidden angles u*pi - pi/2 of uniforms ``u`` in [0, 1), normalized,
+    into ``out`` (which may be ``u``); ``mask`` is a bool buffer of their size.
+
+    They lie in [-pi/2, pi/2), where the fmod and the upper fold of
+    ``normalize_angles`` are the identity and its lower fold moves -pi/2
+    alone (to pi/2), so this equals it bit for bit.
+    """
+    np.multiply(u, np.pi, out=out)
+    out += -HALF_PI
+    np.copyto(out, HALF_PI, where=np.equal(out, -HALF_PI, out=mask))
+    return out
+
+
 def _mixture_draw(
     rng: np.random.Generator, table: _AtomTable, lam: np.ndarray, arena: _Arena,
-    state: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    texture: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray | None:
     """The one hidden-angle sampler: writes the hidden angles of ``lam.size``
-    pairs into ``lam`` and returns (``lam``, atom codes, flat pairs).
+    pairs into ``lam`` and returns their atom codes, None without atoms.
 
-    A first draw per pair picks a slot by ``table.probs`` (in the pair's
-    ``state``, held in the arena's "key" buffer and overwritten there; one
-    state when None); with a uniform component a second draw gives the
-    flat angle of pairs that pick none.  Without atoms the first draw is
-    the flat angle and there are no codes.  Flat pairs are listed by
-    index, None when no pair can be flat or when every pair is (no atoms).
-    The codes live in the arena's "code" buffer.
+    A first draw per pair picks a slot by ``table.probs`` in the pair's
+    texture state 2*a_v + b_v, of the index columns ``texture`` = (a_v,
+    b_v) (one state when None).  With a uniform component, a second draw
+    per pair after every first one gives the flat angle of the pairs that
+    picked none (code ``table.flat``).  Without atoms the first draw is the
+    flat angle.  Each stage runs tile by tile; the codes live in the
+    arena's chunk-sized "code" buffer.
     """
     m = lam.size
-    u = rng.random(out=arena.take("u", m, np.float64))
     if not table.probs:
-        np.multiply(u, np.pi, out=lam)
-        lam += -HALF_PI
-        return normalize_angles(lam, out=lam, fold=u), None, None
+        for s in _tiles(m):
+            u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
+            _flat_angles(u, lam[s], arena.take("mask", u.size, np.bool_))
+        return None
     n_slots = table.codes.shape[1]
-    if state is None:
-        key = arena.take("key", m, table.codes.dtype)
-        key.fill(0)
-    else:
-        key = np.multiply(state, n_slots, out=state)
+    codes = table.codes.ravel()
+    angles = table.angles[codes]
     # state * n_slots + searchsorted(cumsum(probs), u, "right") by one
     # comparison pass per threshold; without a uniform component the last
     # threshold is left out, which clamps to the last atom
-    above = arena.take("mask", m, np.bool_)
-    for c in np.cumsum(table.probs)[: n_slots - 1]:
-        key += np.greater_equal(u, c, out=above)
-    codes = table.codes.ravel()
-    index = _index(key, arena)
-    code = np.take(codes, index, out=arena.take("code", m, codes.dtype), mode="clip")
-    np.take(table.angles[codes], index, out=lam, mode="clip")
-    if not table.uniform:
-        return lam, code, None
-    # indices gather faster than a mask
-    flat = np.flatnonzero(np.equal(code, table.flat, out=above))
-    v = np.take(rng.random(out=u), flat, out=arena.take("p", flat.size, np.float64), mode="clip")
-    v *= np.pi
-    v += -HALF_PI
-    lam[flat] = normalize_angles(v, out=v, fold=u[: flat.size])
-    return lam, code, flat
+    thresholds = np.cumsum(table.probs)[: n_slots - 1]
+    code = arena.take("code", m, codes.dtype)
+    for s in _tiles(m):
+        t = s.stop - s.start
+        u = rng.random(out=arena.take("u", t, np.float64))
+        key = arena.take("key", t, codes.dtype)
+        if texture is None:
+            key.fill(0)
+        else:
+            np.add(texture[0][s], texture[0][s], out=key)
+            key += texture[1][s]
+            key *= n_slots
+        above = arena.take("mask", t, np.bool_)
+        for c in thresholds:
+            key += np.greater_equal(u, c, out=above)
+        index = _index(key, arena)
+        np.take(codes, index, out=code[s], mode="clip")
+        np.take(angles, index, out=lam[s], mode="clip")
+    if table.uniform:
+        for s in _tiles(m):
+            t = s.stop - s.start
+            u = rng.random(out=arena.take("u", t, np.float64))
+            # indices gather faster than a mask
+            flat = np.flatnonzero(np.equal(code[s], table.flat, out=arena.take("mask", t, np.bool_)))
+            v = np.take(u, flat, out=arena.take("p", flat.size, np.float64), mode="clip")
+            lam[s][flat] = _flat_angles(v, v, arena.take("mask", flat.size, np.bool_))
+    return code
 
 
 def _detect(
     rng: np.random.Generator,
     table: _AtomTable,
-    hidden: tuple[np.ndarray, np.ndarray | None, np.ndarray | None],
+    lam: np.ndarray,
+    code: np.ndarray | None,
     settings: np.ndarray,
     setting_idx: np.ndarray,
     present: bool,
     out: np.ndarray,
     arena: _Arena,
 ) -> None:
-    """Write +/-1 outcomes at ``settings[setting_idx]`` against the ``hidden``
-    angles of ``_mixture_draw`` into the int8 ``out``; an absent polarizer
-    detects every photon.
+    """Write +/-1 outcomes at ``settings[setting_idx]`` against the hidden
+    angles ``lam`` and atom ``code`` of ``_mixture_draw`` into the int8
+    ``out``, tile by tile.
 
     Atom pairs gather their Malus probability from a (setting, atom code)
     table; only pairs with a flat hidden angle evaluate cos per pair.  The
-    probabilities take no random numbers, so they are found before the one
-    uniform draw per pair.
+    probabilities take no random numbers, so a tile's are found before its
+    one uniform draw per pair.  An absent polarizer detects every photon
+    (u < 1 always), so it skips its draws: ``advance`` leaves PCG64 where
+    they would.  (It also drops a buffered 32-bit half, which only integer
+    draws read, and no integer draw follows a detection.)
     """
-    lam, code, flat = hidden
-    n = lam.size
-    u = arena.take("u", n, np.float64)
     if not present:
-        rng.random(out=u)
-        out.fill(1)  # u < 1 always
+        rng.bit_generator.advance(lam.size)
+        out.fill(1)
         return
-    p = arena.take("p", n, np.float64)
-    if code is None:  # no atoms: every hidden angle is flat
-        _malus(np.take(settings, _index(setting_idx, arena), out=p, mode="clip"), lam)
-    else:
-        if flat is not None:
-            # their probabilities wait in u until the table fills p
-            f = flat.size
-            idx = np.take(setting_idx, flat, out=arena.take("mask", f, np.int8), mode="clip")
-            _malus(np.take(settings, _index(idx, arena), out=u[:f], mode="clip"),
-                   np.take(lam, flat, out=p[:f], mode="clip"))
-        malus = np.cos(settings[:, None] - table.angles) ** 2
-        key = np.multiply(setting_idx, code.dtype.type(table.angles.size),
-                          out=arena.take("key", n, code.dtype))
-        key += code
-        np.take(malus.ravel(), _index(key, arena), out=p, mode="clip")
-        if flat is not None:
-            p[flat] = u[:f]
-    np.less(rng.random(out=u), p, out=out.view(np.bool_))
-    out += out
-    out -= 1
+    if code is not None:
+        malus = (np.cos(settings[:, None] - table.angles) ** 2).ravel()
+        width = code.dtype.type(table.angles.size)
+    for s in _tiles(lam.size):
+        t = s.stop - s.start
+        u = arena.take("u", t, np.float64)
+        p = arena.take("p", t, np.float64)
+        if code is None:  # no atoms: every hidden angle is flat
+            _malus(np.take(settings, _index(setting_idx[s], arena), out=p, mode="clip"), lam[s])
+        else:
+            if table.uniform:
+                # their probabilities wait in u until the table fills p
+                flat = np.flatnonzero(np.equal(code[s], table.flat,
+                                               out=arena.take("mask", t, np.bool_)))
+                f = flat.size
+                idx = np.take(setting_idx[s], flat, out=arena.take("mask", f, np.int8), mode="clip")
+                _malus(np.take(settings, _index(idx, arena), out=u[:f], mode="clip"),
+                       np.take(lam[s], flat, out=p[:f], mode="clip"))
+            key = np.multiply(setting_idx[s], width, out=arena.take("key", t, code.dtype))
+            key += code[s]
+            np.take(malus, _index(key, arena), out=p, mode="clip")
+            if table.uniform:
+                p[flat] = u[:f]
+        clicks = out[s]
+        np.less(rng.random(out=u), p, out=clicks.view(np.bool_))
+        clicks += clicks
+        clicks -= 1
 
 
 def _index(key: np.ndarray, arena: _Arena) -> np.ndarray:
@@ -441,11 +493,12 @@ def _station_indices(
     v: np.ndarray, m: np.ndarray, arena: _Arena,
 ) -> None:
     """Write the setting index (0 or 1) at the texture epoch into ``v`` and
-    at photon arrival into ``m``."""
+    at photon arrival into ``m``, tile by tile."""
     if cfg.switching == "random":
         # int64 draws, cast on assignment: an int8 draw is another stream
-        v[...] = rng.integers(0, 2, size=v.size)
-        m[...] = rng.integers(0, 2, size=m.size)
+        for col in (v, m):
+            for s in _tiles(col.size):
+                col[s] = rng.integers(0, 2, size=s.stop - s.start)
     elif cfg.switch_frequency == 0.0:
         # a still wave shows the level its phase picks at every time
         level = _square_wave_index(0.0, cfg.switch_phase, np.zeros(1))[0]
@@ -453,8 +506,9 @@ def _station_indices(
         m.fill(level)
     else:
         half = cfg.round_trip_time / 2.0
-        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times, -half, arena, v)
-        _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times, half, arena, m)
+        for s in _tiles(times.size):
+            _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times[s], -half, arena, v[s])
+            _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times[s], half, arena, m[s])
 
 
 def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift: float = 0.0,
@@ -493,11 +547,10 @@ def _simulate(trials: Trials, station_weights: tuple[float, float], pbs: tuple[b
     """
     t = trials
     table = _AtomTable.of_stations(t.settings, station_weights, pbs)
-    state = np.add(t.a_v_idx, t.a_v_idx, out=arena.take("key", len(t), table.codes.dtype))
-    state += t.b_v_idx
-    hidden = _mixture_draw(gen, table, t.hidden_angle, arena, state)
-    _detect(gen, table, hidden, t.settings[0], t.a_m_idx, pbs[0], t.alpha, arena)
-    _detect(gen, table, hidden, t.settings[1], t.b_m_idx, pbs[1], t.beta, arena)
+    lam = t.hidden_angle
+    code = _mixture_draw(gen, table, lam, arena, (t.a_v_idx, t.b_v_idx))
+    _detect(gen, table, lam, code, t.settings[0], t.a_m_idx, pbs[0], t.alpha, arena)
+    _detect(gen, table, lam, code, t.settings[1], t.b_m_idx, pbs[1], t.beta, arena)
 
 
 # --- static-mixture runs -----------------------------------------------------
@@ -524,9 +577,9 @@ def run_static(
     alpha = np.empty(n, dtype=np.int8)
     beta = np.empty(n, dtype=np.int8)
     with _scratch() as arena:
-        hidden = _mixture_draw(gen, table, lam, arena)
-        _detect(gen, table, hidden, np.array([normalize_angle(a)]), measured, True, alpha, arena)
-        _detect(gen, table, hidden, np.array([normalize_angle(b)]), measured, True, beta, arena)
+        code = _mixture_draw(gen, table, lam, arena)
+        _detect(gen, table, lam, code, np.array([normalize_angle(a)]), measured, True, alpha, arena)
+        _detect(gen, table, lam, code, np.array([normalize_angle(b)]), measured, True, beta, arena)
     mean, var = _pm1_moments(2 * int(np.count_nonzero(alpha == beta)) - n, n)
     return EstimateWithError(mean, math.sqrt(var), n)
 
@@ -534,10 +587,12 @@ def run_static(
 # --- timeline runs ------------------------------------------------------------
 
 #: Bytes per record that the memory check counts: the 22 of the ``Trials``
-#: columns, and 8 of an unchunked run's scratch or a singles run's flat-pair
-#: indices.  A timeline's arenas are not counted per record: there are at
-#: most min(workers, cpu count) of them, of at most 27 bytes times
-#: ``_ARENA_RECORDS`` records (14 MB) each, whatever the run's size.
+#: columns, and 8 that the tiled kernels no longer hold per record (a
+#: singles run's flat-pair indices were chunk-sized), kept because a lower
+#: count would let larger runs through the check.  A timeline's arenas are
+#: not counted per record: there are at most min(workers, cpu count) of
+#: them, of 26 bytes per tile record plus one byte per record of at most
+#: ``_ARENA_RECORDS`` (about 2 MB) each, whatever the run's size.
 _RECORD_BYTES = 30
 
 
@@ -561,9 +616,9 @@ def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
     A run's columns are allocated once (chunks write their own slices),
     but a measurement holds its main run and both singles runs at once, so
     one run's records alone understate what it needs.  The chunks' scratch
-    arenas are bounded apart from the records (``_RECORD_BYTES``); the
-    scratch of an unchunked choice run, 27 bytes per record used once,
-    fits in the doubled count.
+    arenas are bounded apart from the records (``_RECORD_BYTES``); an
+    unchunked choice run's only scratch per record is its atom codes, one
+    byte each.
     """
     _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
@@ -719,15 +774,17 @@ def run_choice_trials(
     out = _allocate(n, settings)
     out.emission_time = np.arange(n, dtype=np.float64)  # the trial index stands in for a time
     with _scratch() as arena:
-        u = arena.take("u", n, np.float64)
         for m in (out.a_m_idx, out.b_m_idx):
-            np.greater_equal(gen.random(out=u), 0.5, out=m.view(np.bool_))
-        keep = arena.take("mask", n, np.bool_)
+            for s in _tiles(n):
+                u = gen.random(out=arena.take("u", s.stop - s.start, np.float64))
+                np.greater_equal(u, 0.5, out=m[s].view(np.bool_))
         for v, m, f in ((out.a_v_idx, out.a_m_idx, sf.f_alice),
                         (out.b_v_idx, out.b_m_idx, sf.f_bob)):
-            # the measured index with probability f, else the other one
-            np.less(gen.random(out=u), f, out=keep)
-            np.equal(m.view(np.bool_), keep, out=v.view(np.bool_))
+            for s in _tiles(n):
+                # the measured index with probability f, else the other one
+                u = gen.random(out=arena.take("u", s.stop - s.start, np.float64))
+                keep = np.less(u, f, out=arena.take("mask", u.size, np.bool_))
+                np.equal(m[s].view(np.bool_), keep, out=v[s].view(np.bool_))
         _simulate(out, station_weights, pbs, gen, arena)
     return out
 
@@ -763,11 +820,38 @@ def _bits(*flags: np.ndarray) -> np.ndarray:
     return key
 
 
+def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """How many records have each key whose bits are their 0/1 ``indices``
+    and then their ``clicks`` > 0, the first most significant.
+
+    The one counter of the estimators.  It works tile by tile on an int8
+    key in a scratch arena, so no full-length key exists, and counts each
+    key value by one comparison pass: for 16 bins that is faster than
+    ``np.bincount`` and its intp copy.
+    """
+    bins = 1 << (len(indices) + len(clicks))
+    counts = [0] * bins
+    with _scratch() as arena:
+        for s in _tiles(indices[0].size):
+            key = arena.take("key", s.stop - s.start, np.int8)
+            np.copyto(key, indices[0][s])
+            above = arena.take("mask", key.size, np.bool_)
+            for col in indices[1:]:
+                key += key  # << 1, without the shift's range checks
+                key |= col[s]
+            for col in clicks:
+                key += key
+                key |= np.greater(col[s], 0, out=above)
+            for value in range(bins):
+                counts[value] += np.count_nonzero(np.equal(key, value, out=above))
+    if sum(counts) != indices[0].size:  # a key outside the bins
+        raise ValidationError("records hold setting indices other than 0 and 1")
+    return np.array(counts, np.intp)
+
+
 def _tally(trials: Trials) -> np.ndarray:
-    """counts[a_m_idx, b_m_idx, alpha > 0, beta > 0] of a run's records, from
-    one ``np.bincount``."""
-    key = _bits(trials.a_m_idx, trials.b_m_idx, trials.alpha > 0, trials.beta > 0)
-    return np.bincount(key, minlength=16).reshape(2, 2, 2, 2)
+    """counts[a_m_idx, b_m_idx, alpha > 0, beta > 0] of a run's records."""
+    return _count((trials.a_m_idx, trials.b_m_idx), (trials.alpha, trials.beta)).reshape(2, 2, 2, 2)
 
 
 def _at_setting(table: np.ndarray, setting: float) -> np.ndarray:
@@ -815,7 +899,7 @@ def estimate_sync_fractions(
     """
 
     def in_sync(v: np.ndarray, m: np.ndarray, table: np.ndarray) -> EstimateWithError:
-        counts = np.bincount(_bits(v, m), minlength=4).reshape(2, 2)
+        counts = _count((v, m)).reshape(2, 2)
         return _fraction_estimate(int(counts[table[:, None] == table].sum()), v.size)
 
     return (in_sync(trials.a_v_idx, trials.a_m_idx, trials.settings[0]),

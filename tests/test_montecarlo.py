@@ -609,8 +609,10 @@ class TestScratchArenas:
 
     # numpy reports its data buffers to tracemalloc: once the arena has grown,
     # a 1e5-pair single-chunk run allocates its columns and little else
-    # (version 0.6.0: 21.0 and 29.1 bytes per pair)
-    @pytest.mark.parametrize("pbs, bound", [((True, True), 12.0), ((False, True), 20.0)])
+    # (version 0.6.0: 21.0 and 29.1 bytes per pair; 0.6.2: 0.2, 4.1 and 4.1,
+    # a singles run's flat-pair indices of one tile)
+    @pytest.mark.parametrize("pbs, bound", [((True, True), 12.0), ((False, True), 20.0),
+                                            ((True, False), 6.0)])
     def test_allocation_budget_per_pair(self, pbs, bound, monkeypatch):
         monkeypatch.setattr(montecarlo, "_ARENAS", [])
         alice, bob = aspect_stations()
@@ -643,6 +645,8 @@ class TestScratchArenas:
             assert 0 < sum(sizes) <= 30 * 2 * montecarlo.DEFAULT_CHUNK
             # no buffer kept from the oversized choice run: at most 8 bytes a record
             assert max(sizes) <= 8 * 2 * montecarlo.DEFAULT_CHUNK
+            # tile-sized roles, and one byte a record of the largest chunk kept
+            assert sum(sizes) <= 26 * montecarlo._TILE + 2 * montecarlo.DEFAULT_CHUNK
 
     def test_worker_invariance_as_arenas_grow_and_shrink(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_ARENAS", [])
@@ -656,6 +660,90 @@ class TestScratchArenas:
                                                     workers=w, chunk_size=chunk))
                        for w in (1, 2, 3)}
             assert len(digests) == 1, (n, chunk, pbs)
+
+
+# --- tiles -------------------------------------------------------------------
+
+TILE_MIXTURE = HvMixture(((0.3, 0.25), (-0.4, 0.25)), 0.5)
+
+
+def _tile_results(kind, emission, pbs, weights, n, chunk, seed) -> list:
+    """Every output the tiled kernels produce for one configuration: the
+    timeline at 1 and 2 workers with its tally and sync fractions, the
+    choice run, the static estimate and a hidden-angle draw."""
+    alice, bob = _scratch_stations(kind)
+    results = []
+    for workers in (1, 2):
+        t = run_timeline(alice, bob, n, 1e-4, RngSpec(seed), emission=emission, pbs=pbs,
+                         station_weights=weights, workers=workers, chunk_size=chunk)
+        results += [_records_digest(t), montecarlo._tally(t).tolist(),
+                    repr(estimate_sync_fractions(t)) if len(t) else None]
+    choice = run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.8), n, RngSpec(seed),
+                               station_weights=weights, pbs=pbs)
+    results += [_records_digest(choice), montecarlo._tally(choice).tolist(),
+                repr(run_static(0.0, math.pi / 8, TILE_MIXTURE, n + 1, RngSpec(seed))),
+                sample_lambda(TILE_MIXTURE, RngSpec(seed).generator(), n).tobytes()]
+    return results
+
+
+class TestTiles:
+    """Every per-pair pass runs tile by tile; the tile size changes no byte."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["periodic", "still", "random"]),
+           st.sampled_from(["uniform", "grid", "poisson"]),
+           st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
+           st.sampled_from([(0.5, 0.5), (0.3, 0.7), (1.0, 0.0)]),
+           st.integers(1, 120) | st.integers(4000, 9000),
+           st.sampled_from([50, 4096, montecarlo.DEFAULT_CHUNK]), st.integers(0, 2**32 - 1))
+    def test_results_do_not_depend_on_the_tile(self, kind, emission, pbs, weights, n, chunk,
+                                                seed):
+        config = (kind, emission, pbs, weights, n, max(chunk, n // 8), seed)  # <= 8 chunks
+        expected = _tile_results(*config)
+        # tiles of 1 and 7 records only over small runs, to keep the test quick
+        for tile in (1, 7, 4096, 2**30) if n <= 120 else (4096, 2**30):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "_TILE", tile)
+                assert _tile_results(*config) == expected, tile
+
+    @pytest.mark.parametrize("tile", [1, 7, 4096, 2**30])
+    def test_counts_do_not_depend_on_the_tile(self, tile, monkeypatch):
+        gen = RngSpec(104).generator()
+        n = 3_000
+        columns = [gen.integers(0, 2, n).astype(np.int8) for _ in range(2)]
+        clicks = [np.where(gen.random(n) < 0.3, 1, -1).astype(np.int8) for _ in range(2)]
+        expected = np.bincount(montecarlo._bits(*columns, *(c > 0 for c in clicks)), minlength=16)
+        monkeypatch.setattr(montecarlo, "_TILE", tile)
+        assert montecarlo._count(columns, clicks).tolist() == expected.tolist()
+        assert montecarlo._count(columns).tolist() == np.bincount(
+            montecarlo._bits(*columns), minlength=4).tolist()
+
+    @pytest.mark.parametrize("u", [0.0, 5e-324, 2.0**-60, 5e-17, 0.5, 1.0 - 2.0**-53])
+    def test_flat_angle_is_the_normalized_one_at_the_edges(self, u):
+        self._assert_flat_angle_exact(np.array([u]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_flat_angle_is_the_normalized_one(self, u):
+        self._assert_flat_angle_exact(np.array([u]))
+
+    @staticmethod
+    def _assert_flat_angle_exact(u):
+        expected = montecarlo.normalize_angles(u * np.pi - HALF_PI)
+        got = montecarlo._flat_angles(u, np.empty_like(u), np.empty(u.size, np.bool_))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("before", [0, 1, 65_537])
+    @pytest.mark.parametrize("n", [0, 1, 4_096, 100_001])
+    def test_advance_is_the_skipped_draws(self, before, n):
+        # an absent polarizer advances the generator instead of drawing u < 1
+        drawn, advanced = RngSpec(105).generator(), RngSpec(105).generator()
+        for gen in (drawn, advanced):
+            gen.random(before)
+        drawn.random(n)
+        advanced.bit_generator.advance(n)
+        assert advanced.bit_generator.state == drawn.bit_generator.state
+        assert np.array_equal(advanced.random(5), drawn.random(5))
 
 
 class TestStreamDigests:
@@ -961,6 +1049,14 @@ class TestCountEstimators:
         b_only = _records(rng, b_only_idx, b_only_idx, *TABLES["standard"])
         args = (t, a_only, b_only, Q)
         assert _outcome(estimate_s_prime, *args) == _outcome(_ref_s_prime, *args) == message
+
+    @pytest.mark.parametrize("a_idx", [[0, 2, 1, 0], [0, -1, 1, 1], [16, 0, 1, 1]])
+    def test_indices_outside_the_table_are_rejected(self, a_idx):
+        t = _records(np.random.default_rng(85), a_idx, [0, 1, 0, 1], *TABLES["standard"])
+        with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
+            estimate_s_chsh(t, Q)
+        with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
+            estimate_sync_fractions(t)
 
     def test_timeline_runs(self):
         # a stepped Alice (two zero-frequency runs joined), a switching run
