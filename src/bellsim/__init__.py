@@ -6,7 +6,7 @@ cross-validates every closed form, and sweep tooling for the proposed
 frequency-scan experiment.
 """
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,

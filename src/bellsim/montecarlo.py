@@ -24,7 +24,12 @@ keeps each setting as an int8 index into a 2x2 per-station ``settings``
 table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
 ``b_m``).  The estimators read no angles: one count per run tallies its
 records by measured indices and clicks (``_tally``), and every estimate,
-S's standard error included, is a function of those counts.
+S's standard error included, is a function of those counts (``_s_chsh``
+and ``_s_prime``; ``estimate_s_chsh`` and ``estimate_s_prime`` tally their
+runs and call them).  A measurement (``sweep.measure_bell``) tallies each
+run as it returns and drops its records, so it holds one run's columns at
+a time and copies no record; integer tallies sum exactly, so its stepped
+parts add up to the tally of the joined run.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
@@ -47,7 +52,8 @@ tiles of ``_TILE`` records (``_tiles``), stage by stage: the station
 indices, all first hidden-angle draws, then all flat draws, then Alice's
 detection, then Bob's.  Each stage draws its uniforms tile after tile, in
 the order of one whole-chunk draw, and a tile's temporaries stay in a
-core's L2 cache.  The estimators count tile by tile too (``_count``).
+core's L2 cache.  The estimators count tile by tile too, by one
+``np.bincount`` of each tile's key (``_count``).
 
 Scratch: a running chunk takes a scratch arena (``_Arena``) from one
 module-level pool and puts it back when it ends.  The kernels write every
@@ -67,7 +73,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -614,11 +620,12 @@ def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
     """Reject a run whose records, counted twice, exceed physical memory.
 
     A run's columns are allocated once (chunks write their own slices),
-    but a measurement holds its main run and both singles runs at once, so
-    one run's records alone understate what it needs.  The chunks' scratch
-    arenas are bounded apart from the records (``_RECORD_BYTES``); an
-    unchunked choice run's only scratch per record is its atom codes, one
-    byte each.
+    and a measurement tallies each run as it returns and drops it, so it
+    holds one run's records at a time and copies none.  The factor two is
+    headroom: a lower count would let larger runs through.  The chunks'
+    scratch arenas are bounded apart from the records (``_RECORD_BYTES``);
+    an unchunked choice run's only scratch per record is its atom codes,
+    one byte each.
     """
     _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
@@ -826,11 +833,12 @@ def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> 
 
     The one counter of the estimators.  It works tile by tile on an int8
     key in a scratch arena, so no full-length key exists, and counts each
-    key value by one comparison pass: for 16 bins that is faster than
-    ``np.bincount`` and its intp copy.
+    tile by one ``np.bincount`` of that key widened in the arena.  The key
+    is widened as unsigned, so a key that int8 wrapped below zero lands
+    above the bins with every other key outside them.
     """
     bins = 1 << (len(indices) + len(clicks))
-    counts = [0] * bins
+    counts = np.zeros(bins, np.intp)
     with _scratch() as arena:
         for s in _tiles(indices[0].size):
             key = arena.take("key", s.stop - s.start, np.int8)
@@ -842,11 +850,11 @@ def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> 
             for col in clicks:
                 key += key
                 key |= np.greater(col[s], 0, out=above)
-            for value in range(bins):
-                counts[value] += np.count_nonzero(np.equal(key, value, out=above))
-    if sum(counts) != indices[0].size:  # a key outside the bins
-        raise ValidationError("records hold setting indices other than 0 and 1")
-    return np.array(counts, np.intp)
+            tile = np.bincount(_index(key.view(np.uint8), arena), minlength=bins)
+            if tile.size > bins:
+                raise ValidationError("records hold setting indices other than 0 and 1")
+            counts += tile
+    return counts
 
 
 def _tally(trials: Trials) -> np.ndarray:
@@ -907,7 +915,13 @@ def estimate_sync_fractions(
 
 
 def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
-    """Bell S from records grouped by measured setting pair.
+    """Bell S from records grouped by measured setting pair (``_s_chsh`` of
+    the run's ``_tally``)."""
+    return _s_chsh(_tally(trials), trials.settings, quad)
+
+
+def _s_chsh(tally: np.ndarray, settings: np.ndarray, quad: ChoiceQuad) -> EstimateWithError:
+    """Bell S from a run's ``_tally`` on its ``settings`` table.
 
     A group's alpha*beta is +/-1, so its mean and that mean's variance
     follow from the group's count n and s = n - 2 * (records with alpha !=
@@ -915,12 +929,12 @@ def estimate_s_chsh(trials: Trials, quad: ChoiceQuad) -> EstimateWithError:
     sign pattern, the variances add, and the result is |S|.
     """
     total = var = 0.0
-    for sign, group in _bell_groups(_tally(trials), trials.settings, quad):
+    for sign, group in _bell_groups(tally, settings, quad):
         n = int(group.sum())
         mean, group_var = _pm1_moments(n - 2 * int(group[0, 1] + group[1, 0]), n)
         total += sign * mean
         var += group_var
-    return EstimateWithError(abs(total), math.sqrt(var), len(trials))
+    return EstimateWithError(abs(total), math.sqrt(var), int(tally.sum()))
 
 
 def _singles(counts: np.ndarray, table: np.ndarray, setting: float,
@@ -938,26 +952,39 @@ def estimate_s_prime(
     bob_only: Trials,
     quad: ChoiceQuad,
 ) -> EstimateWithError:
-    """S' from coincidence records plus the two single-polarizer runs.
+    """S' from coincidence records plus the two single-polarizer runs
+    (``_s_prime`` of each run's ``_tally``)."""
+    runs = (trials, alice_only, bob_only)
+    return _s_prime(map(_tally, runs), [t.settings for t in runs], quad)
 
-    The four both-click fractions come from ``trials`` grouped by measured
-    pair; the subtracted singles terms are the click fractions at Alice's
-    alternate setting (Bob's polarizer absent) and at Bob's first setting
-    (Alice's polarizer absent), each normalized by its own group count, the
-    stand-in for the no-polarizer rate that counts every pair.  Each run is
-    tallied once (``_tally``) and every fraction is a ratio of its counts;
-    a singles term reads its station's marginal.
+
+def _s_prime(tallies: Iterable[np.ndarray], tables: Sequence[np.ndarray],
+             quad: ChoiceQuad) -> EstimateWithError:
+    """S' from the ``_tally`` of the main, Alice-only and Bob-only runs, on
+    their settings ``tables`` in the same order.  ``tallies`` is read in
+    that order as each is needed, so a lazy one counts a singles run only
+    after the main run's groups pass.
+
+    The four both-click fractions come from the main run grouped by
+    measured pair; the subtracted singles terms are the click fractions at
+    Alice's alternate setting (Bob's polarizer absent) and at Bob's first
+    setting (Alice's polarizer absent), each normalized by its own group
+    count, the stand-in for the no-polarizer rate that counts every pair.
+    Every fraction is a ratio of counts; a singles term reads its station's
+    marginal.  The main run's groups are checked first, then Alice's
+    singles, then Bob's.
     """
+    tallies = iter(tallies)
+    main = next(tallies)
     total = var = 0.0
-    for sign, group in _bell_groups(_tally(trials), trials.settings, quad):
+    for sign, group in _bell_groups(main, tables[0], quad):
         est = _fraction_estimate(int(group[1, 1]), int(group.sum()))
         total += sign * est.value
         var += est.std_error**2
-    sa = _singles(_tally(alice_only).sum(axis=(1, 3)), alice_only.settings[0], quad.a_alt,
+    sa = _singles(next(tallies).sum(axis=(1, 3)), tables[1][0], quad.a_alt,
                   "Alice's alternate setting")
-    sb = _singles(_tally(bob_only).sum(axis=(0, 2)), bob_only.settings[1], quad.b,
-                  "Bob's first setting")
+    sb = _singles(next(tallies).sum(axis=(0, 2)), tables[2][1], quad.b, "Bob's first setting")
     total -= sa.value + sb.value
     var += sa.std_error**2 + sb.std_error**2
     # the four groups partition the records
-    return EstimateWithError(total, math.sqrt(var), len(trials))
+    return EstimateWithError(total, math.sqrt(var), int(main.sum()))

@@ -48,14 +48,16 @@ from .models import Model, ValidationError
 from .montecarlo import (
     EstimateWithError,
     RngSpec,
-    Trials,
     _check_fits,
     _check_memory,
-    estimate_s_chsh,
-    estimate_s_prime,
+    _s_chsh,
+    _s_prime,
+    _tally,
     run_choice_trials,
     run_timeline,
 )
+# importable here so that benchmarks/spans.py can wrap them by this module's name
+from .montecarlo import estimate_s_chsh, estimate_s_prime  # noqa: F401
 
 DEFAULT_SEED = 123456789
 
@@ -230,6 +232,13 @@ def measure_bell(
     ``n`` pairs each.  Unstepped, that is main on +1, Alice-only on +2 and
     Bob-only on +3.
 
+    Each run is tallied (``_tally``) as soon as it returns and its records
+    are dropped before the next run starts, so a measurement holds one
+    run's records at a time and copies none.  The main run's tally is the
+    sum of its parts' integer tallies, which must share one settings table,
+    and S' and S both read it.  The counts merge exactly, so the estimates
+    equal ``estimate_s_prime`` and ``estimate_s_chsh`` of the joined runs.
+
     When neither station is stepped, equal-frequency waves read in phase or
     in anti-phase at photon arrival (t + T/2) show only two of the four
     measured pairs, so Bob's is offset a quarter period.  Those waves are
@@ -256,24 +265,32 @@ def measure_bell(
                 and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
             b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
 
-    def run(k: int, alice: StationConfig | None, bob: StationConfig | None, pairs: int,
-            pbs: tuple[bool, bool]) -> Trials:
+    def tally(k: int, alice: StationConfig | None, bob: StationConfig | None, pairs: int,
+              pbs: tuple[bool, bool]) -> tuple:
+        # (counts, settings table) of one run; its records are dropped on return
         stream = RngSpec(rng.seed, rng.stream_id + k)
         if stations is None:
-            return run_choice_trials(quad, sf, pairs, stream,
-                                     station_weights=station_weights, pbs=pbs)
-        return run_timeline(alice, bob, pairs, duration, stream,
-                            station_weights=station_weights, pbs=pbs, workers=workers)
+            trials = run_choice_trials(quad, sf, pairs, stream,
+                                       station_weights=station_weights, pbs=pbs)
+        else:
+            trials = run_timeline(alice, bob, pairs, duration, stream,
+                                  station_weights=station_weights, pbs=pbs, workers=workers)
+        return _tally(trials), trials.settings
 
     parts = list(itertools.product(a_steps, b_steps))
     m = len(parts)
     if n < m:
         raise ValidationError(f"{n} pairs cannot fill the {m} stepped parts of a measurement")
-    main = Trials.concat([run(k + 1, *pair, n // m + (k < n % m), (True, True))
-                          for k, pair in enumerate(parts)])
-    alice_only = run(m + 1, a_steps[-1], b_steps[0], n, (True, False))
-    bob_only = run(m + 2, a_steps[0], b_steps[0], n, (False, True))
-    return estimate_s_prime(main, alice_only, bob_only, quad), estimate_s_chsh(main, quad)
+    steps = [tally(k + 1, *pair, n // m + (k < n % m), (True, True))
+             for k, pair in enumerate(parts)]
+    table = steps[0][1]
+    if any((settings != table).any() for _, settings in steps):
+        raise ValidationError("the stepped parts of a measurement differ in their settings")
+    main = sum(counts for counts, _ in steps)
+    alice_only = tally(m + 1, a_steps[-1], b_steps[0], n, (True, False))
+    bob_only = tally(m + 2, a_steps[0], b_steps[0], n, (False, True))
+    tallies, tables = zip((main, table), alice_only, bob_only)
+    return _s_prime(tallies, tables, quad), _s_chsh(main, table, quad)
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:

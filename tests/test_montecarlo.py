@@ -718,6 +718,30 @@ class TestTiles:
         assert montecarlo._count(columns).tolist() == np.bincount(
             montecarlo._bits(*columns), minlength=4).tolist()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2),
+           st.sampled_from([1, montecarlo._TILE - 1, montecarlo._TILE + 1, 3 * montecarlo._TILE]),
+           st.integers(0, 2**32 - 1))
+    def test_counts_equal_one_bincount_of_the_whole_key(self, n_indices, n_clicks, n, seed):
+        gen = np.random.default_rng(seed)
+        indices = [gen.integers(0, 2, n).astype(np.int8) for _ in range(n_indices)]
+        clicks = [np.where(gen.random(n) < 0.4, 1, -1).astype(np.int8) for _ in range(n_clicks)]
+        bins = 1 << (n_indices + n_clicks)
+        expected = np.bincount(montecarlo._bits(*indices, *(c > 0 for c in clicks)),
+                               minlength=bins)
+        assert montecarlo._count(indices, clicks).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("bad", [2, 127])
+    @pytest.mark.parametrize("n_clicks", [0, 2])
+    def test_count_rejects_an_index_outside_zero_and_one(self, bad, n_clicks):
+        # 2 puts the key above the bins; 127 wraps the int8 key below zero
+        n = montecarlo._TILE + 5
+        indices = [np.zeros(n, np.int8), np.ones(n, np.int8)]
+        indices[0][-1] = bad
+        clicks = [np.ones(n, np.int8)] * n_clicks
+        with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
+            montecarlo._count(indices, clicks)
+
     @pytest.mark.parametrize("u", [0.0, 5e-324, 2.0**-60, 5e-17, 0.5, 1.0 - 2.0**-53])
     def test_flat_angle_is_the_normalized_one_at_the_edges(self, u):
         self._assert_flat_angle_exact(np.array([u]))
@@ -1057,6 +1081,19 @@ class TestCountEstimators:
             estimate_s_chsh(t, Q)
         with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
             estimate_sync_fractions(t)
+
+    @pytest.mark.parametrize("main_idx, message", [
+        ([0, 0, 1], "a measured setting pair has no records"),
+        ([0, 0, 1, 1], "setting indices other than 0 and 1"),
+    ])
+    def test_singles_are_counted_after_the_main_groups(self, main_idx, message):
+        # a main run that fails its groups fails first; a singles run with a
+        # bad index fails only once the main run passes
+        rng = np.random.default_rng(86)
+        t = _records(rng, main_idx, [0, 1, 0, 1][:len(main_idx)], *TABLES["standard"])
+        bad = _records(rng, [2, 1], [0, 1], *TABLES["standard"])
+        with pytest.raises(ValidationError, match=message):
+            estimate_s_prime(t, bad, bad, Q)
 
     def test_timeline_runs(self):
         # a stepped Alice (two zero-frequency runs joined), a switching run

@@ -1,6 +1,7 @@
 """Sweep engine: grids, extrema, distance asymmetry, and the 1982 reconstruction."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from bellsim import (
     Trials,
     ValidationError,
     aspect_point,
+    aspect_stations,
     estimate_s_chsh,
     estimate_s_prime,
     find_extrema,
@@ -25,6 +27,7 @@ from bellsim import (
     series_extrema,
     sync_fraction,
 )
+from bellsim import montecarlo
 from bellsim.sweep import MONTE_CARLO, SweepError, s_chsh_mixture, s_prime_mixture
 
 ROUND_TRIP = 43e-9
@@ -362,6 +365,35 @@ class TestMonteCarloSweep:
         assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
         assert s_c == estimate_s_chsh(main, STANDARD_QUAD)
 
+    @pytest.mark.parametrize("b_alt_shift, n, seed, message", [
+        (0.1, 2_001, 74, "records contain settings outside the quad"),
+        (0.0, 3, 75, "a measured setting pair has no records"),
+        (0.0, 4, 70, "no singles records at Bob's first setting"),
+        (0.0, 4, 75, "need at least two samples for a standard error"),
+    ])
+    def test_errors_are_those_of_the_estimators(self, b_alt_shift, n, seed, message):
+        # a quad the stations do not carry, or too few pairs: measure_bell
+        # raises what estimate_s_prime, then estimate_s_chsh, raise on the
+        # reference runs (the main run's groups, then the singles, then S's)
+        alice, bob = self.STEPPED_STATIONS
+        a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 0.0, 20e-9)
+        a1 = replace(a0, switch_phase=math.pi)
+        quad = replace(STANDARD_QUAD, b_alt=STANDARD_QUAD.b_alt + b_alt_shift)
+
+        def run(pair, pairs, stream, pbs):
+            return run_timeline(*pair, pairs, 1e-4, RngSpec(seed, stream), pbs=pbs)
+
+        main = Trials.concat([run((a0, bob), n // 2 + n % 2, 1, (True, True)),
+                              run((a1, bob), n // 2, 2, (True, True))])
+        runs = (main, run((a1, bob), n, 3, (True, False)), run((a0, bob), n, 4, (False, True)))
+        with pytest.raises(ValidationError) as expected:
+            estimate_s_prime(*runs, quad)
+            estimate_s_chsh(main, quad)
+        with pytest.raises(ValidationError) as raised:
+            measure_bell(quad, n, RngSpec(seed), duration=1e-4,
+                         stations=(replace(alice, switch_frequency=0.0), bob))
+        assert str(raised.value) == str(expected.value) == message
+
     def test_too_few_pairs_for_the_stepped_parts(self):
         # both stations still: four parts
         alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt)
@@ -392,6 +424,30 @@ class TestMonteCarloSweep:
         )
         with pytest.raises(SweepError, match="10000000"):
             run_sweep(spec)
+
+
+class TestMeasurementMemory:
+    """A measurement tallies each run as it returns and drops its records."""
+
+    @pytest.mark.parametrize("kind", ["1982", "still_alice", "choice"])
+    def test_peak_holds_one_run(self, kind, monkeypatch):
+        # one run's columns are 22 bytes a pair (a choice run's 30 while its
+        # trial-index times replace the allocated ones); three runs held at
+        # once, or the stepped parts joined by a copy, read 68.7-74 bytes
+        monkeypatch.setattr(montecarlo, "_ARENAS", [])
+        alice, bob = aspect_stations()
+        kwargs = {"1982": {"stations": (alice, bob)},
+                  "still_alice": {"stations": (replace(alice, switch_frequency=0.0), bob)},
+                  "choice": {"sf": mix_fractions(0.9, 0.8)}}[kind]
+        n = 200_000
+        measure_bell(STANDARD_QUAD, n, RngSpec(110), **kwargs)
+        tracemalloc.start()
+        try:
+            measure_bell(STANDARD_QUAD, n, RngSpec(111), **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 32
 
 
 class TestAspectPoint:

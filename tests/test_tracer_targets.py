@@ -7,12 +7,20 @@ must still count the pairs of the package's trial store.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellsim import STANDARD_QUAD, RngSpec, mix_fractions, run_choice_trials, run_timeline
+from bellsim import (
+    STANDARD_QUAD,
+    RngSpec,
+    measure_bell,
+    mix_fractions,
+    run_choice_trials,
+    run_timeline,
+)
 from bellsim.sweep import aspect_stations
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -67,3 +75,20 @@ def test_hooks_count_pairs_of_engine_output(engine):
     assert tracer.counts["montecarlo.pairs"] == sum(len(t) for t in runs)
     assert tracer.counts["montecarlo.used_pairs"] == len(main) + singles_a + singles_b
     assert tracer.trial_bytes_per_pair <= 30
+
+
+@pytest.mark.parametrize("kind", ["timeline", "stepped", "choice"])
+def test_tracer_counts_the_pairs_of_a_measurement(kind):
+    # measure_bell must call the engine by the names the tracer wraps
+    spans = _load_spans()
+    alice, bob = aspect_stations()
+    kwargs = {"timeline": {"stations": (alice, bob)},
+              "stepped": {"stations": (replace(alice, switch_frequency=0.0), bob)},
+              "choice": {"sf": mix_fractions(0.9, 0.8)}}[kind]
+    n = 20_001
+    tracer = spans.Tracer()
+    with tracer.patched():
+        tracer.begin_invocation(1)
+        measure_bell(STANDARD_QUAD, n, RngSpec(42), duration=1e-4, **kwargs)
+        counts = tracer.end_invocation({})
+    assert counts["montecarlo.pairs"] == 3 * n
