@@ -148,9 +148,16 @@ class StationConfig:
 
     def sync_fraction(self) -> float:
         """Fraction of time the texture-epoch setting matches the measured one."""
-        if self.switching == "random":
-            return 0.5
-        return sync_fraction(self.switch_frequency, self.round_trip_time)
+        return _switching_fraction(self.switching, self.switch_frequency, self.round_trip_time)
+
+
+def _switching_fraction(switching: str, frequency: float, round_trip_time: float) -> float:
+    """``StationConfig.sync_fraction`` from its fields, a negative frequency rejected."""
+    if frequency < 0.0:
+        raise ValidationError("switch_frequency must be >= 0")
+    if switching == "random":
+        return 0.5
+    return sync_fraction(frequency, round_trip_time)
 
 
 def sync_fraction(frequency: float, round_trip_time: float) -> float:

@@ -32,7 +32,7 @@ a time and copies no record; integer tallies sum exactly, so its stepped
 parts add up to the tally of the joined run.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
-square wave's setting index is the parity of floor(2x), x = t*nu + phi/2pi,
+square wave's setting index is x - floor(x) >= 1/2, x = t*nu + phi/2pi,
 which is exact for any t.  With polarizers present the hidden angle takes
 at most 8 values per run (each station's two settings, and each minus
 pi/2); a chunk builds that table once (``_AtomTable``), draws an atom code
@@ -238,7 +238,7 @@ class _Arena:
 
     The roles share buffers by lifetime.  Per pair of a tile, "u" holds a
     uniform draw or the square wave's x, "p" the Malus probability or the
-    wave's 2x (float64 each), "index" a table key widened to intp, "key"
+    wave's floor(x) (float64 each), "index" a table key widened to intp, "key"
     that key at the table's code width and "mask" one byte (a comparison,
     or a flat pair's setting index): 26 bytes per record of a ``_TILE``.
     Only "code", the atom code of every pair of the chunk (kept from the
@@ -522,23 +522,22 @@ def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift:
     """50%-duty square wave at ``times + shift``: 0 for the first half of
     each period, else 1, as int8 (into ``out`` when given).
 
-    The index is the parity of floor(2x), x = t*frequency + phase/2pi,
-    i.e. whether floor(2x) differs from 2*floor(x).  Both are exact, so it
-    equals ``mod(x, 1) >= 0.5`` for every x, negative or beyond 2**63.  At
+    The index is ``x - floor(x) >= 0.5``, x = t*frequency + phase/2pi (a
+    phase of 0 adds nothing): ``mod(x, 1) >= 0.5`` for every finite x, as
+    the difference is exact for x >= 0 and x <= -1, and for -1 < x < 0 is
+    x + 1, exact up to 0.5 and above it rounded only within [0.5, 1].  At
     frequency 0 the wave holds the level its phase picks: 0 for phases in
-    [0, pi) mod 2pi, 1 for [pi, 2pi).  x and 2x live in the arena's "u" and
-    "p" buffers (a fresh arena's when None).
+    [0, pi) mod 2pi, 1 for [pi, 2pi).  x and floor(x) live in the arena's
+    "u" and "p" buffers (a fresh arena's when None).
     """
     arena = _Arena() if arena is None else arena
     x = np.add(times, shift, out=arena.take("u", times.size, np.float64))
     x *= frequency
-    x += phase / (2.0 * math.pi)
-    twice = np.add(x, x, out=arena.take("p", times.size, np.float64))
-    np.floor(twice, out=twice)
-    np.floor(x, out=x)
-    x += x
+    if phase:
+        x += phase / (2.0 * math.pi)
+    x -= np.floor(x, out=arena.take("p", times.size, np.float64))
     out = np.empty(times.size, np.int8) if out is None else out
-    np.not_equal(twice, x, out=out.view(np.bool_))
+    np.greater_equal(x, 0.5, out=out.view(np.bool_))
     return out
 
 
@@ -833,14 +832,16 @@ def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> 
 
     The one counter of the estimators.  It works tile by tile on an int8
     key in a scratch arena, so no full-length key exists, and counts each
-    tile by one ``np.bincount`` of that key widened in the arena.  The key
-    is widened as unsigned, so a key that int8 wrapped below zero lands
-    above the bins with every other key outside them.
+    tile by one ``np.bincount`` of that key widened in the arena.  A tile
+    whose or-reduced index column lies outside [0, 1] holds an index other
+    than 0 or 1, and is rejected before it is counted as another key.
     """
     bins = 1 << (len(indices) + len(clicks))
     counts = np.zeros(bins, np.intp)
     with _scratch() as arena:
         for s in _tiles(indices[0].size):
+            if any(not 0 <= np.bitwise_or.reduce(col[s]) <= 1 for col in indices):
+                raise ValidationError("records hold setting indices other than 0 and 1")
             key = arena.take("key", s.stop - s.start, np.int8)
             np.copyto(key, indices[0][s])
             above = arena.take("mask", key.size, np.bool_)
@@ -850,10 +851,7 @@ def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> 
             for col in clicks:
                 key += key
                 key |= np.greater(col[s], 0, out=above)
-            tile = np.bincount(_index(key.view(np.uint8), arena), minlength=bins)
-            if tile.size > bins:
-                raise ValidationError("records hold setting indices other than 0 and 1")
-            counts += tile
+            counts += np.bincount(_index(key, arena), minlength=bins)
     return counts
 
 

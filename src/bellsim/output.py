@@ -4,7 +4,8 @@ Two encodings of the same rows: RFC-4180-style CSV (one ``# provenance:``
 comment line, then a header row) and JSON lines (a provenance object first,
 then one record per line).  Floats are written with 17 significant digits in
 CSV and shortest round-trip repr in JSON, so both parse back to identical
-values.  Missing values are the empty CSV field / JSON null.
+values.  Missing values are the empty CSV field / JSON null.  CSV cells are
+encoded a column at a time and streamed to the writer (``_encode_column``).
 """
 
 from __future__ import annotations
@@ -12,15 +13,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 from .models import ValidationError
 
 PROVENANCE_PREFIX = "# provenance: "
+FLOAT_FORMAT = ".17g"  # 17 significant digits: every float parses back to itself
 
 
 def format_float(x: float) -> str:
-    return f"{x:.17g}"
+    return format(x, FLOAT_FORMAT)
 
 
 def _encode_cell(value) -> str:
@@ -41,9 +45,15 @@ def render_csv(rows: list[dict], provenance: dict) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     columns = list(rows[0].keys())
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_encode_cell(row.get(c)) for c in columns])
+    writer.writerows(zip(*(_encode_column(rows, c) for c in columns)))
     return buf.getvalue()
+
+
+def _encode_column(rows: list[dict], column: str) -> Iterator[str]:
+    """One column's cells, lazily: floats alone by one C-level ``format``."""
+    if set(map(type, map(dict.get, rows, repeat(column)))) == {float}:
+        return map(format, map(dict.get, rows, repeat(column)), repeat(FLOAT_FORMAT))
+    return map(_encode_cell, map(dict.get, rows, repeat(column)))
 
 
 def provenance_header(provenance: dict) -> str:

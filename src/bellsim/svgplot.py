@@ -3,16 +3,18 @@
 The plots are meant for golden-file testing as much as for viewing: every
 series carries its full-precision values in ``data-x``/``data-y`` attributes
 and the file bytes depend only on the inputs (fixed layout, fixed float
-formatting, no timestamps or generated ids).
+formatting, no timestamps or generated ids).  A series' points, x values
+and y values are each formatted by one ``map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .models import ValidationError
-from .output import format_float, provenance_header
+from .output import FLOAT_FORMAT, format_float, provenance_header
 
 WIDTH = 960.0
 HEIGHT = 560.0
@@ -143,9 +145,12 @@ class LinePlot:
             )
         for k, (name, xs, ys) in enumerate(self.series):
             color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-            pts = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, ys))
-            data_x = " ".join(format_float(x) for x in xs)
-            data_y = " ".join(format_float(y) for y in ys)
+            # px and py of every point, inlined in their operation order
+            pts = " ".join(map("{:.3f},{:.3f}".format,
+                               [MARGIN_LEFT + (x - x0) / (x1 - x0) * pw for x in xs],
+                               [MARGIN_TOP + (y1 - y) / (y1 - y0) * ph for y in ys]))
+            data_x = " ".join(map(format, xs, repeat(FLOAT_FORMAT)))
+            data_y = " ".join(map(format, ys, repeat(FLOAT_FORMAT)))
             out.append(
                 f'<polyline class="series" fill="none" stroke="{color}"'
                 f' stroke-width="1.5" points="{pts}" data-name={quoteattr(name)}'

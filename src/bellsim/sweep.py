@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterator
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,
@@ -34,9 +35,9 @@ from .choice import (
     STANDARD_QUAD,
     StationConfig,
     SyncFractions,
+    _switching_fraction,
     bell_coefficients,
     bell_values,
-    fractions_for,
     mix_fractions,
     s_chsh_fixed,
     s_prime_fixed,
@@ -190,21 +191,25 @@ class SweepSeries:
     reference: ReferenceLines
 
 
-def _sweep_point(
-    spec: SweepSpec, x: float
-) -> tuple[tuple[StationConfig, StationConfig] | None, SyncFractions]:
-    """The stations at grid value x (None for f_direct) and their sync
-    fractions."""
-    v = spec.variable
-    if v is SweepVariable.F_DIRECT:
-        if not 0.0 <= x <= 1.0:
-            raise ValidationError(f"f value {x!r} outside [0, 1]")
-        return None, mix_fractions(x, x)
-    sweeps_a = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY)
-    sweeps_b = v in (SweepVariable.FREQUENCY_COMMON, SweepVariable.DISTANCE_RATIO)
-    alice = replace(spec.alice, switch_frequency=x) if sweeps_a else spec.alice
-    bob = replace(spec.bob, switch_frequency=x) if sweeps_b else spec.bob
-    return (alice, bob), fractions_for(alice, bob)
+def _grid_fractions(spec: SweepSpec, swept: tuple[bool, bool]) -> Iterator[tuple[float, ...]]:
+    """Each grid value x with (f_A, f_B) at x: a ``swept`` station's by
+    ``_switching_fraction`` at x, a fixed one's once, Alice's first."""
+    grid = spec.grid()
+    if spec.variable is SweepVariable.F_DIRECT:
+        for x in grid:
+            if not 0.0 <= x <= 1.0:
+                raise ValidationError(f"f value {x!r} outside [0, 1]")
+            yield x, x, x
+        return
+
+    def fractions(station: StationConfig, at_x: bool) -> Iterator[float]:
+        if at_x:
+            for x in grid:
+                yield _switching_fraction(station.switching, x, station.round_trip_time)
+        else:
+            yield from itertools.repeat(station.sync_fraction())
+
+    yield from zip(grid, *map(fractions, (spec.alice, spec.bob), swept))
 
 
 def measure_bell(
@@ -302,7 +307,8 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     the first point, and so is a ``--points`` grid too large to hold.
     ``distance_ratio`` holds Alice's polarizer still (its series' spec has
     her periodic at frequency 0), so ``measure_bell`` steps her through her
-    two settings.
+    two settings.  Only a Monte Carlo point builds its ``StationConfig``s;
+    the sync fractions, with their errors, come from ``_grid_fractions``.
     """
     if spec.variable is SweepVariable.DISTANCE_RATIO:
         spec = replace(spec, alice=replace(spec.alice, switch_frequency=0.0, switching="periodic"))
@@ -311,11 +317,16 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
         _check_memory(spec.mc_pairs_per_point, "--mc-pairs")
     weights = spec.resolved_weights()
     bell = bell_coefficients(spec.quad, weights)
+    v = spec.variable  # swept: whether Alice's and Bob's frequency is the grid value
+    swept = (v is not SweepVariable.DISTANCE_RATIO, v is not SweepVariable.FREQUENCY_ALICE_ONLY)
     points = []
-    for i, x in enumerate(spec.grid()):
-        stations, sf = _sweep_point(spec, x)
+    for i, (x, f_alice, f_bob) in enumerate(_grid_fractions(spec, swept)):
+        sf = SyncFractions(f_alice, f_bob)
         mc_p = mc_c = None
         if MONTE_CARLO in spec.engines:
+            stations = None if v is SweepVariable.F_DIRECT else tuple(
+                replace(s, switch_frequency=x) if at_x else s
+                for s, at_x in zip((spec.alice, spec.bob), swept))
             try:
                 mc_p, mc_c = measure_bell(
                     spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, i * 8),

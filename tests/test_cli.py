@@ -596,6 +596,55 @@ class TestSweepCommand:
         assert "monte carlo failed at frequency_common = 10000000.0: " in capsys.readouterr().err
 
 
+class TestClosedFormSweepBytes:
+    """sha256 of the table and the plot of closed-form sweeps, taken before
+    the sweep and its encoders were vectorized.  The version in the
+    provenance is pinned, so a version bump moves no digest."""
+
+    GRID = ["--start", "0", "--stop", "100MHz", "--points", "1201"]
+    DIGESTS = {
+        "distance-ratio": (
+            ["--variable", "distance_ratio", *GRID, "--round-trip-a", "20ns",
+             "--round-trip-b", "43ns"],
+            "csv",
+            "fe2456402d4491e03d48ba6aa29511d4ed46132cc5cdc3d85d779104d6722ce3",
+            "0ef4ce207157dac31dc447c7f9d69558b73fe4e837d5c2f183aa463b71c85f1e"),
+        "distance-ratio-weights": (
+            ["--variable", "distance_ratio", *GRID, "--weights", "0.3,0.7"],
+            "csv",
+            "faa51f9f086a2dd05764fcffaf55c1d4e7719be5608b88b90f1b0dab5448f4cd",
+            "f048d13b45fff412cb629eb778c64efe6a974f736dd430c2cfc35e9c0ea5fa52"),
+        "frequency-common-s-chsh": (
+            ["--variable", "frequency_common", *GRID, "--round-trip", "43ns",
+             "--plot-field", "s_chsh"],
+            "csv",
+            "cae6bcf5a30aaff09543580ed34feabba73a4acb3518d3fb2b3bd36dbbf94be0",
+            "84f6d809270833690f426c6eacfc1cd8e0f6d330a068cdf7cd6a697c9744d7aa"),
+        "frequency-alice-only-quad": (
+            ["--variable", "frequency_alice_only", *GRID, "--quad=-10deg,0.3rad,45deg,1.2rad"],
+            "csv",
+            "d5b107fe89e65f96ef531010d12f0b29d8570af54de08516759b11956e7f2fbe",
+            "735393fb8f0468d2d62c647f1c61774c652e9faf4b5c1b5efa1bbb93ebba479c"),
+        "f-direct-jsonl": (
+            ["--variable", "f_direct", "--start", "0", "--stop", "1", "--points", "1201"],
+            "jsonl",
+            "d7d8cac879a427fe5795387b6a5b83d6bde0c7b9328a0061d3b9bb7a5f79250a",
+            "6125daa1e3effb5e3bb30b546b530752c93fd9bea92ffaef406beca1dabfaad9"),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_table_and_plot_bytes(self, name, tmp_path, monkeypatch):
+        import hashlib
+
+        argv, fmt, table_digest, plot_digest = self.DIGESTS[name]
+        monkeypatch.setattr(cli, "__version__", "pinned")
+        table, plot = tmp_path / f"sweep.{fmt}", tmp_path / "sweep.svg"
+        assert main(["sweep", *argv, "--format", fmt, "--output", str(table),
+                     "--plot", str(plot)]) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == table_digest
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_digest
+
+
 class TestSyncCommand:
     def test_both_stations(self, capsys):
         assert main(["sync", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz",

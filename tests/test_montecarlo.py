@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import bellsim
@@ -187,6 +187,24 @@ class TestSquareWave:
 
     def test_zero_frequency_is_the_first_setting(self):
         assert not montecarlo._square_wave_index(0.0, 1.0, np.linspace(-1.0, 1.0, 11)).any()
+
+    HALVES = (-2.0**51 - 0.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 2.0**51 + 0.5)
+    EDGES = [-0.0, 0.0, -5e-324, -1e-20, 2.0**52, -2.0**52, 1e300, -1e300, *HALVES,
+             *(math.nextafter(h, d) for h in HALVES for d in (-math.inf, math.inf))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+           st.sampled_from([0.0, -0.0, 1.0, -7.0, math.pi]))
+    @example(EDGES, 0.0)
+    @example(EDGES, math.pi)
+    def test_equals_the_parity_of_floor_2x(self, xs, phase):
+        # the formula the index had before: floor(2x) differs from 2 floor(x)
+        times = np.array(xs)
+        x = times * 1.0 + phase / (2.0 * math.pi)
+        parity = (np.floor(x + x) != np.floor(x) * 2.0).astype(np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(montecarlo._square_wave_index(1.0, phase, times), parity)
 
 
 def standard_stations(nu_a, nu_b, phase_a=0.0, phase_b=0.0):
@@ -1081,6 +1099,22 @@ class TestCountEstimators:
             estimate_s_chsh(t, Q)
         with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
             estimate_sync_fractions(t)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_a_bad_index_in_a_later_column_is_rejected(self, bad):
+        # Bob's measured index is the second column of the tally and of his
+        # in-sync count; (a, b) = (0, 2) would be counted as the key of (1, 0)
+        n = montecarlo._TILE + 5
+        rng = np.random.default_rng(87)
+        t = _records(rng, rng.integers(0, 2, n), rng.integers(0, 2, n), *TABLES["standard"])
+        t.a_m_idx[-1], t.b_m_idx[-1] = 0, bad
+        calls = [(montecarlo._count, ([t.a_m_idx, t.b_m_idx],)),
+                 (montecarlo._count, ([t.a_m_idx, t.b_m_idx], [t.alpha, t.beta])),
+                 (estimate_s_chsh, (t, Q)), (estimate_s_prime, (t, t, t, Q)),
+                 (estimate_sync_fractions, (t,))]
+        for call, args in calls:
+            with pytest.raises(ValidationError, match="setting indices other than 0 and 1"):
+                call(*args)
 
     @pytest.mark.parametrize("main_idx, message", [
         ([0, 0, 1], "a measured setting pair has no records"),

@@ -17,6 +17,8 @@ from bellsim import (
     ValidationError,
     aspect_point,
     aspect_stations,
+    bell_coefficients,
+    bell_values,
     estimate_s_chsh,
     estimate_s_prime,
     find_extrema,
@@ -28,6 +30,7 @@ from bellsim import (
     sync_fraction,
 )
 from bellsim import montecarlo
+from bellsim.choice import fractions_for
 from bellsim.sweep import MONTE_CARLO, SweepError, s_chsh_mixture, s_prime_mixture
 
 ROUND_TRIP = 43e-9
@@ -167,6 +170,79 @@ class TestClosedFormSweep:
         assert ref.quantum_s == pytest.approx(2 * SQRT2, abs=1e-12)
         assert ref.semiclassical_s == pytest.approx(SQRT2, abs=1e-12)
         assert (ref.lhv_s_prime_min, ref.lhv_s_prime_max, ref.lhv_s_max) == (-1.0, 0.0, 2.0)
+
+
+FREQUENCY_VARIABLES = [SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_ALICE_ONLY,
+                       SweepVariable.DISTANCE_RATIO]
+
+
+def _stations_at(spec: SweepSpec, x: float) -> tuple[StationConfig, StationConfig]:
+    """The stations of a frequency sweep at x, built as a point's stations."""
+    v = spec.variable
+    alice = (replace(spec.alice, switch_frequency=0.0, switching="periodic")
+             if v is SweepVariable.DISTANCE_RATIO else replace(spec.alice, switch_frequency=x))
+    bob = spec.bob if v is SweepVariable.FREQUENCY_ALICE_ONLY else replace(
+        spec.bob, switch_frequency=x)
+    return alice, bob
+
+
+class TestStationFreePoints:
+    """A closed-form point reads its sync fractions without building stations."""
+
+    @pytest.mark.parametrize("variable", FREQUENCY_VARIABLES)
+    @pytest.mark.parametrize("bob_switching", ["random", "periodic"])
+    def test_random_choice_points_are_those_of_their_stations(self, variable, bob_switching):
+        q = STANDARD_QUAD
+        bob = (StationConfig.random_choice(q.b, q.b_alt, 2 * ROUND_TRIP)
+               if bob_switching == "random" else StationConfig(q.b, q.b_alt, 5e6))
+        spec = SweepSpec(variable, 0.0, 100e6, num_points=41,
+                         alice=StationConfig.random_choice(q.a, q.a_alt), bob=bob,
+                         station_weights=(0.3, 0.7))
+        bell = bell_coefficients(spec.quad, (0.3, 0.7))
+        for p in run_sweep(spec).points:
+            sf = fractions_for(*_stations_at(spec, p.x))
+            assert (p.f_alice, p.f_bob, p.s_prime, p.s_chsh) == (
+                sf.f_alice, sf.f_bob, *bell_values(bell, sf))
+
+    @pytest.mark.parametrize("variable", FREQUENCY_VARIABLES)
+    @pytest.mark.parametrize("switching", ["random", "periodic"])
+    def test_a_negative_frequency_is_rejected(self, variable, switching):
+        q = STANDARD_QUAD
+        alice, bob = (StationConfig(q.a, q.a_alt, switching=switching),
+                      StationConfig(q.b, q.b_alt, switching=switching))
+        spec = SweepSpec(variable, -1.0, 1.0, 3, alice=alice, bob=bob)
+        with pytest.raises(ValidationError, match=r"^switch_frequency must be >= 0$"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("start, stop, message", [
+        (-0.5, 1.0, r"^f value -0.5 outside \[0, 1\]$"),
+        (0.0, 1.5, r"^f value 1.5 outside \[0, 1\]$"),
+    ])
+    def test_f_direct_outside_the_unit_interval_is_rejected(self, start, stop, message):
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(SweepSpec(SweepVariable.F_DIRECT, start, stop, 3))
+
+    def test_half_periods_beyond_2_52_are_rejected(self):
+        with pytest.raises(ValidationError, match=r"more than 2\*\*52"):
+            run_sweep(SweepSpec(SweepVariable.FREQUENCY_COMMON, 0.0, 1e300, 3))
+
+    def test_stations_built_do_not_grow_with_the_grid(self, monkeypatch):
+        built = []
+        post_init = StationConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StationConfig, "__post_init__", counted)
+        counts = []
+        for points in (3, 1201):
+            built.clear()
+            for variable in SweepVariable:
+                run_sweep(SweepSpec(variable, 0.0, 1.0 if variable is SweepVariable.F_DIRECT
+                                    else 100e6, points))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 class TestAgainstAtomExpansion:
