@@ -4,6 +4,8 @@ Subcommands: ``curves`` (correlation-vs-angle tables), ``bell`` (one Bell
 value with its components), ``sweep`` (frequency / fraction / distance
 sweeps), ``sync`` (square-wave sync fractions), ``aspect`` (the 1982
 reconstruction) and ``export-trials`` (raw Monte Carlo event streams).
+Each option is one row of ``_FLAGS``, which the parser, ``Options.get`` and
+the provenance headers (``Options.record``) all read.
 
 Every invocation is reproducible: the seed defaults to DEFAULT_SEED, all
 structured outputs start with a provenance header echoing the resolved
@@ -13,9 +15,12 @@ from that header.
 A JSON config file (``--config``) may supply any long-option value; keys use
 underscores ("nu_a"), top-level keys apply to every subcommand and a section
 named after a subcommand overrides them.  Explicit flags win over the file.
-A value reads as the same text on the command line would: a JSON string as
-it is, a JSON number as its ``repr`` ("seed": 1.5 fails as --seed 1.5 does);
-true, false, null, arrays and objects are rejected for a key that is read.
+A key no subcommand declares, a section key its subcommand does not declare
+and an object not named after a subcommand are rejected.  A value reads as
+the same text on the command line would: a JSON string as it is, a JSON
+number as its ``repr`` ("seed": 1.5 fails as --seed 1.5 does); true, false,
+null, arrays and objects are rejected for a key that is read.  ``bell``
+takes its sync fractions from one of --f, --f-a/--f-b and --nu-a/--nu-b.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/numeric error, 3 I/O
 error.
@@ -33,7 +38,6 @@ import numpy as np
 
 from . import __version__
 from .choice import (
-    ASPECT_ROUND_TRIP,
     ChoiceQuad,
     STANDARD_QUAD,
     StationConfig,
@@ -66,7 +70,10 @@ from .units import parse_angle_list, parse_frequency, parse_phase, parse_time
 STANDARD_QUAD_TEXT = "0deg,22.5deg,45deg,67.5deg"
 #: --format of every table; a command that draws a plot also takes svg
 _TABLE_FORMATS = ("csv", "jsonl")
+_PLOT_FORMATS = (*_TABLE_FORMATS, "svg")
 _MODEL_ORDER = (Model.QUANTUM, Model.SEMI_CLASSICAL, Model.TEXTURE, Model.MAX_CLASSICAL_LHV)
+#: the provenance names of a measurement's quad and stations
+_STATION_PARAMS = ("quad", "nu_a", "nu_b", "round_trip_a", "round_trip_b")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,67 +82,176 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _path(text: str) -> str:
+    """A file path: any text without a NUL byte, which no file system accepts."""
+    if "\0" in text:
+        raise ValueError("a path cannot hold a NUL byte")
+    return text
+
+
+def _quad_text(quad: ChoiceQuad) -> str:
+    return ",".join(f"{v!r}rad" for v in (quad.a, quad.b, quad.a_alt, quad.b_alt))
+
+
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+#: kind: (parser of a flag's text or default, provenance writer of its value).
+#: The quad, frequency and time parsers look their unit parser up in this
+#: module at each call, so benchmarks/spans.py can wrap it by name.  A sweep
+#: "bound" parses as a float for f_direct, else as a frequency.
+_KINDS = {
+    "quad": (lambda text: ChoiceQuad(*parse_angle_list(text, 4)), _quad_text),
+    "frequency": (lambda text: parse_frequency(text), repr),
+    "time": (lambda text: parse_time(text), repr),
+    "bound": (None, repr),
+    "phase": (parse_phase, float),
+    "count": (int, int),
+    "float": (float, float),
+    "floats": (lambda text: tuple(float(p) for p in text.split(",")),
+               lambda values: ",".join(map(repr, values))),
+    "choice": (str, str),
+    "list": (lambda text: tuple(item for item in text.split(",") if item), ",".join),
+    "path": (_path, str),
+}
+
+_ALL = ("curves", "bell", "sweep", "sync", "aspect", "export-trials")
+_MC = ("bell", "sweep", "export-trials")  # the subcommands with a Monte Carlo engine
+_RUN = ("bell", "export-trials")  # the subcommands that run one timeline
+_STATIONS = ("bell", "sweep", "sync", "export-trials")
+_PLOTS = ("curves", "sweep")
+
+#: Every option: (name, kind, default, choices, help, subcommands).  A default
+#: or choices that differ by subcommand are a dict whose None entry is for the
+#: rest.  A default is parsed as flag text is; "--x" is the value of --x.
+_FLAGS = (
+    ("config", "path", None, None, "JSON config file; flags override it", _ALL),
+    ("seed", "count", DEFAULT_SEED, None, "RNG seed", _MC),
+    ("output", "path", None, None, "output file path (default: stdout)", _ALL),
+    ("format", "choice", {"curves": "csv", "sweep": "csv"},
+     {"curves": _PLOT_FORMATS, "sweep": _PLOT_FORMATS, None: _TABLE_FORMATS}, "output format",
+     ("curves", "bell", "sweep", "sync", "aspect")),
+    ("variable", "choice", "frequency_common", tuple(SweepVariable), "swept value", ("sweep",)),
+    ("start", "bound", None, None, "sweep start (f_direct: a fraction)", ("sweep",)),
+    ("stop", "bound", None, None, "sweep stop", ("sweep",)),
+    ("points", "count", {"curves": 181, "sweep": 1201}, None, "grid points", _PLOTS),
+    ("models", "list", "qm,sc,vt,mclhv", _MODEL_ORDER, "comma list of models", ("curves",)),
+    ("quad", "quad", STANDARD_QUAD_TEXT, None, "a,b,a',b' as tagged angles", _MC),
+    ("nu_a", "frequency", "0", None, "Alice's switching frequency, needed by sync", _STATIONS),
+    ("nu_b", "frequency", "0", None, "Bob's switching frequency", _STATIONS),
+    ("round_trip", "time", "43ns", None, "shared round trip time", _STATIONS),
+    ("round_trip_a", "time", "--round-trip", None, "Alice's round trip time", _STATIONS),
+    ("round_trip_b", "time", "--round-trip", None, "Bob's round trip time", _STATIONS),
+    ("phase_a", "phase", "0", None, "Alice's switching phase, e.g. 90deg (bare: rad)", _RUN),
+    ("phase_b", "phase", "0", None, "Bob's switching phase, e.g. 90deg (bare: rad)", _RUN),
+    ("form", "choice", "sprime", ("sprime", "s"), "Bell quantity", ("bell",)),
+    ("engine", "choice", "closed", ("closed", "mc", "both"), "Bell engine", ("bell",)),
+    ("f", "float", None, None, "common sync fraction", ("bell",)),
+    ("f_a", "float", None, None, "Alice's sync fraction", ("bell",)),
+    ("f_b", "float", None, None, "Bob's sync fraction", ("bell",)),
+    ("engines", "list", CLOSED_FORM, (CLOSED_FORM, MONTE_CARLO), "comma list of engines",
+     ("sweep",)),
+    ("pairs", "count", {"bell": 1_000_000}, None, "Monte Carlo pairs", _RUN),
+    ("mc_pairs", "count", 200_000, None, "Monte Carlo pairs per sweep point", ("sweep",)),
+    ("duration", "time", "1ms", None, "Monte Carlo timeline duration", _MC),
+    ("workers", "count", 1, None, "Monte Carlo worker threads", _RUN),
+    ("emission", "choice", "uniform", ("uniform", "grid", "poisson"), "emission times",
+     ("export-trials",)),
+    ("weights", "floats", None, None, "station texture weights, e.g. 0.5,0.5", ("sweep",)),
+    ("plot", "path", None, None, "also write an SVG plot to this path", ("sweep",)),
+    ("plot_field", "choice", "s_prime", ("s_prime", "s_chsh"), "plotted value", ("sweep",)),
+)
+
+
+def _rows(command: str) -> dict[str, tuple]:
+    """The options of ``command``: name -> (kind, default, choices, help)."""
+    def pick(value):
+        return value.get(command, value.get(None)) if isinstance(value, dict) else value
+
+    return {name: (kind, pick(default), pick(choices), help)
+            for name, kind, default, choices, help, commands in _FLAGS if command in commands}
+
+
 class Options:
-    """Flag > config-section > config-global > default resolution."""
+    """A subcommand's options: flag > config section > config top level >
+    the default of its ``_FLAGS`` row."""
 
     def __init__(self, args: argparse.Namespace, command: str):
-        self._args = vars(args)
+        self._rows = _rows(command)
+        self._values: dict = {}
         config = {}
-        path = self._args.get("config")
-        if path:
+        if args.config:
             try:
-                config = json.loads(Path(path).read_text(encoding="utf-8"))
+                config = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except ValueError as exc:  # malformed JSON or not UTF-8
-                raise ValidationError(f"--config {path}: not a JSON file ({exc})") from None
+                raise ValidationError(f"--config {args.config}: not a JSON file ({exc})") from None
             if not isinstance(config, dict):
                 raise ValidationError("config file must hold a JSON object")
-        merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
-        section = config.get(command, {})
-        if not isinstance(section, dict):
-            raise ValidationError(f"config section {command!r} must be an object")
-        merged.update(section)
-        self._cfg = merged
+        for key, value in config.items():
+            if key in _COMMANDS:
+                if not isinstance(value, dict):
+                    raise ValidationError(f"config section {key!r} must be an object")
+                for name in sorted(value.keys() - _rows(key).keys()):
+                    raise ValidationError(f"config key {name!r} in section {key!r} is not an "
+                                          f"option of {key}")
+            elif isinstance(value, dict):
+                raise ValidationError(f"config section {key!r} is not a subcommand")
+            elif all(key != row[0] for row in _FLAGS):
+                raise ValidationError(f"config key {key!r} is not an option of any subcommand")
+        # the raw value of each option given, by flag or config key
+        self._given = {k: v for k, v in config.items() if k not in _COMMANDS}
+        self._given.update(config.get(command, {}))
+        self._given.update((k, v) for k, v in vars(args).items() if v is not None)
 
     def __contains__(self, name) -> bool:
         """Whether the subcommand declares option ``name``."""
-        return name in self._args
+        return name in self._rows
 
-    def get(self, name, default=None, parse=None, choices=None):
-        """Option ``name`` parsed by ``parse``, then, if enumerated, checked
-        against ``choices`` (each item, if ``parse`` gives a tuple); a bad
-        value raises a ``ValidationError`` naming the flag or config key."""
-        value = self._args.get(name)
-        if value is None and name in self._cfg:
-            value = self._cfg[name]
+    def given(self, name: str) -> bool:
+        """Whether option ``name`` is set by its flag or the config file."""
+        return name in self._given
+
+    def get(self, name: str):
+        """Option ``name`` (its flag, config or default value) parsed by its
+        kind, then, if enumerated, checked against its choices (each item, if
+        the kind gives a tuple); a bad value raises a ``ValidationError``
+        naming the flag or config key.  Each option is parsed once."""
+        if name in self._values:
+            return self._values[name]
+        kind, value, choices, _help = self._rows[name]
+        if name in self._given:
+            value = self._given[name]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 value = repr(value)
             elif not isinstance(value, str):
                 raise ValidationError(f"config key {name!r} must be a JSON string or number, "
                                       f"not {json.dumps(value)}")
-        if value is None:
-            value = default
-        flag = f"--{name.replace('_', '-')}"
-        if value is not None and parse is not None:
+        elif isinstance(value, str) and value.startswith("--"):
+            value = self.get(value[2:].replace("-", "_"))
+        if value is not None:
+            if kind == "bound":
+                kind = "float" if self.get("variable") == SweepVariable.F_DIRECT else "frequency"
             try:
-                value = parse(value)
+                value = _KINDS[kind][0](value)
             except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{flag}: cannot parse {value!r} ({exc})") from None
+                raise ValidationError(f"{_flag(name)}: cannot parse {value!r} ({exc})") from None
         if choices is not None and value is not None:
             for item in value if isinstance(value, tuple) else (value,):
                 if item not in choices:
-                    raise ValidationError(f"{flag}: unknown value {item!r} (choose from "
+                    raise ValidationError(f"{_flag(name)}: unknown value {item!r} (choose from "
                                           f"{' | '.join(choices)})")
+        self._values[name] = value
         return value
 
-
-def _items(text: str) -> tuple[str, ...]:
-    """The non-empty items of a comma-separated list."""
-    return tuple(item for item in text.split(",") if item)
+    def record(self, *names: str) -> dict:
+        """Provenance params: each option of ``names`` as its kind writes it."""
+        return {name: _KINDS[self._rows[name][0]][1](self.get(name)) for name in names}
 
 
 def _seed(opts: Options) -> int:
     """--seed: any non-negative integer (``np.random.SeedSequence`` entropy)."""
-    seed = opts.get("seed", DEFAULT_SEED, parse=int)
+    seed = opts.get("seed")
     if seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     return seed
@@ -159,54 +275,29 @@ def provenance_to_argv(provenance: dict) -> list[str]:
     params = dict(provenance["params"])
     if provenance.get("seed") is not None:
         params.setdefault("seed", provenance["seed"])
-    return argv + [f"--{key.replace('_', '-')}={value}"
-                   for key, value in params.items() if value is not None]
+    return argv + [f"{_flag(key)}={value}" for key, value in params.items() if value is not None]
 
 
-def _quad_text(quad: ChoiceQuad) -> str:
-    return ",".join(f"{v!r}rad" for v in (quad.a, quad.b, quad.a_alt, quad.b_alt))
-
-
-def _path(text: str) -> str:
-    """A file path: any text without a NUL byte, which no file system accepts."""
-    if "\0" in text:
-        raise ValueError("a path cannot hold a NUL byte")
-    return text
-
-
-def _outlet(opts: Options, plot: bool = False,
-            report: bool = False) -> tuple[str | None, str | None, str | None]:
-    """Where a command's result goes: (--output, --plot, --format), read
-    before the command computes, so a bad value fails at once.
-
-    --format is csv or jsonl, or also svg for a command that draws a ``plot``;
-    it is None, for a command that can ``report``, when neither --output nor
-    --format is given.  --plot is None where it is not declared.
-    """
-    output = opts.get("output", parse=_path)
-    plot_path = opts.get("plot", parse=_path) if "plot" in opts else None
-    fmt = opts.get("format", None if report and output is None else "csv",
-                   choices=(*_TABLE_FORMATS, "svg") if plot else _TABLE_FORMATS)
-    return output, plot_path, fmt
-
-
-def _emit(outlet: tuple, command: str, seed, params: dict, rows: list[dict],
+def _emit(opts: Options, command: str, seed, params: dict, rows: list[dict],
           plot=None, text: tuple[str, str] = ("", "")) -> int:
-    """Write a command's result to its ``_outlet``, the one way out of the CLI.
+    """Write a command's result, the one way out of the CLI.
 
-    With a format, the provenance records it, and the table, or the plot
-    that ``plot`` (a builder taking the provenance) draws for svg, goes to
-    --output, else stdout; --plot, where given, also gets the plot.  Without
-    one, the one row prints as ``key: value`` lines between the heading and
-    footer of ``text`` (either may be empty).
+    With --output or --format (csv by default), the provenance records the
+    format, and the table, or the plot that ``plot`` (a builder taking the
+    provenance) draws for svg, goes to --output, else stdout; --plot, where
+    declared and given, also gets the plot.  Without either, the one row
+    prints as ``key: value`` lines between the heading and footer of
+    ``text`` (either may be empty).
     """
-    output, plot_path, fmt = outlet
-    if fmt is None:
+    output, fmt = opts.get("output"), opts.get("format")
+    plot_path = opts.get("plot") if "plot" in opts else None
+    if fmt is None and output is None:
         head, foot = text
         lines = [f"{key}: {format_float(value) if isinstance(value, float) else value}"
                  for key, value in rows[0].items()]
         sys.stdout.write("".join(f"{line}\n" for line in (head, *lines, foot) if line))
         return 0
+    fmt = fmt or "csv"
     provenance = _provenance(command, seed, {**params, "format": fmt})
     figure = plot(provenance) if fmt == "svg" else None
     if output is None:
@@ -224,13 +315,11 @@ def _emit(outlet: tuple, command: str, seed, params: dict, rows: list[dict],
 
 
 def cmd_curves(opts: Options) -> int:
-    outlet = _outlet(opts, plot=True)
-    names = opts.get("models", "qm,sc,vt,mclhv", parse=_items,
-                     choices=tuple(m.value for m in _MODEL_ORDER))
+    names = opts.get("models")
     if not names:
         raise ValidationError("no models selected")
-    models = [Model(n) for n in names]
-    points = opts.get("points", 181, parse=int)
+    models = [m for m in _MODEL_ORDER if m.value in names]
+    points = opts.get("points")
     if points < 2:
         raise ValidationError("need at least two grid points")
     _check_fits("--points", points, POINT_BYTES, "curve points")
@@ -238,82 +327,62 @@ def cmd_curves(opts: Options) -> int:
     for i in range(points):
         delta = math.pi * i / (points - 1)
         row: dict = {"delta": delta}
-        for m in _MODEL_ORDER:
-            if m in models:
-                row[m.value] = corr(m, delta, 0.0)
+        for m in models:
+            row[m.value] = corr(m, delta, 0.0)
         rows.append(row)
-    params = {"models": ",".join(m.value for m in _MODEL_ORDER if m in models),
-              "points": points}
+    # the header lists the models in table order, each once
+    params = {"models": ",".join(m.value for m in models), **opts.record("points")}
 
     def plot(provenance) -> LinePlot:
         figure = LinePlot("Correlation vs angle difference", "a - b (rad)", "E(a,b)",
                           provenance)
-        for m in _MODEL_ORDER:
-            if m in models:
-                figure.add_series(m.value, [r["delta"] for r in rows],
-                                  [r[m.value] for r in rows])
+        for m in models:
+            figure.add_series(m.value, [r["delta"] for r in rows], [r[m.value] for r in rows])
         return figure
 
-    return _emit(outlet, "curves", None, params, rows, plot=plot)
+    return _emit(opts, "curves", None, params, rows, plot=plot)
 
 
 # --- bell ---------------------------------------------------------------------
 
 
-def _parse_quad(text: str) -> ChoiceQuad:
-    return ChoiceQuad(*parse_angle_list(text, 4))
-
-
-def _stations(opts: Options, quad: bool = True,
-              phases: bool = True) -> tuple[ChoiceQuad, StationConfig, StationConfig, dict]:
-    """The quad and both stations from --nu-a/--nu-b (default 0, not
-    switching), --round-trip[-a|-b] and, unless each is off, --quad (else the
-    standard quad) and --phase-a/--phase-b; with the provenance params that
-    rebuild them."""
-    quad = opts.get("quad", STANDARD_QUAD_TEXT, parse=_parse_quad) if quad else STANDARD_QUAD
-    rt = opts.get("round_trip", ASPECT_ROUND_TRIP, parse=parse_time)
+def _stations(opts: Options) -> tuple[ChoiceQuad, StationConfig, StationConfig]:
+    """The quad and both stations from --nu-a/--nu-b, --round-trip[-a|-b]
+    and, where the subcommand declares them, --quad (else the standard quad)
+    and --phase-a/--phase-b (else phase 0)."""
+    quad = opts.get("quad") if "quad" in opts else STANDARD_QUAD
+    opts.get("round_trip")  # a bad value fails even when both stations set their own
 
     def station(key: str, setting_1: float, setting_2: float) -> StationConfig:
         return StationConfig(
             setting_1, setting_2,
-            opts.get(f"nu_{key}", 0.0, parse=parse_frequency),
-            opts.get(f"phase_{key}", 0.0, parse=parse_phase) if phases else 0.0,
-            opts.get(f"round_trip_{key}", rt, parse=parse_time),
+            opts.get(f"nu_{key}"),
+            opts.get(f"phase_{key}") if f"phase_{key}" in opts else 0.0,
+            opts.get(f"round_trip_{key}"),
         )
 
-    alice = station("a", quad.a, quad.a_alt)
-    bob = station("b", quad.b, quad.b_alt)
-    params = {
-        "quad": _quad_text(quad),
-        "nu_a": repr(alice.switch_frequency), "nu_b": repr(bob.switch_frequency),
-        "round_trip_a": repr(alice.round_trip_time),
-        "round_trip_b": repr(bob.round_trip_time),
-    }
-    if phases:
-        params.update(phase_a=alice.switch_phase, phase_b=bob.switch_phase)
-    return quad, alice, bob, params
+    return quad, station("a", quad.a, quad.a_alt), station("b", quad.b, quad.b_alt)
 
 
-def _resolve_fractions(opts: Options) -> tuple[ChoiceQuad, SyncFractions, tuple | None, dict]:
-    """Sync fractions from --f, --f-a/--f-b, or station frequencies; the
-    stations come back only for the last."""
-    quad, alice, bob, station_params = _stations(opts)
-    f = opts.get("f", parse=float)
-    f_a = opts.get("f_a", parse=float)
-    f_b = opts.get("f_b", parse=float)
-    params: dict = {"quad": station_params["quad"]}
+def _resolve_fractions(opts: Options) -> tuple[ChoiceQuad, SyncFractions, tuple | None, tuple]:
+    """Sync fractions from one source, --f, --f-a/--f-b, or station
+    frequencies, with the names the header records; the stations come back
+    only for the last."""
+    quad, alice, bob = _stations(opts)
+    f, f_a, f_b = opts.get("f"), opts.get("f_a"), opts.get("f_b")
+    given = [names for names in (("f",), ("f_a", "f_b"), ("nu_a", "nu_b"))
+             if any(map(opts.given, names))]
+    if len(given) != 1:
+        sources = " and ".join("/".join(map(_flag, names)) for names in given)
+        raise ValidationError("give --f, --f-a/--f-b, or --nu-a/--nu-b"
+                              + (f", not {sources}" if given else ""))
+    if not all(map(opts.given, given[0])):
+        raise ValidationError(f"{' and '.join(map(_flag, given[0]))} must be given together")
     if f is not None:
-        return quad, mix_fractions(f, f), None, {**params, "f": f}
-    if f_a is not None or f_b is not None:
-        if f_a is None or f_b is None:
-            raise ValidationError("--f-a and --f-b must be given together")
-        return quad, mix_fractions(f_a, f_b), None, {**params, "f_a": f_a, "f_b": f_b}
-    given = [opts.get(key) is not None for key in ("nu_a", "nu_b")]
-    if any(given):
-        if not all(given):
-            raise ValidationError("--nu-a and --nu-b must be given together")
-        return quad, fractions_for(alice, bob), (alice, bob), station_params
-    raise ValidationError("give --f, --f-a/--f-b, or --nu-a/--nu-b")
+        return quad, mix_fractions(f, f), None, ("quad", "f")
+    if f_a is not None:
+        return quad, mix_fractions(f_a, f_b), None, ("quad", "f_a", "f_b")
+    return quad, fractions_for(alice, bob), (alice, bob), (*_STATION_PARAMS, "phase_a", "phase_b")
 
 
 _BELL_LABELS = {
@@ -323,11 +392,12 @@ _BELL_LABELS = {
 
 
 def cmd_bell(opts: Options) -> int:
-    outlet = _outlet(opts, report=True)
-    form = opts.get("form", "sprime", choices=("sprime", "s"))
-    engine = opts.get("engine", "closed", choices=("closed", "mc", "both"))
-    quad, sf, stations, params = _resolve_fractions(opts)
+    form = opts.get("form")
+    engine = opts.get("engine")
+    quad, sf, stations, names = _resolve_fractions(opts)
     seed = _seed(opts)
+    mc = engine in ("mc", "both")
+    params = opts.record(*names, *(("pairs", "duration") if mc else ()), "form", "engine")
 
     row: dict = {
         "form": form,
@@ -342,68 +412,20 @@ def cmd_bell(opts: Options) -> int:
         row[label] = e if form == "s" else (1.0 + e) / 4.0
     row["value"] = s_chsh_fc(quad, sf) if form == "s" else s_prime_fc(quad, sf)
 
-    if engine in ("mc", "both"):
-        pairs = opts.get("pairs", 1_000_000, parse=int)
+    if mc:
+        pairs = opts.get("pairs")
         if pairs < 1:
             raise ValidationError("monte carlo needs --pairs >= 1")
-        duration = opts.get("duration", 1e-3, parse=parse_time)
-        workers = opts.get("workers", 1, parse=int)
         s_p, s_c = measure_bell(quad, pairs, RngSpec(seed), sf=sf, stations=stations,
-                                duration=duration, workers=workers)
+                                duration=opts.get("duration"), workers=opts.get("workers"))
         est = s_c if form == "s" else s_p
         row["mc_value"] = est.value
         row["mc_std_error"] = est.std_error
         row["mc_pairs"] = est.n_trials
-        params.update(pairs=pairs, duration=repr(duration))
-    params.update(form=form, engine=engine)
-    return _emit(outlet, "bell", seed, params, [row])
+    return _emit(opts, "bell", seed, params, [row])
 
 
 # --- sweep --------------------------------------------------------------------
-
-
-def _sweep_spec(opts: Options) -> tuple[SweepSpec, dict]:
-    variable = opts.get("variable", "frequency_common",
-                        choices=tuple(v.value for v in SweepVariable))
-    parse_x = float if variable == SweepVariable.F_DIRECT else parse_frequency
-    start = opts.get("start", parse=parse_x)
-    stop = opts.get("stop", parse=parse_x)
-    if start is None or stop is None:
-        raise ValidationError("sweep needs --start and --stop")
-    # the sweep has no phase flags; its stations switch in phase
-    quad, alice, bob, station_params = _stations(opts, phases=False)
-    engines = opts.get("engines", CLOSED_FORM, parse=_items, choices=(CLOSED_FORM, MONTE_CARLO))
-    weights = opts.get("weights", parse=lambda v: tuple(float(p) for p in v.split(",")))
-    if weights is not None and len(weights) != 2:
-        raise ValidationError("--weights needs two comma-separated values")
-    seed = _seed(opts)
-    spec = SweepSpec(
-        variable=variable,
-        start=start,
-        stop=stop,
-        num_points=opts.get("points", 1201, parse=int),
-        quad=quad,
-        alice=alice,
-        bob=bob,
-        engines=engines,
-        mc_pairs_per_point=opts.get("mc_pairs", 200_000, parse=int),
-        mc_duration=opts.get("duration", 1e-3, parse=parse_time),
-        station_weights=weights,
-        seed=seed,
-    )
-    params = {
-        "variable": spec.variable.value,
-        "start": repr(start),
-        "stop": repr(stop),
-        "points": spec.num_points,
-        **station_params,
-        "engines": ",".join(engines),
-    }
-    if MONTE_CARLO in engines:
-        params.update(mc_pairs=spec.mc_pairs_per_point, duration=repr(spec.mc_duration))
-    if weights is not None:
-        params["weights"] = f"{weights[0]!r},{weights[1]!r}"
-    return spec, params
 
 
 def _series_rows(series) -> list[dict]:
@@ -441,12 +463,42 @@ def _sweep_plot(series, provenance, which: str) -> LinePlot:
 
 
 def cmd_sweep(opts: Options) -> int:
-    outlet = _outlet(opts, plot=True)
-    spec, params = _sweep_spec(opts)
-    which = opts.get("plot_field", "s_prime", choices=("s_prime", "s_chsh"))
-    params["plot_field"] = which
+    variable = opts.get("variable")
+    start = opts.get("start")
+    stop = opts.get("stop")
+    if start is None or stop is None:
+        raise ValidationError("sweep needs --start and --stop")
+    quad, alice, bob = _stations(opts)
+    engines = opts.get("engines")
+    weights = opts.get("weights")
+    if weights is not None and len(weights) != 2:
+        raise ValidationError("--weights needs two comma-separated values")
+    seed = _seed(opts)
+    spec = SweepSpec(
+        variable=variable,
+        start=start,
+        stop=stop,
+        num_points=opts.get("points"),
+        quad=quad,
+        alice=alice,
+        bob=bob,
+        engines=engines,
+        mc_pairs_per_point=opts.get("mc_pairs"),
+        mc_duration=opts.get("duration"),
+        station_weights=weights,
+        seed=seed,
+    )
+    names = ["variable", "start", "stop", "points", *_STATION_PARAMS, "engines"]
+    if MONTE_CARLO in engines:
+        names += ["mc_pairs", "duration"]
+    if weights is not None:
+        names.append("weights")
+    which = opts.get("plot_field")
+    # recorded before the sweep: recorded after it, its header took an
+    # in-process loop of sweep_mc from ~40 to ~9,700 page faults a call
+    params = opts.record(*names, "plot_field")
     series = run_sweep(spec)
-    return _emit(outlet, "sweep", spec.seed, params, _series_rows(series),
+    return _emit(opts, "sweep", seed, params, _series_rows(series),
                  plot=lambda provenance: _sweep_plot(series, provenance, which))
 
 
@@ -454,50 +506,49 @@ def cmd_sweep(opts: Options) -> int:
 
 
 def cmd_sync(opts: Options) -> int:
-    outlet = _outlet(opts, report=True)
-    if opts.get("nu_a") is None:
+    if not opts.given("nu_a"):
         raise ValidationError("sync needs --nu-a")
-    _quad, alice, bob, station_params = _stations(opts, quad=False, phases=False)
+    _quad, alice, bob = _stations(opts)
     sf = fractions_for(alice, bob)
     row: dict = {"nu_a": alice.switch_frequency, "round_trip_a": alice.round_trip_time,
                  "f_alice": sf.f_alice}
-    if opts.get("nu_b") is not None:
+    names: tuple = ("nu_a", "round_trip_a")
+    if opts.given("nu_b"):
         row.update(nu_b=bob.switch_frequency, round_trip_b=bob.round_trip_time,
                    f_bob=sf.f_bob, f=sf.f, f_prime=sf.f_prime)
-    params = {key: value for key, value in station_params.items() if key in row}
-    return _emit(outlet, "sync", None, params, [row])
+        names = _STATION_PARAMS[1:]
+    return _emit(opts, "sync", None, opts.record(*names), [row])
 
 
 # --- aspect -------------------------------------------------------------------
 
 
 def cmd_aspect(opts: Options) -> int:
-    outlet = _outlet(opts, report=True)
     report = aspect_point()
     heading = "1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)"
     comparison = (f"predicted S' {format_float(report.reported.s_prime)} vs measured "
                   f"{report.measured_s_prime} +/- {report.measured_s_prime_error}")
-    return _emit(outlet, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
+    return _emit(opts, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
 
 
 # --- export-trials --------------------------------------------------------------
 
 
 def cmd_export_trials(opts: Options) -> int:
-    pairs = opts.get("pairs", parse=int)
+    pairs = opts.get("pairs")
     if pairs is None or pairs < 1:
         raise ValidationError("no trials requested (need --pairs >= 1)")
-    output = opts.get("output", parse=_path)
+    output = opts.get("output")
     if output is None:
         raise ValidationError("export-trials needs --output")
-    _quad, alice, bob, params = _stations(opts)
-    duration = opts.get("duration", 1e-3, parse=parse_time)
-    emission = opts.get("emission", "uniform", choices=("uniform", "grid", "poisson"))
-    workers = opts.get("workers", 1, parse=int)
+    _quad, alice, bob = _stations(opts)
+    duration = opts.get("duration")
+    emission = opts.get("emission")
+    workers = opts.get("workers")
     seed = _seed(opts)
+    params = opts.record(*_STATION_PARAMS, "phase_a", "phase_b", "pairs", "duration", "emission")
     trials = run_timeline(alice, bob, pairs, duration, RngSpec(seed),
                           emission=emission, workers=workers)
-    params.update(pairs=pairs, duration=repr(duration), emission=emission)
     provenance = _provenance("export-trials", seed, params)
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(provenance_header(provenance) + "\n")
@@ -544,90 +595,30 @@ def _write_trial_lines(fh, trials) -> None:
 # --- parser -------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "curves": (cmd_curves, "correlation-vs-angle tables for the four models"),
+    "bell": (cmd_bell, "one Bell value (S or S') with its components"),
+    "sweep": (cmd_sweep, "sweep frequency, fraction, or distance split"),
+    "sync": (cmd_sync, "square-wave sync fractions f_A, f_B, f, f'"),
+    "aspect": (cmd_aspect, "the 1982 reconstruction report"),
+    "export-trials": (cmd_export_trials, "write a Monte Carlo event stream as JSON lines"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bellsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"bellsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=False, formats=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        if seed:
-            p.add_argument("--seed", help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--output", help="output file path (default: stdout)")
-        if formats:
-            p.add_argument("--format", help="csv | jsonl | svg (where supported)")
-
-    def stations(p, quad=True, phases=True):
-        # the flags _stations reads
-        if quad:
-            p.add_argument("--quad", help="a,b,a',b' as tagged angles")
-        p.add_argument("--nu-a", help="Alice's switching frequency (default 0: fixed; sync needs it)")
-        p.add_argument("--nu-b", help="Bob's switching frequency (default 0: fixed)")
-        p.add_argument("--round-trip", help="shared round trip time, e.g. 43ns (default 43ns)")
-        p.add_argument("--round-trip-a", help="Alice's round trip time")
-        p.add_argument("--round-trip-b", help="Bob's round trip time")
-        if phases:
-            p.add_argument("--phase-a", help="Alice's switching phase, e.g. 90deg (bare: rad)")
-            p.add_argument("--phase-b", help="Bob's switching phase, e.g. 90deg (bare: rad)")
-
-    p = sub.add_parser("curves", help="correlation-vs-angle tables for the four models")
-    common(p)
-    p.add_argument("--models", help="comma list from qm,sc,vt,mclhv")
-    p.add_argument("--points", help="grid points over [0, pi]")
-
-    p = sub.add_parser("bell", help="one Bell value (S or S') with its components")
-    common(p, seed=True)
-    stations(p)
-    p.add_argument("--form", help="sprime | s")
-    p.add_argument("--engine", help="closed | mc | both")
-    p.add_argument("--f", help="common sync fraction")
-    p.add_argument("--f-a", help="Alice's sync fraction")
-    p.add_argument("--f-b", help="Bob's sync fraction")
-    p.add_argument("--pairs", help="Monte Carlo pairs")
-    p.add_argument("--duration", help="Monte Carlo timeline duration")
-    p.add_argument("--workers", help="Monte Carlo worker threads")
-
-    p = sub.add_parser("sweep", help="sweep frequency, fraction, or distance split")
-    common(p, seed=True)
-    p.add_argument("--variable", help="frequency_common | frequency_alice_only | f_direct | distance_ratio")
-    p.add_argument("--start", help="sweep start (frequency or fraction)")
-    p.add_argument("--stop", help="sweep stop")
-    p.add_argument("--points", help="grid points (default 1201)")
-    stations(p, phases=False)
-    p.add_argument("--engines", help="closed_form[,monte_carlo]")
-    p.add_argument("--mc-pairs", help="Monte Carlo pairs per sweep point")
-    p.add_argument("--duration", help="Monte Carlo timeline duration per point")
-    p.add_argument("--weights", help="station texture weights, e.g. 0.5,0.5")
-    p.add_argument("--plot", help="also write an SVG plot to this path")
-    p.add_argument("--plot-field", help="s_prime | s_chsh (default s_prime)")
-
-    p = sub.add_parser("sync", help="square-wave sync fractions f_A, f_B, f, f'")
-    common(p)
-    stations(p, quad=False, phases=False)
-
-    p = sub.add_parser("aspect", help="the 1982 reconstruction report")
-    common(p)
-
-    p = sub.add_parser("export-trials", help="write a Monte Carlo event stream as JSON lines")
-    common(p, seed=True, formats=False)
-    stations(p)
-    p.add_argument("--pairs", help="number of pairs to simulate")
-    p.add_argument("--duration", help="timeline duration (default 1ms)")
-    p.add_argument("--emission", help="uniform | grid | poisson")
-    p.add_argument("--workers", help="worker threads")
-
+    for command, (_run, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (_kind, default, choices, text) in _rows(command).items():
+            if choices is not None:
+                text += f": {' | '.join(choices)}"
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument(_flag(name), help=text)
     return parser
-
-
-_COMMANDS = {
-    "curves": cmd_curves,
-    "bell": cmd_bell,
-    "sweep": cmd_sweep,
-    "sync": cmd_sync,
-    "aspect": cmd_aspect,
-    "export-trials": cmd_export_trials,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -638,7 +629,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         opts = Options(args, args.command)
-        return _COMMANDS[args.command](opts)
+        for name in ("output", "plot", "format"):  # a bad value fails before any work
+            if name in opts:
+                opts.get(name)
+        return _COMMANDS[args.command][0](opts)
     except ValidationError as exc:
         print(f"bellsim: error: {exc}", file=sys.stderr)
         return 1

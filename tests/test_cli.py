@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -246,6 +247,25 @@ class TestBell:
 
     def test_missing_fraction_source(self):
         assert main(["bell"]) == 1
+
+    @pytest.mark.parametrize("argv, config, first, second", [
+        (["--f", "0.9", "--f-a", "0.5", "--f-b", "0.4"], {}, "--f", "--f-a/--f-b"),
+        (["--f", "0.9", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--engine", "mc"], {},
+         "--f", "--nu-a/--nu-b"),
+        (["--f-a", "0.5", "--f-b", "0.4", "--nu-a", "46.2MHz"], {}, "--f-a/--f-b",
+         "--nu-a/--nu-b"),
+        (["--nu-a", "46.2MHz", "--nu-b", "48.4MHz"], {"f": 0.9}, "--f", "--nu-a/--nu-b"),
+    ], ids=["f-and-f-a-f-b", "f-and-stations", "f-a-f-b-and-half-stations", "config-f-and-stations"])
+    def test_two_fraction_sources_are_rejected(self, argv, config, first, second, tmp_path,
+                                               capsys):
+        # one source wins silently otherwise, and the header records only it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "bell.csv"
+        assert main(["bell", *argv, "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"not {first} and {second}" in err
+        assert not out.exists()
 
 
 class TestMalformedInput:
@@ -909,6 +929,36 @@ class TestConfigFile:
                      "--engine", "mc"]) == 0
         assert capsys.readouterr().out == from_config
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz"], {"frm": "s"},
+         "config key 'frm' is not an option of any subcommand"),
+        (["bell"], {"bell": {"nu-a": "46.2MHz", "nu_b": "48.4MHz"}},
+         "config key 'nu-a' in section 'bell' is not an option of bell"),
+        (["sync", "--nu-a", "46.2MHz"], {"sync": {"quad": "0deg,1deg,2deg,3deg"}},
+         "config key 'quad' in section 'sync' is not an option of sync"),
+        (["bell", "--f", "0.5"], {"curves": {"pionts": 3}},
+         "config key 'pionts' in section 'curves' is not an option of curves"),
+        (["sweep", "--start", "0", "--stop", "1MHz"], {"swep": {"points": 3}},
+         "config section 'swep' is not a subcommand"),
+    ], ids=["top-level", "section-dash", "section-undeclared", "other-section", "section-name"])
+    def test_config_typo_is_rejected(self, argv, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(cfg), "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_top_level_key_of_another_subcommand_is_accepted(self, tmp_path, capsys):
+        # top-level keys apply to every subcommand; one that does not declare a key ignores it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 3, "models": "qm", "nu_a": "46.2MHz"}),
+                       encoding="utf-8")
+        assert main(["sync", "--config", str(cfg)]) == 0
+        assert "f_alice: 0.97" in capsys.readouterr().out
+        assert main(["curves", "--config", str(cfg), "--format", "jsonl"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
     def test_bad_angle_flag_is_validation_error(self, tmp_path):
         assert main(["bell", "--f", "0.9", "--quad", "0,0.3927,0.7854,1.178"]) == 1
 
@@ -951,3 +1001,19 @@ class TestDeclaredFlags:
             assert main(argv + extra) == 0, extra
         # --config is read by Options itself
         assert read == declared - {"config"}, sorted(read ^ (declared - {"config"}))
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_help_names_every_default(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        # one entry per option: "--flag METAVAR  help", wrapped onto indented lines
+        entries = {" ".join(entry.split()).split(" ", 1)[0]: " ".join(entry.split())
+                   for entry in re.split(r"\n  (?=--)", capsys.readouterr().out)[1:]}
+        named = 0
+        for name, _kind, default, _choices, _help, commands in cli._FLAGS:
+            if isinstance(default, dict):
+                default = default.get(command, default.get(None))
+            if command in commands and default is not None:
+                flag = f"--{name.replace('_', '-')}"
+                assert f"(default {default})" in entries[flag], (flag, entries[flag])
+                named += 1
+        assert named or command == "aspect"

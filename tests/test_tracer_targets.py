@@ -92,3 +92,38 @@ def test_tracer_counts_the_pairs_of_a_measurement(kind):
         measure_bell(STANDARD_QUAD, n, RngSpec(42), duration=1e-4, **kwargs)
         counts = tracer.end_invocation({})
     assert counts["montecarlo.pairs"] == 3 * n
+
+
+#: the benchmark's four workload command lines at tiny sizes, and the number
+#: of unit parses (quads, frequencies, times) each makes: every flag given and
+#: every unit default is parsed once
+ASPECT = ("--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip", "43ns")
+WORKLOAD_PARSES = {
+    "bell_aspect": (("bell", *ASPECT, "--form", "sprime", "--engine", "both", "--pairs", "2000",
+                     "--workers", "2", "--format", "jsonl", "--output", "{out}"), 7),
+    "sweep_mc": (("sweep", "--variable", "frequency_common", "--start", "0", "--stop", "100MHz",
+                  "--round-trip", "43ns", "--points", "3", "--engines",
+                  "closed_form,monte_carlo", "--mc-pairs", "2000", "--output", "{out}",
+                  "--plot", "{svg}"), 9),
+    "export_stream": (("export-trials", *ASPECT, "--pairs", "300", "--output", "{out}"), 7),
+    "sweep_closed": (("sweep", "--variable", "distance_ratio", "--start", "0", "--stop",
+                      "100MHz", "--round-trip-a", "20ns", "--round-trip-b", "43ns",
+                      "--points", "5", "--output", "{out}", "--plot", "{svg}"), 9),
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_PARSES))
+def test_tracer_counts_each_unit_parse_of_a_workload(workload, tmp_path):
+    # the CLI must call the parsers by the names the tracer wraps (none
+    # captured at import), and parse no flag twice
+    from bellsim import cli
+
+    spans = _load_spans()
+    argv, parses = WORKLOAD_PARSES[workload]
+    argv = [a.format(out=tmp_path / "out", svg=tmp_path / "out.svg") for a in argv]
+    tracer = spans.Tracer()
+    with tracer.patched():
+        tracer.begin_invocation(1)
+        assert cli.main([*argv, "--seed", "3"]) == 0
+        tracer.end_invocation({})
+    assert sum(span[3] == "units.parse" for span in tracer.spans) == parses
