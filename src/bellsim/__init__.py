@@ -6,7 +6,7 @@ cross-validates every closed form, and sweep tooling for the proposed
 frequency-scan experiment.
 """
 
-__version__ = "0.6.4"
+__version__ = "0.7.0"
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,

@@ -112,7 +112,8 @@ class StationConfig:
     frequency 0 the setting is fixed at the one the phase picks.
     ``round_trip_time`` is 2d/v for source-detector distance d (texture
     travels out, the photon travels back).  ``switching`` selects the
-    periodic square wave or fully random choice per epoch.
+    periodic square wave or a fair random choice per pair, whose texture
+    epoch shows the measured setting with probability ``sync_probability``.
     """
 
     setting_1: float
@@ -121,6 +122,7 @@ class StationConfig:
     switch_phase: float = 0.0
     round_trip_time: float = ASPECT_ROUND_TRIP
     switching: str = "periodic"
+    sync_probability: float = 0.5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "setting_1", normalize_angle(self.setting_1))
@@ -131,6 +133,10 @@ class StationConfig:
             raise ValidationError("round_trip_time must be > 0")
         if self.switching not in ("periodic", "random"):
             raise ValidationError(f"unknown switching mode {self.switching!r}")
+        if not 0.0 <= self.sync_probability <= 1.0:
+            raise ValidationError(f"sync_probability {self.sync_probability!r} outside [0, 1]")
+        if self.switching == "periodic" and self.sync_probability != 0.5:
+            raise ValidationError("sync_probability applies to random switching only")
 
     @classmethod
     def fixed(cls, setting: float, round_trip_time: float = ASPECT_ROUND_TRIP) -> "StationConfig":
@@ -148,16 +154,16 @@ class StationConfig:
 
     def sync_fraction(self) -> float:
         """Fraction of time the texture-epoch setting matches the measured one."""
-        return _switching_fraction(self.switching, self.switch_frequency, self.round_trip_time)
+        return _switching_fraction(self, self.switch_frequency)
 
 
-def _switching_fraction(switching: str, frequency: float, round_trip_time: float) -> float:
-    """``StationConfig.sync_fraction`` from its fields, a negative frequency rejected."""
+def _switching_fraction(station: StationConfig, frequency: float) -> float:
+    """``station.sync_fraction()`` at ``frequency``, a negative frequency rejected."""
     if frequency < 0.0:
         raise ValidationError("switch_frequency must be >= 0")
-    if switching == "random":
-        return 0.5
-    return sync_fraction(frequency, round_trip_time)
+    if station.switching == "random":
+        return station.sync_probability
+    return sync_fraction(frequency, station.round_trip_time)
 
 
 def sync_fraction(frequency: float, round_trip_time: float) -> float:

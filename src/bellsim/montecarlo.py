@@ -43,9 +43,8 @@ whose hidden angle is a flat draw (the singles runs' uniform share, or a
 uniform mixture component) evaluate ``cos`` per pair; a flat angle needs
 no ``fmod`` (``_flat_angles``).  An absent polarizer detects every photon
 and skips its uniforms by advancing the generator.  ``run_timeline``,
-``run_choice_trials``, ``run_static`` and ``sample_lambda`` share that one
-sampler and detector; the random numbers and their order are those of the
-per-pair formulas, so every record column is unchanged.
+``run_static`` and ``sample_lambda`` share that one sampler and detector;
+the random numbers and their order are those of the per-pair formulas.
 
 Tiles: after its time draw and sort, a chunk runs every per-pair pass over
 tiles of ``_TILE`` records (``_tiles``), stage by stage: the station
@@ -192,17 +191,14 @@ def _allocate(n: int, settings: np.ndarray) -> Trials:
                   settings=settings)
 
 
-def normalize_angles(x: np.ndarray, out: np.ndarray | None = None,
-                     fold: np.ndarray | None = None) -> np.ndarray:
+def normalize_angles(x: np.ndarray) -> np.ndarray:
     """Vectorized twin of models.normalize_angle (same fmod and folds).
 
     Each fold adds 0 or pi, the same floats as branching but without a
-    data-dependent choice per element.  ``out`` (which may be ``x``) takes
-    the result and ``fold``, a float64 buffer of ``x``'s size, the folds;
-    each is allocated when None.
+    data-dependent choice per element.
     """
-    r = np.fmod(x, np.pi, out=out)
-    fold = np.empty_like(r) if fold is None else fold
+    r = np.fmod(x, np.pi)
+    fold = np.empty_like(r)
     np.greater(r, HALF_PI, out=fold)
     fold *= np.pi
     r -= fold
@@ -221,9 +217,9 @@ def normalize_angles(x: np.ndarray, out: np.ndarray | None = None,
 _TILE = 1 << 16
 
 #: Records a chunk-sized scratch buffer (the atom codes) may hold and still
-#: be kept for the next chunk.  A larger request (an unchunked choice or
-#: static run or hidden-angle draw, or a ``chunk_size`` above the default)
-#: gets a buffer that is used once.
+#: be kept for the next chunk.  A larger request (an unchunked static run or
+#: hidden-angle draw, or a ``chunk_size`` above the default) gets a buffer
+#: that is used once.
 _ARENA_RECORDS = 2 * DEFAULT_CHUNK
 
 
@@ -501,10 +497,14 @@ def _station_indices(
     """Write the setting index (0 or 1) at the texture epoch into ``v`` and
     at photon arrival into ``m``, tile by tile."""
     if cfg.switching == "random":
-        # int64 draws, cast on assignment: an int8 draw is another stream
-        for col in (v, m):
-            for s in _tiles(col.size):
-                col[s] = rng.integers(0, 2, size=s.stop - s.start)
+        # no times read: m is a fair coin, then v = m with probability p, else the other index
+        for s in _tiles(m.size):
+            u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
+            np.greater_equal(u, 0.5, out=m[s].view(np.bool_))
+        for s in _tiles(v.size):
+            u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
+            keep = np.less(u, cfg.sync_probability, out=arena.take("mask", u.size, np.bool_))
+            np.equal(m[s].view(np.bool_), keep, out=v[s].view(np.bool_))
     elif cfg.switch_frequency == 0.0:
         # a still wave shows the level its phase picks at every time
         level = _square_wave_index(0.0, cfg.switch_phase, np.zeros(1))[0]
@@ -622,9 +622,7 @@ def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
     and a measurement tallies each run as it returns and drops it, so it
     holds one run's records at a time and copies none.  The factor two is
     headroom: a lower count would let larger runs through.  The chunks'
-    scratch arenas are bounded apart from the records (``_RECORD_BYTES``);
-    an unchunked choice run's only scratch per record is its atom codes,
-    one byte each.
+    scratch arenas are bounded apart from the records (``_RECORD_BYTES``).
     """
     _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
@@ -669,12 +667,12 @@ def run_timeline(
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    if n_pairs < 1:
+        raise ValidationError("need at least one pair")
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
     if emission not in ("uniform", "grid", "poisson"):
         raise ValidationError(f"unknown emission mode {emission!r}")
-    if n_pairs < 1:
-        raise ValidationError("need at least one pair")
     _check_memory(n_pairs)
     check_station_weights(station_weights)
     for name, key, cfg in (("Alice", "a", alice), ("Bob", "b", bob)):
@@ -731,7 +729,8 @@ def run_timeline(
         gen = gens[i]
         times = part.emission_time
         if emission == "grid":
-            np.add(np.arange(lo, hi, dtype=np.float64), 0.5, out=times)
+            for s in _tiles(hi - lo):  # a chunk-sized arange costs more than the fill
+                np.add(np.arange(lo + s.start, lo + s.stop, dtype=np.float64), 0.5, out=times[s])
             times *= duration / n_pairs
         else:
             w0, w1 = windows[i]
@@ -754,6 +753,13 @@ def run_timeline(
     return out
 
 
+def _choice_stations(quad: ChoiceQuad, sf: SyncFractions) -> tuple[StationConfig, StationConfig]:
+    """Random-switching stations on ``quad``, Alice's in sync with
+    probability f_A and Bob's with f_B: the per-trial choice protocol."""
+    return (StationConfig(quad.a, quad.a_alt, switching="random", sync_probability=sf.f_alice),
+            StationConfig(quad.b, quad.b_alt, switching="random", sync_probability=sf.f_bob))
+
+
 def run_choice_trials(
     quad: ChoiceQuad,
     sf: SyncFractions,
@@ -769,30 +775,12 @@ def run_choice_trials(
     texture-epoch setting equal to the measured one with probability f_A
     (f_B), and then proceeds exactly as the timeline: hidden angle from the
     texture-epoch mixture, Malus outcomes at the measured settings.  This
-    realizes arbitrary (f_A, f_B) without modelling switching hardware.
+    realizes arbitrary (f_A, f_B) without modelling switching hardware: it
+    is the one-worker timeline of two random-switching stations
+    (``_choice_stations``), trial i emitted at time i + 1/2 on a grid.
     """
-    if n < 1:
-        raise ValidationError("need at least one trial")
-    _check_memory(n)
-    check_station_weights(station_weights)
-    gen = as_rng_spec(rng).generator()
-    settings = np.array([[quad.a, quad.a_alt], [quad.b, quad.b_alt]])
-    out = _allocate(n, settings)
-    out.emission_time = np.arange(n, dtype=np.float64)  # the trial index stands in for a time
-    with _scratch() as arena:
-        for m in (out.a_m_idx, out.b_m_idx):
-            for s in _tiles(n):
-                u = gen.random(out=arena.take("u", s.stop - s.start, np.float64))
-                np.greater_equal(u, 0.5, out=m[s].view(np.bool_))
-        for v, m, f in ((out.a_v_idx, out.a_m_idx, sf.f_alice),
-                        (out.b_v_idx, out.b_m_idx, sf.f_bob)):
-            for s in _tiles(n):
-                # the measured index with probability f, else the other one
-                u = gen.random(out=arena.take("u", s.stop - s.start, np.float64))
-                keep = np.less(u, f, out=arena.take("mask", u.size, np.bool_))
-                np.equal(m[s].view(np.bool_), keep, out=v[s].view(np.bool_))
-        _simulate(out, station_weights, pbs, gen, arena)
-    return out
+    return run_timeline(*_choice_stations(quad, sf), n, float(n), rng, emission="grid",
+                        station_weights=station_weights, pbs=pbs)
 
 
 # --- estimators ---------------------------------------------------------------

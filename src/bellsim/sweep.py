@@ -51,14 +51,14 @@ from .montecarlo import (
     RngSpec,
     _check_fits,
     _check_memory,
+    _choice_stations,
     _s_chsh,
     _s_prime,
     _tally,
-    run_choice_trials,
     run_timeline,
 )
 # importable here so that benchmarks/spans.py can wrap them by this module's name
-from .montecarlo import estimate_s_chsh, estimate_s_prime  # noqa: F401
+from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
 
 DEFAULT_SEED = 123456789
 
@@ -205,7 +205,7 @@ def _grid_fractions(spec: SweepSpec, swept: tuple[bool, bool]) -> Iterator[tuple
     def fractions(station: StationConfig, at_x: bool) -> Iterator[float]:
         if at_x:
             for x in grid:
-                yield _switching_fraction(station.switching, x, station.round_trip_time)
+                yield _switching_fraction(station, x)
         else:
             yield from itertools.repeat(station.sync_fraction())
 
@@ -226,9 +226,11 @@ def measure_bell(
     """S' and S from one main run plus the Alice-only and Bob-only runs.
 
     Pairs come from the switching timeline of ``stations`` over
-    ``duration`` seconds or, without stations, from the per-trial choice
-    sampler at ``sf``.  A periodic station at frequency 0 shows one setting
-    per timeline, so it is stepped through its two settings as
+    ``duration`` seconds, on ``workers`` threads; without stations, of two
+    random-switching stations in sync with probabilities ``sf``
+    (``_choice_stations``).  Two random stations read no times, so their
+    pairs lie on an emission grid.  A periodic station at frequency 0 shows
+    one setting per timeline, so it is stepped through its two settings as
     zero-frequency waves at phases 0 and pi (its own phase is not used),
     one timeline per step.  The main run is the m = 1, 2 or 4 (Alice step,
     Bob step) parts in order, part k on stream ``rng.stream_id + k + 1``
@@ -244,9 +246,9 @@ def measure_bell(
     and S' and S both read it.  The counts merge exactly, so the estimates
     equal ``estimate_s_prime`` and ``estimate_s_chsh`` of the joined runs.
 
-    When neither station is stepped, equal-frequency waves read in phase or
-    in anti-phase at photon arrival (t + T/2) show only two of the four
-    measured pairs, so Bob's is offset a quarter period.  Those waves are
+    When neither periodic station is stepped, equal-frequency waves read in
+    phase or in anti-phase at photon arrival (t + T/2) show only two of the
+    four measured pairs, so Bob's is offset a quarter period.  Those waves are
     locked when (phi_B - phi_A) + pi nu (T_B - T_A) is within 1e-12 rad of
     a multiple of pi.
     """
@@ -255,31 +257,27 @@ def measure_bell(
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
     _check_memory(n)
-    a_steps = b_steps = (None,)
-    if stations is not None:
-        alice, bob = stations
-        a_steps, b_steps = (
-            tuple(replace(s, switch_phase=j * math.pi) for j in (0, 1))
-            if s.switching == "periodic" and s.switch_frequency == 0.0 else (s,)
-            for s in stations)
-        # at equal frequencies, Bob's wave phase minus Alice's as each is read
-        # at photon arrival, t + T/2
-        gap = (bob.switch_phase - alice.switch_phase) + math.pi * bob.switch_frequency * (
-            bob.round_trip_time - alice.round_trip_time)
-        if (len(a_steps) == len(b_steps) == 1 and alice.switch_frequency == bob.switch_frequency
-                and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
-            b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
+    alice, bob = stations = _choice_stations(quad, sf) if stations is None else stations
+    a_steps, b_steps = (
+        tuple(replace(s, switch_phase=j * math.pi) for j in (0, 1))
+        if s.switching == "periodic" and s.switch_frequency == 0.0 else (s,)
+        for s in stations)
+    # at equal frequencies, Bob's wave phase minus Alice's as each is read
+    # at photon arrival, t + T/2
+    gap = (bob.switch_phase - alice.switch_phase) + math.pi * bob.switch_frequency * (
+        bob.round_trip_time - alice.round_trip_time)
+    if (len(a_steps) == len(b_steps) == 1 and alice.switching == bob.switching == "periodic"
+            and alice.switch_frequency == bob.switch_frequency
+            and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
+        b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
+    emission = "grid" if alice.switching == bob.switching == "random" else "uniform"
 
-    def tally(k: int, alice: StationConfig | None, bob: StationConfig | None, pairs: int,
+    def tally(k: int, alice: StationConfig, bob: StationConfig, pairs: int,
               pbs: tuple[bool, bool]) -> tuple:
         # (counts, settings table) of one run; its records are dropped on return
-        stream = RngSpec(rng.seed, rng.stream_id + k)
-        if stations is None:
-            trials = run_choice_trials(quad, sf, pairs, stream,
-                                       station_weights=station_weights, pbs=pbs)
-        else:
-            trials = run_timeline(alice, bob, pairs, duration, stream,
-                                  station_weights=station_weights, pbs=pbs, workers=workers)
+        trials = run_timeline(alice, bob, pairs, duration, RngSpec(rng.seed, rng.stream_id + k),
+                              emission=emission, station_weights=station_weights, pbs=pbs,
+                              workers=workers)
         return _tally(trials), trials.settings
 
     parts = list(itertools.product(a_steps, b_steps))
@@ -311,7 +309,8 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     the sync fractions, with their errors, come from ``_grid_fractions``.
     """
     if spec.variable is SweepVariable.DISTANCE_RATIO:
-        spec = replace(spec, alice=replace(spec.alice, switch_frequency=0.0, switching="periodic"))
+        spec = replace(spec, alice=replace(spec.alice, switch_frequency=0.0, switching="periodic",
+                                           sync_probability=0.5))
     _check_fits("--points", spec.num_points, POINT_BYTES, "sweep points")
     if MONTE_CARLO in spec.engines:
         _check_memory(spec.mc_pairs_per_point, "--mc-pairs")

@@ -153,11 +153,23 @@ class TestStationConfig:
         with pytest.raises(ValidationError):
             StationConfig(0.0, 0.1, switching="sometimes")
 
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.1])
+    def test_sync_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(ValidationError, match="sync_probability"):
+            StationConfig(0.0, 0.1, switching="random", sync_probability=p)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_periodic_station_keeps_the_default_sync_probability(self, p):
+        with pytest.raises(ValidationError, match="random switching only"):
+            StationConfig(0.0, 0.1, 46.2e6, sync_probability=p)
+
     def test_sync_fraction_modes(self):
         fixed = StationConfig.fixed(0.2)
         assert fixed.sync_fraction() == 1.0
         random = StationConfig.random_choice(0.0, math.pi / 4)
         assert random.sync_fraction() == 0.5
+        biased = StationConfig(0.0, math.pi / 4, switching="random", sync_probability=0.3)
+        assert biased.sync_fraction() == 0.3
         periodic = StationConfig(0.0, math.pi / 4, 46.2e6)
         assert periodic.sync_fraction() == pytest.approx(0.9732, abs=1e-4)
 

@@ -166,6 +166,28 @@ class TestBell:
         row = rows[0]
         assert abs(row["mc_value"] - row["value"]) <= 4 * row["mc_std_error"]
 
+    def test_monte_carlo_choice_protocol_honours_workers(self, tmp_path, monkeypatch):
+        # a choice run is chunked on the timeline (3 chunks here): the worker
+        # count reaches it and changes no byte
+        from bellsim import sweep
+
+        seen = []
+        run = sweep.run_timeline
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_timeline", spy)
+        args = ["bell", "--f", "0.9", "--engine", "mc", "--pairs", "600000", "--seed", "7"]
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"bell_w{workers}.jsonl"
+            assert main(args + ["--workers", workers, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert seen == [1] * 3 + [2] * 3 + [3] * 3
+
     def test_monte_carlo_timeline_engine(self, tmp_path):
         out = tmp_path / "bell_mc_timeline.jsonl"
         code = main([

@@ -655,13 +655,12 @@ class TestScratchArenas:
             assert 1 <= len(pool) <= min(workers, os.cpu_count() or 1)
         # chunks of the default size, and an unchunked run larger than an arena keeps
         run_timeline(alice, bob, 3 * montecarlo.DEFAULT_CHUNK + 1, 1e-3, RngSpec(101), workers=2)
-        run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.8), 2 * montecarlo.DEFAULT_CHUNK + 1,
-                          RngSpec(102))
+        run_static(0.0, math.pi / 8, TILE_MIXTURE, 2 * montecarlo.DEFAULT_CHUNK + 1, RngSpec(102))
         assert 1 <= len(pool) <= min(3, os.cpu_count() or 1)
         for arena in pool:
             sizes = [buf.nbytes for buf in arena.buffers.values()]
             assert 0 < sum(sizes) <= 30 * 2 * montecarlo.DEFAULT_CHUNK
-            # no buffer kept from the oversized choice run: at most 8 bytes a record
+            # no buffer kept from the oversized static run: at most 8 bytes a record
             assert max(sizes) <= 8 * 2 * montecarlo.DEFAULT_CHUNK
             # tile-sized roles, and one byte a record of the largest chunk kept
             assert sum(sizes) <= 26 * montecarlo._TILE + 2 * montecarlo.DEFAULT_CHUNK
@@ -791,7 +790,8 @@ class TestTiles:
 class TestStreamDigests:
     """Fixed-seed record streams as written by versions 0.2.0, 0.3.0 and 0.4.0;
     the singles runs (one side's flat hidden angles) as written by 0.6.0,
-    whose angle fold leaves a canonical angle unchanged.
+    whose angle fold leaves a canonical angle unchanged; the choice run as
+    written by 0.7.0, a grid timeline of two random-switching stations.
 
     A changed digest is a stream change: it bumps the package version and
     is declared, it is never re-pinned to make a kernel change pass.
@@ -811,7 +811,7 @@ class TestStreamDigests:
         ("poisson", (False, True)):
             "3fb02b1508cc161e191b8e868ea3449a366fe27c5322bc7b36d2b9a766b4da4f",
     }
-    CHOICE_DIGEST = "67469451541e2a17bcf5c9896bf87162dd90c3b562d100d3c91b22eebfb77162"
+    CHOICE_DIGEST = "4b031381df17feaffbd553e74cc61e1649947a39f9c172e4a1f1969ea3e9f96b"
     # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error); the std errors
     # of 0.4.0 are the exact +/-1 variance, an ulp off np.std in two of three
     STATIC_ESTIMATES = (
@@ -1186,6 +1186,32 @@ class TestChoiceTrials:
         b_only = run_choice_trials(STANDARD_QUAD, sf, 100_000, RngSpec(30, 12), pbs=(False, True))
         est = estimate_s_prime(main, a_only, b_only, STANDARD_QUAD)
         assert est.agrees_with(s_prime_fc_closed(0.8))
+
+
+class TestSyncProbability:
+    """A random station keeps its texture-epoch setting equal to the
+    measured one with its ``sync_probability`` p."""
+
+    @staticmethod
+    def _stations(p_alice: float, p_bob: float) -> tuple[StationConfig, StationConfig]:
+        q = STANDARD_QUAD
+        return (StationConfig(q.a, q.a_alt, switching="random", sync_probability=p_alice),
+                StationConfig(q.b, q.b_alt, switching="random", sync_probability=p_bob))
+
+    @pytest.mark.parametrize("emission", ["uniform", "grid"])
+    @pytest.mark.parametrize("p_alice, p_bob", [(1.0, 0.0), (0.0, 1.0)])
+    def test_certain_and_impossible_sync(self, p_alice, p_bob, emission):
+        t = run_timeline(*self._stations(p_alice, p_bob), 5000, 1e-3, RngSpec(110),
+                         emission=emission, chunk_size=2048)
+        for v, m, p in ((t.a_v_idx, t.a_m_idx, p_alice), (t.b_v_idx, t.b_m_idx, p_bob)):
+            assert np.all((v == m) == bool(p))
+            assert 0 < np.count_nonzero(m) < len(t)  # a fair choice of the measured setting
+
+    def test_fraction_agrees_with_p(self):
+        t = run_timeline(*self._stations(0.3, 0.3), 200_000, 1e-3, RngSpec(111), emission="grid",
+                         workers=2, chunk_size=50_000)
+        for est in estimate_sync_fractions(t):
+            assert est.agrees_with(0.3)
 
 
 class TestHarmonicSwitching:

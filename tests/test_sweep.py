@@ -179,7 +179,7 @@ FREQUENCY_VARIABLES = [SweepVariable.FREQUENCY_COMMON, SweepVariable.FREQUENCY_A
 def _stations_at(spec: SweepSpec, x: float) -> tuple[StationConfig, StationConfig]:
     """The stations of a frequency sweep at x, built as a point's stations."""
     v = spec.variable
-    alice = (replace(spec.alice, switch_frequency=0.0, switching="periodic")
+    alice = (replace(spec.alice, switch_frequency=0.0, switching="periodic", sync_probability=0.5)
              if v is SweepVariable.DISTANCE_RATIO else replace(spec.alice, switch_frequency=x))
     bob = spec.bob if v is SweepVariable.FREQUENCY_ALICE_ONLY else replace(
         spec.bob, switch_frequency=x)
@@ -190,13 +190,17 @@ class TestStationFreePoints:
     """A closed-form point reads its sync fractions without building stations."""
 
     @pytest.mark.parametrize("variable", FREQUENCY_VARIABLES)
-    @pytest.mark.parametrize("bob_switching", ["random", "periodic"])
+    @pytest.mark.parametrize("bob_switching", ["random", "random_p", "periodic"])
     def test_random_choice_points_are_those_of_their_stations(self, variable, bob_switching):
         q = STANDARD_QUAD
-        bob = (StationConfig.random_choice(q.b, q.b_alt, 2 * ROUND_TRIP)
-               if bob_switching == "random" else StationConfig(q.b, q.b_alt, 5e6))
-        spec = SweepSpec(variable, 0.0, 100e6, num_points=41,
-                         alice=StationConfig.random_choice(q.a, q.a_alt), bob=bob,
+        bob = {"random": StationConfig.random_choice(q.b, q.b_alt, 2 * ROUND_TRIP),
+               "random_p": StationConfig(q.b, q.b_alt, round_trip_time=2 * ROUND_TRIP,
+                                         switching="random", sync_probability=0.3),
+               "periodic": StationConfig(q.b, q.b_alt, 5e6)}[bob_switching]
+        # with p != 1/2, Alice too (distance_ratio holds her still whatever her p)
+        alice = StationConfig(q.a, q.a_alt, switching="random",
+                              sync_probability=0.8 if bob_switching == "random_p" else 0.5)
+        spec = SweepSpec(variable, 0.0, 100e6, num_points=41, alice=alice, bob=bob,
                          station_weights=(0.3, 0.7))
         bell = bell_coefficients(spec.quad, (0.3, 0.7))
         for p in run_sweep(spec).points:
