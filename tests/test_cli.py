@@ -687,6 +687,89 @@ class TestClosedFormSweepBytes:
         assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_digest
 
 
+class TestCommandBytes:
+    """sha256 of every other table, plot and ``key: value`` report the
+    commands write, taken before tables became columns end to end: the
+    table (or report) digest, then the ``--plot`` file's, if one is drawn.
+    A ``-text`` case digests stdout without --output or --format.  The
+    version in the provenance is pinned, so a version bump moves no digest."""
+
+    DIGESTS = {
+        "curves-csv": (
+            ["curves", "--format", "csv"],
+            "0952d95bdce309e5601085a44ca3d68de13ab0d52c5188fc8eb11bdd2bf803d4", None),
+        "curves-jsonl": (
+            ["curves", "--points", "19", "--models", "vt,qm", "--format", "jsonl"],
+            "9f39d40d360cc7e537185878fff69cd288d41a9c73387c6d297c4b82b4e0f0d1", None),
+        "curves-svg": (
+            ["curves", "--format", "svg"],
+            "f6462789f8577bbd785f8ebf299e33c3cf260d65232dc5b8a62ea2f6d1c74ce9", None),
+        "bell-closed-csv": (
+            ["bell", "--f-a", "0.9", "--f-b", "0.8", "--engine", "closed", "--format", "csv"],
+            "eeaada93185d9dacd9862c172041fa346a6ccd17e4f69cd28019559f12a04a56", None),
+        "bell-closed-jsonl": (
+            ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--form", "s",
+             "--engine", "closed", "--format", "jsonl"],
+            "02878bba9c343e2d579a600f840137349938cafb2205b0340d1f1ad249c18bb0", None),
+        "bell-mc-csv": (
+            ["bell", "--f", "0.9", "--engine", "mc", "--pairs", "5000", "--seed", "3",
+             "--format", "csv"],
+            "b4b04425bb4af06c836bec600e17b408afcfbab33fb895c5d45c879dd59629bc", None),
+        "bell-mc-jsonl": (
+            ["bell", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--form", "s", "--engine", "mc",
+             "--pairs", "5000", "--seed", "4", "--format", "jsonl"],
+            "e0ad5cabb5f2ee3ccb7342195c1075702110af47387188b4e948dbefc2654725", None),
+        "sync-one": (
+            ["sync", "--nu-a", "46.2MHz", "--format", "csv"],
+            "4f29d1309f5697840e639c07adb209c73f76a1982a692715c89333132d6709ee", None),
+        "sync-two": (
+            ["sync", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz", "--round-trip-b", "93ns",
+             "--format", "jsonl"],
+            "acd97e81734d02b6821ecd38e5887db582e24579d6549e11e230df2704ae7d7c", None),
+        "aspect-jsonl": (
+            ["aspect", "--format", "jsonl"],
+            "5c38cbe9169e7596a05d89d9113927a57e3c5caf827ff22de1bd51b8b6ecf2d4", None),
+        "sweep-mc-csv": (
+            ["sweep", "--start", "10MHz", "--stop", "40MHz", "--points", "4",
+             "--engines", "closed_form,monte_carlo", "--mc-pairs", "4000", "--format", "csv"],
+            "c110fe05f24089ca9add23d070f893230d5037fe276ec2d35c3180f1c7ac7eea",
+            "4ae00be0c02b64177e7f454835a84f73dbadfd15c127033a087712ba95bf9aab"),
+        "sweep-mc-jsonl": (
+            ["sweep", "--variable", "f_direct", "--start", "0.5", "--stop", "1", "--points", "3",
+             "--engines", "closed_form,monte_carlo", "--mc-pairs", "4000",
+             "--plot-field", "s_chsh", "--format", "jsonl"],
+            "9e9722483a2bc7d61c72da3e5a0aa4610efb95dee6bbaef27cf988de236987f9",
+            "58dbe846f22d39c20d996b81b816b105e972735e3aec46f23220422db3421c13"),
+        "bell-text": (
+            ["bell", "--f", "0.9", "--engine", "both", "--pairs", "5000"],
+            "77050e7d9f269154274e8581402ceafbbb6246d5984ad4d96cb254443774f8cb", None),
+        "sync-text": (
+            ["sync", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz"],
+            "ad59abb98c13c23913abf92d451c08df5d048f554a54d3552fd4dd3e9fb4fdd3", None),
+        "aspect-text": (
+            ["aspect"],
+            "a4ee33767f637d699e97b24a61fa978bb675042b6095979896ef54b2856d9053", None),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_bytes(self, name, tmp_path, monkeypatch, capsys):
+        import hashlib
+
+        argv, digest, plot_digest = self.DIGESTS[name]
+        monkeypatch.setattr(cli, "__version__", "pinned")
+        out, plot = tmp_path / "out", tmp_path / "plot.svg"
+        if name.endswith("-text"):
+            assert main(argv) == 0
+            written = capsys.readouterr().out.encode()
+        else:
+            extra = ["--plot", str(plot)] if plot_digest else []
+            assert main([*argv, "--output", str(out), *extra]) == 0
+            written = out.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
+        if plot_digest:
+            assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_digest
+
+
 class TestSyncCommand:
     def test_both_stations(self, capsys):
         assert main(["sync", "--nu-a", "46.2MHz", "--nu-b", "48.4MHz",
