@@ -6,7 +6,7 @@ cross-validates every closed form, and sweep tooling for the proposed
 frequency-scan experiment.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,
@@ -60,7 +60,6 @@ from .sweep import (
     AspectReport,
     Extremum,
     ReferenceLines,
-    SweepPoint,
     SweepSeries,
     SweepSpec,
     SweepVariable,

@@ -298,10 +298,12 @@ def bell_coefficients(
     return c0, signed(1.0, 0.0) - c0, signed(0.0, 1.0) - c0
 
 
-def bell_values(coefficients: tuple[float, float, float], sf: SyncFractions) -> tuple[float, float]:
-    """(S', S) at ``sf`` from the affine map: S' = S_signed/4 - 1/2, S = |S_signed|."""
+def bell_values(coefficients: tuple[float, float, float], f_alice: float,
+                f_bob: float) -> tuple[float, float]:
+    """(S', S) at sync fractions (f_A, f_B) from the affine map:
+    S' = S_signed/4 - 1/2, S = |S_signed|."""
     c0, c_alice, c_bob = coefficients
-    signed = c0 + c_alice * sf.f_alice + c_bob * sf.f_bob
+    signed = c0 + c_alice * f_alice + c_bob * f_bob
     return signed / 4.0 - 0.5, abs(signed)
 
 
@@ -311,7 +313,7 @@ def s_chsh_fc(
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
     """Bell S under setting choice; equals 2*sqrt(2)*f at the standard quad."""
-    return bell_values(bell_coefficients(quad, station_weights), sf)[1]
+    return bell_values(bell_coefficients(quad, station_weights), sf.f_alice, sf.f_bob)[1]
 
 
 def s_prime_fc(
@@ -320,7 +322,7 @@ def s_prime_fc(
     station_weights: tuple[float, float] = EQUAL_WEIGHTS,
 ) -> float:
     """S' under setting choice: S_signed/4 - 1/2."""
-    return bell_values(bell_coefficients(quad, station_weights), sf)[0]
+    return bell_values(bell_coefficients(quad, station_weights), sf.f_alice, sf.f_bob)[0]
 
 
 def s_chsh_fixed(model: Model, quad: ChoiceQuad) -> float:

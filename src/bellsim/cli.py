@@ -278,34 +278,34 @@ def provenance_to_argv(provenance: dict) -> list[str]:
     return argv + [f"{_flag(key)}={value}" for key, value in params.items() if value is not None]
 
 
-def _emit(opts: Options, command: str, seed, params: dict, rows: list[dict],
+def _emit(opts: Options, command: str, seed, params: dict, columns: dict,
           plot=None, text: tuple[str, str] = ("", "")) -> int:
     """Write a command's result, the one way out of the CLI.
 
     With --output or --format (csv by default), the provenance records the
     format, and the table, or the plot that ``plot`` (a builder taking the
     provenance) draws for svg, goes to --output, else stdout; --plot, where
-    declared and given, also gets the plot.  Without either, the one row
-    prints as ``key: value`` lines between the heading and footer of
-    ``text`` (either may be empty).
+    declared and given, also gets the plot.  Without either, the first cell
+    of each column prints as ``key: value`` lines between the heading and
+    footer of ``text`` (either may be empty).
     """
     output, fmt = opts.get("output"), opts.get("format")
     plot_path = opts.get("plot") if "plot" in opts else None
     if fmt is None and output is None:
         head, foot = text
-        lines = [f"{key}: {format_float(value) if isinstance(value, float) else value}"
-                 for key, value in rows[0].items()]
+        lines = [f"{key}: {format_float(cells[0]) if isinstance(cells[0], float) else cells[0]}"
+                 for key, cells in columns.items()]
         sys.stdout.write("".join(f"{line}\n" for line in (head, *lines, foot) if line))
         return 0
     fmt = fmt or "csv"
     provenance = _provenance(command, seed, {**params, "format": fmt})
     figure = plot(provenance) if fmt == "svg" else None
     if output is None:
-        sys.stdout.write(figure.render() if figure else render_table(rows, provenance, fmt))
+        sys.stdout.write(figure.render() if figure else render_table(columns, provenance, fmt))
     elif figure:
         figure.write(output)
     else:
-        write_table(output, rows, provenance, fmt)
+        write_table(output, columns, provenance, fmt)
     if plot_path is not None:
         (figure or plot(provenance)).write(plot_path)
     return 0
@@ -323,13 +323,9 @@ def cmd_curves(opts: Options) -> int:
     if points < 2:
         raise ValidationError("need at least two grid points")
     _check_fits("--points", points, POINT_BYTES, "curve points")
-    rows = []
-    for i in range(points):
-        delta = math.pi * i / (points - 1)
-        row: dict = {"delta": delta}
-        for m in models:
-            row[m.value] = corr(m, delta, 0.0)
-        rows.append(row)
+    deltas = [math.pi * i / (points - 1) for i in range(points)]
+    columns = {"delta": deltas, **{m.value: [corr(m, delta, 0.0) for delta in deltas]
+                                   for m in models}}
     # the header lists the models in table order, each once
     params = {"models": ",".join(m.value for m in models), **opts.record("points")}
 
@@ -337,10 +333,10 @@ def cmd_curves(opts: Options) -> int:
         figure = LinePlot("Correlation vs angle difference", "a - b (rad)", "E(a,b)",
                           provenance)
         for m in models:
-            figure.add_series(m.value, [r["delta"] for r in rows], [r[m.value] for r in rows])
+            figure.add_series(m.value, deltas, columns[m.value])
         return figure
 
-    return _emit(opts, "curves", None, params, rows, plot=plot)
+    return _emit(opts, "curves", None, params, columns, plot=plot)
 
 
 # --- bell ---------------------------------------------------------------------
@@ -399,18 +395,18 @@ def cmd_bell(opts: Options) -> int:
     mc = engine in ("mc", "both")
     params = opts.record(*names, *(("pairs", "duration") if mc else ()), "form", "engine")
 
-    row: dict = {
-        "form": form,
-        "f_alice": sf.f_alice,
-        "f_bob": sf.f_bob,
-        "f": sf.f,
-        "f_prime": sf.f_prime,
+    columns: dict = {
+        "form": [form],
+        "f_alice": [sf.f_alice],
+        "f_bob": [sf.f_bob],
+        "f": [sf.f],
+        "f_prime": [sf.f_prime],
     }
     for (term, _), label in zip(quad.bell_terms(), _BELL_LABELS[form]):
         e = corr_fc(term, sf)
         # Malus outcomes: n(a, b) = (1 + E(a, b)) / 4
-        row[label] = e if form == "s" else (1.0 + e) / 4.0
-    row["value"] = s_chsh_fc(quad, sf) if form == "s" else s_prime_fc(quad, sf)
+        columns[label] = [e if form == "s" else (1.0 + e) / 4.0]
+    columns["value"] = [s_chsh_fc(quad, sf) if form == "s" else s_prime_fc(quad, sf)]
 
     if mc:
         pairs = opts.get("pairs")
@@ -419,27 +415,12 @@ def cmd_bell(opts: Options) -> int:
         s_p, s_c = measure_bell(quad, pairs, RngSpec(seed), sf=sf, stations=stations,
                                 duration=opts.get("duration"), workers=opts.get("workers"))
         est = s_c if form == "s" else s_p
-        row["mc_value"] = est.value
-        row["mc_std_error"] = est.std_error
-        row["mc_pairs"] = est.n_trials
-    return _emit(opts, "bell", seed, params, [row])
+        columns.update(mc_value=[est.value], mc_std_error=[est.std_error],
+                       mc_pairs=[est.n_trials])
+    return _emit(opts, "bell", seed, params, columns)
 
 
 # --- sweep --------------------------------------------------------------------
-
-
-def _series_rows(series) -> list[dict]:
-    return [{
-        "x": p.x,
-        "f_alice": p.f_alice,
-        "f_bob": p.f_bob,
-        "s_prime": p.s_prime,
-        "s_chsh": p.s_chsh,
-        "mc_s_prime": None if p.mc_s_prime is None else p.mc_s_prime.value,
-        "mc_s_prime_err": None if p.mc_s_prime is None else p.mc_s_prime.std_error,
-        "mc_s_chsh": None if p.mc_s_chsh is None else p.mc_s_chsh.value,
-        "mc_s_chsh_err": None if p.mc_s_chsh is None else p.mc_s_chsh.std_error,
-    } for p in series.points]
 
 
 def _sweep_plot(series, provenance, which: str) -> LinePlot:
@@ -454,11 +435,9 @@ def _sweep_plot(series, provenance, which: str) -> LinePlot:
         plot.band = (0.0, ref.lhv_s_max)
         plot.add_ref_line("quantum", ref.quantum_s)
         plot.add_ref_line("semiclassical", ref.semiclassical_s)
-    xs = [p.x for p in series.points]
-    plot.add_series(which, xs, [getattr(p, which) for p in series.points])
-    if series.points[0].mc_s_prime is not None:
-        field = "mc_s_prime" if which == "s_prime" else "mc_s_chsh"
-        plot.add_series(field, xs, [getattr(p, field).value for p in series.points])
+    plot.add_series(which, series.points, series.columns[which])
+    if MONTE_CARLO in series.spec.engines:
+        plot.add_series(f"mc_{which}", series.points, series.columns[f"mc_{which}"])
     return plot
 
 
@@ -498,7 +477,7 @@ def cmd_sweep(opts: Options) -> int:
     # in-process loop of sweep_mc from ~40 to ~9,700 page faults a call
     params = opts.record(*names, "plot_field")
     series = run_sweep(spec)
-    return _emit(opts, "sweep", seed, params, _series_rows(series),
+    return _emit(opts, "sweep", seed, params, series.columns,
                  plot=lambda provenance: _sweep_plot(series, provenance, which))
 
 
@@ -510,14 +489,14 @@ def cmd_sync(opts: Options) -> int:
         raise ValidationError("sync needs --nu-a")
     _quad, alice, bob = _stations(opts)
     sf = fractions_for(alice, bob)
-    row: dict = {"nu_a": alice.switch_frequency, "round_trip_a": alice.round_trip_time,
-                 "f_alice": sf.f_alice}
+    columns: dict = {"nu_a": [alice.switch_frequency], "round_trip_a": [alice.round_trip_time],
+                     "f_alice": [sf.f_alice]}
     names: tuple = ("nu_a", "round_trip_a")
     if opts.given("nu_b"):
-        row.update(nu_b=bob.switch_frequency, round_trip_b=bob.round_trip_time,
-                   f_bob=sf.f_bob, f=sf.f, f_prime=sf.f_prime)
+        columns.update(nu_b=[bob.switch_frequency], round_trip_b=[bob.round_trip_time],
+                       f_bob=[sf.f_bob], f=[sf.f], f_prime=[sf.f_prime])
         names = _STATION_PARAMS[1:]
-    return _emit(opts, "sync", None, opts.record(*names), [row])
+    return _emit(opts, "sync", None, opts.record(*names), columns)
 
 
 # --- aspect -------------------------------------------------------------------
@@ -528,7 +507,8 @@ def cmd_aspect(opts: Options) -> int:
     heading = "1982 periodic-switching reconstruction (46.2 / 48.4 MHz, 43 ns round trip)"
     comparison = (f"predicted S' {format_float(report.reported.s_prime)} vs measured "
                   f"{report.measured_s_prime} +/- {report.measured_s_prime_error}")
-    return _emit(opts, "aspect", None, {}, [report.as_dict()], text=(heading, comparison))
+    columns = {key: [value] for key, value in report.as_dict().items()}
+    return _emit(opts, "aspect", None, {}, columns, text=(heading, comparison))
 
 
 # --- export-trials --------------------------------------------------------------

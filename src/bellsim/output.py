@@ -1,11 +1,12 @@
 """Deterministic tabular output with an embedded provenance header.
 
-Two encodings of the same rows: RFC-4180-style CSV (one ``# provenance:``
-comment line, then a header row) and JSON lines (a provenance object first,
-then one record per line).  Floats are written with 17 significant digits in
-CSV and shortest round-trip repr in JSON, so both parse back to identical
-values.  Missing values are the empty CSV field / JSON null.  CSV cells are
-encoded a column at a time and streamed to the writer (``_encode_column``).
+A table is named columns in table order, one sequence of cells each.  Two
+encodings of it: RFC-4180-style CSV (one ``# provenance:`` comment line, then
+a header row) and JSON lines (a provenance object first, then one record per
+row).  Floats are written with 17 significant digits in CSV and shortest
+round-trip repr in JSON, so both parse back to identical values.  None cells
+are the empty CSV field / JSON null.  CSV cells are encoded once per column
+(``_encode_column``); ``read_table`` parses either encoding back into rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import json
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .models import ValidationError
 
@@ -37,23 +38,28 @@ def _encode_cell(value) -> str:
     return str(value)
 
 
-def render_csv(rows: list[dict], provenance: dict) -> str:
-    if not rows:
-        raise ValidationError("no rows to write")
+def _check_columns(columns: dict[str, Sequence]) -> None:
+    """A table has rows, as many in every column."""
+    lengths = set(map(len, columns.values()))
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValidationError(f"a table needs rows, as many in each column, not {sorted(lengths)}")
+
+
+def render_csv(columns: dict[str, Sequence], provenance: dict) -> str:
+    _check_columns(columns)
     buf = io.StringIO()
     buf.write(PROVENANCE_PREFIX + json.dumps(provenance, sort_keys=True) + "\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
-    columns = list(rows[0].keys())
     writer.writerow(columns)
-    writer.writerows(zip(*(_encode_column(rows, c) for c in columns)))
+    writer.writerows(zip(*map(_encode_column, columns.values())))
     return buf.getvalue()
 
 
-def _encode_column(rows: list[dict], column: str) -> Iterator[str]:
+def _encode_column(cells: Sequence) -> Iterator[str]:
     """One column's cells, lazily: floats alone by one C-level ``format``."""
-    if set(map(type, map(dict.get, rows, repeat(column)))) == {float}:
-        return map(format, map(dict.get, rows, repeat(column)), repeat(FLOAT_FORMAT))
-    return map(_encode_cell, map(dict.get, rows, repeat(column)))
+    if set(map(type, cells)) == {float}:
+        return map(format, cells, repeat(FLOAT_FORMAT))
+    return map(_encode_cell, cells)
 
 
 def provenance_header(provenance: dict) -> str:
@@ -62,25 +68,26 @@ def provenance_header(provenance: dict) -> str:
     return json.dumps({"provenance": provenance}, sort_keys=True)
 
 
-def render_jsonl(rows: list[dict], provenance: dict) -> str:
-    if not rows:
-        raise ValidationError("no rows to write")
+def render_jsonl(columns: dict[str, Sequence], provenance: dict) -> str:
+    _check_columns(columns)
+    names = list(columns)
     lines = [provenance_header(provenance)]
-    lines.extend(json.dumps(row) for row in rows)
+    lines.extend(json.dumps(dict(zip(names, row))) for row in zip(*columns.values()))
     return "\n".join(lines) + "\n"
 
 
-def render_table(rows: list[dict], provenance: dict, fmt: str) -> str:
-    """``rows`` as a csv or jsonl table."""
+def render_table(columns: dict[str, Sequence], provenance: dict, fmt: str) -> str:
+    """``columns`` (name -> cells, in table order) as a csv or jsonl table."""
     if fmt == "csv":
-        return render_csv(rows, provenance)
+        return render_csv(columns, provenance)
     if fmt == "jsonl":
-        return render_jsonl(rows, provenance)
+        return render_jsonl(columns, provenance)
     raise ValidationError(f"unknown table format {fmt!r}")
 
 
-def write_table(path: "str | Path", rows: list[dict], provenance: dict, fmt: str) -> None:
-    Path(path).write_text(render_table(rows, provenance, fmt), encoding="utf-8", newline="")
+def write_table(path: "str | Path", columns: dict[str, Sequence], provenance: dict,
+                fmt: str) -> None:
+    Path(path).write_text(render_table(columns, provenance, fmt), encoding="utf-8", newline="")
 
 
 def _decode_cell(text: str):

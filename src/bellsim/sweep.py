@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator
+from typing import Sequence
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,
@@ -73,8 +73,8 @@ ASPECT_1982_REPORTED_F_BOB = 0.83
 _PHASE_ATOL = 1e-12
 
 #: Bytes per grid point that the memory check counts for ``--points``.  The
-#: points, rows and rendered table or plot of a closed-form sweep or of
-#: ``curves`` peak at 0.6-1.4 kB a point (csv, jsonl or svg; 220k points).
+#: columns and rendered table or plot of a closed-form sweep or of ``curves``
+#: peak at 0.42-0.95 kB a point (csv, jsonl or svg; tracemalloc, 100k points).
 POINT_BYTES = 2048
 
 
@@ -133,8 +133,9 @@ class SweepSpec:
             raise ValidationError("monte_carlo engine needs duration > 0")
 
     def grid(self) -> list[float]:
+        """``num_points`` evenly spaced values, the last ``stop`` exactly."""
         step = (self.stop - self.start) / (self.num_points - 1)
-        return [self.start + i * step for i in range(self.num_points)]
+        return [self.start + i * step for i in range(self.num_points - 1)] + [self.stop]
 
     def resolved_weights(self) -> tuple[float, float]:
         """Texture weight split between the stations.
@@ -174,42 +175,34 @@ class ReferenceLines:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    x: float
-    f_alice: float
-    f_bob: float
-    s_prime: float
-    s_chsh: float
-    mc_s_prime: EstimateWithError | None = None
-    mc_s_chsh: EstimateWithError | None = None
-
-
-@dataclass(frozen=True)
 class SweepSeries:
+    """A sweep's table, one cell per grid point in each of its ``columns``:
+    x, f_alice, f_bob, s_prime, s_chsh, mc_s_prime, mc_s_prime_err,
+    mc_s_chsh and mc_s_chsh_err (the mc_* cells None without Monte Carlo)."""
+
     spec: SweepSpec
-    points: tuple[SweepPoint, ...]
     reference: ReferenceLines
+    columns: dict[str, Sequence]
+
+    @property
+    def points(self) -> Sequence[float]:
+        """The grid: the x column."""
+        return self.columns["x"]
 
 
-def _grid_fractions(spec: SweepSpec, swept: tuple[bool, bool]) -> Iterator[tuple[float, ...]]:
-    """Each grid value x with (f_A, f_B) at x: a ``swept`` station's by
-    ``_switching_fraction`` at x, a fixed one's once, Alice's first."""
-    grid = spec.grid()
-    if spec.variable is SweepVariable.F_DIRECT:
-        for x in grid:
-            if not 0.0 <= x <= 1.0:
-                raise ValidationError(f"f value {x!r} outside [0, 1]")
-            yield x, x, x
-        return
-
-    def fractions(station: StationConfig, at_x: bool) -> Iterator[float]:
-        if at_x:
-            for x in grid:
-                yield _switching_fraction(station, x)
-        else:
-            yield from itertools.repeat(station.sync_fraction())
-
-    yield from zip(grid, *map(fractions, (spec.alice, spec.bob), swept))
+def _grid_fractions(spec: SweepSpec, grid: Sequence[float],
+                    swept: tuple[bool, bool]) -> tuple[Sequence[float], Sequence[float]]:
+    """The f_A and f_B columns over ``grid``, each checked to lie in [0, 1]:
+    a ``swept`` station's by ``_switching_fraction`` at each x, a fixed
+    one's once, and for f_direct the grid itself."""
+    columns = (grid, grid) if spec.variable is SweepVariable.F_DIRECT else tuple(
+        [_switching_fraction(station, x) for x in grid] if at_x
+        else (station.sync_fraction(),) * len(grid)
+        for station, at_x in zip((spec.alice, spec.bob), swept))
+    for f in itertools.chain(*columns):
+        if not 0.0 <= f <= 1.0:
+            raise ValidationError(f"f value {f!r} outside [0, 1]")
+    return columns
 
 
 def measure_bell(
@@ -252,6 +245,8 @@ def measure_bell(
     locked when (phi_B - phi_A) + pi nu (T_B - T_A) is within 1e-12 rad of
     a multiple of pi.
     """
+    if sf is None and stations is None:
+        raise ValidationError("measure_bell needs sync fractions (sf) or stations")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     if duration <= 0.0:
@@ -305,8 +300,10 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     the first point, and so is a ``--points`` grid too large to hold.
     ``distance_ratio`` holds Alice's polarizer still (its series' spec has
     her periodic at frequency 0), so ``measure_bell`` steps her through her
-    two settings.  Only a Monte Carlo point builds its ``StationConfig``s;
-    the sync fractions, with their errors, come from ``_grid_fractions``.
+    two settings.  The f columns come whole and checked from
+    ``_grid_fractions`` before the first Monte Carlo point, and S' and S from
+    ``bell_values``; only a Monte Carlo point builds a ``SyncFractions`` or
+    ``StationConfig``.
     """
     if spec.variable is SweepVariable.DISTANCE_RATIO:
         spec = replace(spec, alice=replace(spec.alice, switch_frequency=0.0, switching="periodic",
@@ -318,25 +315,31 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     bell = bell_coefficients(spec.quad, weights)
     v = spec.variable  # swept: whether Alice's and Bob's frequency is the grid value
     swept = (v is not SweepVariable.DISTANCE_RATIO, v is not SweepVariable.FREQUENCY_ALICE_ONLY)
-    points = []
-    for i, (x, f_alice, f_bob) in enumerate(_grid_fractions(spec, swept)):
-        sf = SyncFractions(f_alice, f_bob)
-        mc_p = mc_c = None
-        if MONTE_CARLO in spec.engines:
+    grid = tuple(spec.grid())  # f_direct's f columns are this one, so it is immutable
+    f_alice, f_bob = _grid_fractions(spec, grid, swept)
+    s_prime, s_chsh = zip(*map(bell_values, itertools.repeat(bell), f_alice, f_bob))
+    # (S', its error, S, its error) at each point
+    estimates = [(None,) * 4] * len(grid)
+    if MONTE_CARLO in spec.engines:
+        for i, x in enumerate(grid):
             stations = None if v is SweepVariable.F_DIRECT else tuple(
                 replace(s, switch_frequency=x) if at_x else s
                 for s, at_x in zip((spec.alice, spec.bob), swept))
             try:
                 mc_p, mc_c = measure_bell(
                     spec.quad, spec.mc_pairs_per_point, RngSpec(spec.seed, i * 8),
-                    sf=sf, stations=stations,
+                    sf=SyncFractions(f_alice[i], f_bob[i]), stations=stations,
                     duration=spec.mc_duration, station_weights=weights,
                 )
             except Exception as exc:
                 error = SweepInputError if isinstance(exc, ValidationError) else SweepError
                 raise error(f"monte carlo failed at {spec.variable.value} = {x!r}: {exc}") from exc
-        points.append(SweepPoint(x, sf.f_alice, sf.f_bob, *bell_values(bell, sf), mc_p, mc_c))
-    return SweepSeries(spec, tuple(points), ReferenceLines.for_quad(spec.quad))
+            estimates[i] = mc_p.value, mc_p.std_error, mc_c.value, mc_c.std_error
+    mc_s_prime, mc_s_prime_err, mc_s_chsh, mc_s_chsh_err = zip(*estimates)
+    columns = {"x": grid, "f_alice": f_alice, "f_bob": f_bob, "s_prime": s_prime,
+               "s_chsh": s_chsh, "mc_s_prime": mc_s_prime, "mc_s_prime_err": mc_s_prime_err,
+               "mc_s_chsh": mc_s_chsh, "mc_s_chsh_err": mc_s_chsh_err}
+    return SweepSeries(spec, ReferenceLines.for_quad(spec.quad), columns)
 
 
 @dataclass(frozen=True)
@@ -378,10 +381,13 @@ def find_extrema(xs: list[float], ys: list[float], atol: float = 1e-9) -> list[E
 
 
 def series_extrema(series: SweepSeries, which: str = "s_prime") -> list[Extremum]:
-    """Extrema of one field of a sweep series."""
-    xs = [p.x for p in series.points]
-    ys = [getattr(p, which) for p in series.points]
-    return find_extrema(xs, ys)
+    """Extrema of one column of a sweep series."""
+    if which not in series.columns:
+        raise ValidationError(f"unknown sweep column {which!r} (choose from "
+                              f"{' | '.join(series.columns)})")
+    if None in series.columns[which]:
+        raise ValidationError(f"sweep column {which!r} has no values: Monte Carlo did not run")
+    return find_extrema(series.points, series.columns[which])
 
 
 @dataclass(frozen=True)
@@ -432,7 +438,7 @@ def aspect_point() -> AspectReport:
     """Reconstruct the 1982 configuration: 46.2 / 48.4 MHz over a 43 ns round trip."""
     bell = bell_coefficients(STANDARD_QUAD)
     exact, reported = (
-        AspectChain(sf, *bell_values(bell, sf))
+        AspectChain(sf, *bell_values(bell, sf.f_alice, sf.f_bob))
         for sf in (
             mix_fractions(sync_fraction(ASPECT_FREQUENCY_ALICE, ASPECT_ROUND_TRIP),
                           sync_fraction(ASPECT_FREQUENCY_BOB, ASPECT_ROUND_TRIP)),

@@ -521,6 +521,14 @@ class TestSweepCommand:
         nearest = min(rows, key=lambda r: abs(r["x"] - node))
         assert nearest["s_prime"] == pytest.approx(0.207, abs=1e-3)
 
+    @pytest.mark.parametrize("points", ["4", "8"])
+    def test_f_direct_grid_ends_on_stop(self, points, tmp_path):
+        # start + (points - 1) * step misses 1 by an ulp at these grids
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--variable", "f_direct", "--start", "0.1", "--stop", "1",
+                     "--points", points, "--output", str(out)]) == 0
+        assert read_table(out)[1][-1]["x"] == 1.0
+
     def test_csv_and_jsonl_hold_identical_values(self, tmp_path):
         args = ["sweep", "--variable", "frequency_common", "--start", "10MHz",
                 "--stop", "30MHz", "--points", "41", "--round-trip", "43ns"]
@@ -768,6 +776,17 @@ class TestCommandBytes:
         assert hashlib.sha256(written).hexdigest() == digest
         if plot_digest:
             assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_digest
+
+
+class TestTableColumns:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("columns", [{}, {"x": []}, {"x": [1.0, 2.0], "y": [3.0]}],
+                             ids=["no-columns", "no-rows", "unequal"])
+    def test_a_table_needs_rows_of_every_column(self, columns, fmt):
+        from bellsim.output import render_table
+
+        with pytest.raises(ValidationError, match="a table needs rows, as many in each column"):
+            render_table(columns, {}, fmt)
 
 
 class TestSyncCommand:

@@ -9,9 +9,11 @@ import pytest
 
 from bellsim import (
     STANDARD_QUAD,
+    EstimateWithError,
     RngSpec,
     StationConfig,
     SweepSpec,
+    SyncFractions,
     SweepVariable,
     Trials,
     ValidationError,
@@ -29,13 +31,24 @@ from bellsim import (
     series_extrema,
     sync_fraction,
 )
-from bellsim import montecarlo
+from bellsim import montecarlo, sweep
 from bellsim.choice import fractions_for
 from bellsim.sweep import MONTE_CARLO, SweepError, s_chsh_mixture, s_prime_mixture
 
 ROUND_TRIP = 43e-9
 NODE = 1.0 / ROUND_TRIP  # ~23.2558 MHz spacing of the in-sync maxima
 SQRT2 = math.sqrt(2)
+
+
+#: the closed-form columns of a sweep table, in table order
+ROW = ("x", "f_alice", "f_bob", "s_prime", "s_chsh")
+
+
+def estimate(series, which: str, i: int) -> EstimateWithError:
+    """Row i's Monte Carlo estimate of column ``which`` ("s_prime" or "s_chsh")."""
+    columns = series.columns
+    return EstimateWithError(columns[f"mc_{which}"][i], columns[f"mc_{which}_err"][i],
+                             series.spec.mc_pairs_per_point)
 
 
 def common_sweep(points=1201, engines=("closed_form",), **kw):
@@ -65,7 +78,7 @@ class TestSpecValidation:
     def test_variable_given_as_text_runs_as_the_enum(self):
         as_text = SweepSpec("frequency_common", 0.0, 100e6, num_points=21)
         assert as_text.variable is SweepVariable.FREQUENCY_COMMON
-        assert run_sweep(as_text).points == run_sweep(common_sweep(points=21)).points
+        assert run_sweep(as_text).columns == run_sweep(common_sweep(points=21)).columns
 
     def test_unknown_variable_is_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="bogus"):
@@ -82,8 +95,8 @@ class TestSpecValidation:
 class TestClosedFormSweep:
     def test_values_at_landmark_frequencies(self):
         series = run_sweep(common_sweep())
-        xs = np.array([p.x for p in series.points])
-        ys = np.array([p.s_prime for p in series.points])
+        xs = np.array(series.points)
+        ys = np.array(series.columns["s_prime"])
         # row nearest the first in-sync node carries (almost) the quantum value
         i = int(np.argmin(np.abs(xs - NODE)))
         assert ys[i] == pytest.approx(0.207, abs=1e-3)
@@ -127,8 +140,8 @@ class TestClosedFormSweep:
         # sample S'(nu) and S'(nu + 1/T) on a commensurate grid
         spec = common_sweep(points=241)
         series = run_sweep(spec)
-        xs = [p.x for p in series.points]
-        ys = [p.s_prime for p in series.points]
+        xs = series.points
+        ys = series.columns["s_prime"]
         from bellsim import mix_fractions, s_prime_fc
 
         for x, y in zip(xs[:100], ys[:100]):
@@ -144,23 +157,25 @@ class TestClosedFormSweep:
                 SweepVariable.FREQUENCY_COMMON, lo, lo + rng.uniform(10e6, 50e6),
                 num_points=301,
             )
-            for p in run_sweep(spec).points:
-                assert -0.5 - 1e-12 <= p.s_prime <= 0.20710678118654746 + 1e-12
-                assert -1e-12 <= p.s_chsh <= 2 * SQRT2 + 1e-12
+            columns = run_sweep(spec).columns
+            for s_prime, s_chsh in zip(columns["s_prime"], columns["s_chsh"]):
+                assert -0.5 - 1e-12 <= s_prime <= 0.20710678118654746 + 1e-12
+                assert -1e-12 <= s_chsh <= 2 * SQRT2 + 1e-12
 
     def test_f_direct_constant_series_has_no_extrema(self):
         spec = SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, num_points=51)
         series = run_sweep(spec)
-        assert [p.s_prime for p in series.points][:3] != [series.points[0].s_prime] * 3
+        s_prime = series.columns["s_prime"]
+        assert list(s_prime[:3]) != [s_prime[0]] * 3
         constant = find_extrema([0.0, 1.0, 2.0, 3.0], [0.3, 0.3, 0.3, 0.3])
         assert constant == []
 
     def test_f_direct_is_linear(self):
         spec = SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, num_points=11)
         series = run_sweep(spec)
-        for p in series.points:
-            assert p.s_prime == pytest.approx(-0.5 + p.x / SQRT2, abs=1e-12)
-            assert p.s_chsh == pytest.approx(2 * SQRT2 * p.x, abs=1e-12)
+        for x, s_prime, s_chsh in zip(*map(series.columns.get, ("x", "s_prime", "s_chsh"))):
+            assert s_prime == pytest.approx(-0.5 + x / SQRT2, abs=1e-12)
+            assert s_chsh == pytest.approx(2 * SQRT2 * x, abs=1e-12)
 
     def test_reference_lines(self):
         series = run_sweep(common_sweep(points=11))
@@ -203,10 +218,10 @@ class TestStationFreePoints:
         spec = SweepSpec(variable, 0.0, 100e6, num_points=41, alice=alice, bob=bob,
                          station_weights=(0.3, 0.7))
         bell = bell_coefficients(spec.quad, (0.3, 0.7))
-        for p in run_sweep(spec).points:
-            sf = fractions_for(*_stations_at(spec, p.x))
-            assert (p.f_alice, p.f_bob, p.s_prime, p.s_chsh) == (
-                sf.f_alice, sf.f_bob, *bell_values(bell, sf))
+        for x, *cells in zip(*map(run_sweep(spec).columns.get, ROW)):
+            sf = fractions_for(*_stations_at(spec, x))
+            assert tuple(cells) == (
+                sf.f_alice, sf.f_bob, *bell_values(bell, sf.f_alice, sf.f_bob))
 
     @pytest.mark.parametrize("variable", FREQUENCY_VARIABLES)
     @pytest.mark.parametrize("switching", ["random", "periodic"])
@@ -226,19 +241,35 @@ class TestStationFreePoints:
         with pytest.raises(ValidationError, match=message):
             run_sweep(SweepSpec(SweepVariable.F_DIRECT, start, stop, 3))
 
+    def test_f_outside_the_unit_interval_fails_before_any_monte_carlo_point(self, monkeypatch):
+        measured = []
+        monkeypatch.setattr(sweep, "measure_bell", lambda *a, **kw: measured.append(a))
+        spec = SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.5, 4,
+                         engines=("closed_form", MONTE_CARLO), mc_pairs_per_point=1000)
+        with pytest.raises(ValidationError, match=r"^f value 1.5 outside \[0, 1\]$"):
+            run_sweep(spec)
+        assert measured == []
+
+    @pytest.mark.parametrize("points", [4, 8])
+    def test_the_last_grid_point_is_stop(self, points):
+        # 0.1 + 7 * (0.9 / 7) is 1.0000000000000002, 0.1 + 3 * 0.3 0.9999999999999999
+        spec = SweepSpec(SweepVariable.F_DIRECT, 0.1, 1.0, points)
+        assert spec.grid()[-1] == 1.0
+        assert run_sweep(spec).points[-1] == 1.0
+
     def test_half_periods_beyond_2_52_are_rejected(self):
         with pytest.raises(ValidationError, match=r"more than 2\*\*52"):
             run_sweep(SweepSpec(SweepVariable.FREQUENCY_COMMON, 0.0, 1e300, 3))
 
     def test_stations_built_do_not_grow_with_the_grid(self, monkeypatch):
+        # nor do the validated SyncFractions: a closed-form point builds no object
         built = []
-        post_init = StationConfig.__post_init__
+        for cls in (StationConfig, SyncFractions):
+            def counted(self, post_init=cls.__post_init__):
+                built.append(self)
+                post_init(self)
 
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(StationConfig, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__post_init__", counted)
         counts = []
         for points in (3, 1201):
             built.clear()
@@ -258,11 +289,11 @@ class TestAgainstAtomExpansion:
         spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 0.0, 100e6, num_points=121,
                          alice=alice, bob=bob)
         weights = (43 / 63, 20 / 63)
-        for p in run_sweep(spec).points:
-            sf = mix_fractions(1.0, sync_fraction(p.x, 43e-9))
-            assert (p.f_alice, p.f_bob) == (sf.f_alice, sf.f_bob)
-            assert abs(p.s_prime - s_prime_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
-            assert abs(p.s_chsh - s_chsh_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
+        for x, f_alice, f_bob, s_prime, s_chsh in zip(*map(run_sweep(spec).columns.get, ROW)):
+            sf = mix_fractions(1.0, sync_fraction(x, 43e-9))
+            assert (f_alice, f_bob) == (sf.f_alice, sf.f_bob)
+            assert abs(s_prime - s_prime_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
+            assert abs(s_chsh - s_chsh_mixture(STANDARD_QUAD, sf, weights)) <= 1e-12
 
 
 class TestFindExtrema:
@@ -276,6 +307,18 @@ class TestFindExtrema:
         found = find_extrema(xs, ys)
         assert [(e.x, e.kind) for e in found] == [(2, "max"), (5, "min")]
 
+    def test_an_unknown_series_column_lists_the_columns(self):
+        with pytest.raises(ValidationError, match=r"unknown sweep column 'sprime' \(choose from "
+                                                  r"x \| f_alice \| f_bob \| s_prime \| s_chsh \| "
+                                                  r"mc_s_prime \| mc_s_prime_err \| mc_s_chsh \| "
+                                                  r"mc_s_chsh_err\)"):
+            series_extrema(run_sweep(common_sweep(points=5)), "sprime")
+
+    def test_a_column_without_monte_carlo_has_no_extrema_to_find(self):
+        with pytest.raises(ValidationError, match=r"^sweep column 'mc_s_chsh' has no values: "
+                                                  r"Monte Carlo did not run$"):
+            series_extrema(run_sweep(common_sweep(points=5)), "mc_s_chsh")
+
 
 class TestDistanceAsymmetry:
     def base_spec(self, weights, start=1e6, stop=100e6, points=601):
@@ -288,13 +331,13 @@ class TestDistanceAsymmetry:
     def test_all_weight_on_bob_gives_full_amplitude(self):
         # fine grid over one full oscillation so the grid lands near the nodes
         series = run_sweep(self.base_spec((0.0, 1.0), 20e6, 36e6, 1601))
-        values = [p.s_prime for p in series.points]
+        values = series.columns["s_prime"]
         assert max(values) == pytest.approx(0.20710678118654746, abs=1e-3)
         assert min(values) == pytest.approx(-0.5, abs=1e-3)
 
     def test_all_weight_on_fixed_alice_gives_constant_series(self):
         series = run_sweep(self.base_spec((1.0, 0.0)))
-        values = [p.s_prime for p in series.points]
+        values = series.columns["s_prime"]
         assert max(values) - min(values) <= 1e-12
         assert values[0] == pytest.approx(0.20710678118654746, abs=1e-12)
         assert series_extrema(series, "s_prime") == []
@@ -303,7 +346,7 @@ class TestDistanceAsymmetry:
         amplitudes = []
         for w_alice in (0.8, 0.5, 0.2, 0.0):
             series = run_sweep(self.base_spec((w_alice, 1.0 - w_alice)))
-            values = [p.s_prime for p in series.points]
+            values = series.columns["s_prime"]
             amplitudes.append(max(values) - min(values))
         assert amplitudes == sorted(amplitudes)
 
@@ -337,10 +380,10 @@ class TestMonteCarloSweep:
             engines=("closed_form", MONTE_CARLO), mc_pairs_per_point=150_000, seed=202,
         )
         series = run_sweep(spec)
-        for p in series.points:
-            assert p.mc_s_prime is not None and p.mc_s_chsh is not None
-            assert p.mc_s_prime.agrees_with(p.s_prime)
-            assert p.mc_s_chsh.agrees_with(p.s_chsh)
+        assert None not in series.columns["mc_s_prime"] + series.columns["mc_s_chsh"]
+        for i in range(len(series.points)):
+            assert estimate(series, "s_prime", i).agrees_with(series.columns["s_prime"][i])
+            assert estimate(series, "s_chsh", i).agrees_with(series.columns["s_chsh"][i])
 
     def test_f_direct_monte_carlo(self):
         spec = SweepSpec(
@@ -348,8 +391,8 @@ class TestMonteCarloSweep:
             engines=(MONTE_CARLO,), mc_pairs_per_point=120_000, seed=203,
         )
         series = run_sweep(spec)
-        for p in series.points:
-            assert p.mc_s_prime.agrees_with(p.s_prime)
+        for i in range(len(series.points)):
+            assert estimate(series, "s_prime", i).agrees_with(series.columns["s_prime"][i])
 
     def test_distance_ratio_monte_carlo(self):
         spec = SweepSpec(
@@ -358,9 +401,9 @@ class TestMonteCarloSweep:
             station_weights=(0.3, 0.7),
         )
         series = run_sweep(spec)
-        for p in series.points:
-            assert p.mc_s_prime.agrees_with(p.s_prime)
-            assert p.mc_s_chsh.agrees_with(p.s_chsh)
+        for i in range(len(series.points)):
+            assert estimate(series, "s_prime", i).agrees_with(series.columns["s_prime"][i])
+            assert estimate(series, "s_chsh", i).agrees_with(series.columns["s_chsh"][i])
 
     @pytest.mark.parametrize("variable, station, field, seed", [
         (SweepVariable.FREQUENCY_COMMON, "alice", "f_alice", 206),
@@ -375,10 +418,11 @@ class TestMonteCarloSweep:
             engines=("closed_form", MONTE_CARLO), mc_pairs_per_point=100_000, seed=seed,
             **{station: StationConfig.random_choice(*settings)},
         )
-        for p in run_sweep(spec).points:
-            assert getattr(p, field) == 0.5
-            assert p.mc_s_prime.agrees_with(p.s_prime)
-            assert p.mc_s_chsh.agrees_with(p.s_chsh)
+        series = run_sweep(spec)
+        for i in range(len(series.points)):
+            assert series.columns[field][i] == 0.5
+            assert estimate(series, "s_prime", i).agrees_with(series.columns["s_prime"][i])
+            assert estimate(series, "s_chsh", i).agrees_with(series.columns["s_chsh"][i])
 
     # Stepped-Alice estimates as (value, std_error, n_trials), fixed seeds:
     # Alice over 20 ns, Bob at 48.4 MHz over 43 ns.  A still Alice is
@@ -399,16 +443,24 @@ class TestMonteCarloSweep:
         assert (s_c.value, s_c.std_error, s_c.n_trials) == (
             2.5053861473151118, 0.022047906981650846, 20000)
 
-    def test_distance_ratio_point_is_pinned(self):
-        # the sweep holds the 46.2 MHz Alice still
+    def test_distance_ratio_point_is_pinned(self, monkeypatch):
+        # the sweep holds the 46.2 MHz Alice still; the table holds no pair
+        # counts, so those are read from the measurements the sweep makes
         alice, bob = self.STEPPED_STATIONS
         spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 10e6, 30e6, num_points=2,
                          engines=(MONTE_CARLO,), mc_pairs_per_point=20_000, seed=71,
                          alice=alice, bob=bob)
-        p = run_sweep(spec).points[1]
-        assert (p.mc_s_prime.value, p.mc_s_prime.std_error, p.mc_s_prime.n_trials) == (
-            0.10031047964078521, 0.01417779582947921, 20000)
-        assert (p.mc_s_chsh.value, p.mc_s_chsh.std_error) == (
+        measured = []
+
+        def measure(*args, **kwargs):
+            measured.append(measure_bell(*args, **kwargs))
+            return measured[-1]
+
+        monkeypatch.setattr(sweep, "measure_bell", measure)
+        columns = run_sweep(spec).columns
+        assert (columns["mc_s_prime"][1], columns["mc_s_prime_err"][1],
+                measured[1][0].n_trials) == (0.10031047964078521, 0.01417779582947921, 20000)
+        assert (columns["mc_s_chsh"][1], columns["mc_s_chsh_err"][1]) == (
             2.315867932497307, 0.023059002945173)
 
     @pytest.mark.parametrize("still", ["alice", "bob", "both"])
@@ -473,6 +525,12 @@ class TestMonteCarloSweep:
             measure_bell(quad, n, RngSpec(seed), duration=1e-4,
                          stations=(replace(alice, switch_frequency=0.0), bob))
         assert str(raised.value) == str(expected.value) == message
+
+    def test_neither_fractions_nor_stations_fails_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(sweep, "run_timeline", None)  # a run would raise TypeError
+        with pytest.raises(ValidationError, match=r"^measure_bell needs sync fractions \(sf\) "
+                                                  r"or stations$"):
+            measure_bell(STANDARD_QUAD, 1000, RngSpec(77))
 
     def test_too_few_pairs_for_the_stepped_parts(self):
         # both stations still: four parts
