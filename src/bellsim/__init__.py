@@ -6,7 +6,39 @@ cross-validates every closed form, and sweep tooling for the proposed
 frequency-scan experiment.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
+
+
+# defined before the submodules are imported below: ``cli`` and ``sweep`` use it
+def _lazy_engine(namespace: dict, names: tuple[str, ...]):
+    """(bind, __getattr__) for a module whose Monte Carlo paths use the engine's
+    ``names``: ``bind()`` imports ``montecarlo``, and with it numpy, and sets
+    each name ``namespace`` does not hold yet, so a wrapper set before the first
+    run is kept; the PEP 562 ``__getattr__`` binds on a first lookup of one."""
+
+    def bind() -> None:
+        from importlib import import_module  # ``from . import`` would call __getattr__
+
+        montecarlo = import_module(".montecarlo", __name__)
+        for name in names:
+            if name not in namespace:  # the submodule name itself is set by the import
+                namespace[name] = getattr(montecarlo, name)
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        bind()
+        return namespace[name]
+
+    return bind, __getattr__
+
+
+#: the Monte Carlo engine's exports: ``import bellsim`` loads no numpy, and
+#: the first lookup of one of these (or of ``montecarlo``) loads the engine
+_ENGINE = ("EstimateWithError", "RngSpec", "Trials", "estimate_s_chsh", "estimate_s_prime",
+           "estimate_sync_fractions", "run_choice_trials", "run_static", "run_timeline",
+           "sample_lambda")
+__getattr__ = _lazy_engine(globals(), ("montecarlo", *_ENGINE))[1]
 
 from .choice import (
     ASPECT_FREQUENCY_ALICE,
@@ -44,18 +76,6 @@ from .models import (
     normalize_angle,
     texture_mixture,
 )
-from .montecarlo import (
-    EstimateWithError,
-    RngSpec,
-    Trials,
-    estimate_s_chsh,
-    estimate_s_prime,
-    estimate_sync_fractions,
-    run_choice_trials,
-    run_static,
-    run_timeline,
-    sample_lambda,
-)
 from .sweep import (
     AspectReport,
     Extremum,
@@ -71,4 +91,5 @@ from .sweep import (
     series_extrema,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | {"montecarlo", *_ENGINE})

@@ -34,9 +34,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _lazy_engine
 from .choice import (
     ChoiceQuad,
     STANDARD_QUAD,
@@ -48,10 +46,7 @@ from .choice import (
     s_chsh_fc,
     s_prime_fc,
 )
-from .models import Model, ValidationError, corr
-from .montecarlo import RngSpec, _bits, _check_fits, run_timeline
-# importable here so that benchmarks/spans.py can wrap them by this module's name
-from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
+from .models import Model, ValidationError, _check_fits, corr
 from .output import format_float, provenance_header, render_table, write_table
 from .svgplot import LinePlot
 from .sweep import (
@@ -66,6 +61,11 @@ from .sweep import (
     run_sweep,
 )
 from .units import parse_angle_list, parse_frequency, parse_phase, parse_time
+
+# engine names, bound when bell or export-trials first runs one (no numpy at import);
+# the last three are only here for benchmarks/spans.py, which wraps them by name
+_bind_engine, __getattr__ = _lazy_engine(globals(), (
+    "RngSpec", "run_timeline", "estimate_s_chsh", "estimate_s_prime", "run_choice_trials"))
 
 STANDARD_QUAD_TEXT = "0deg,22.5deg,45deg,67.5deg"
 #: --format of every table; a command that draws a plot also takes svg
@@ -412,6 +412,7 @@ def cmd_bell(opts: Options) -> int:
         pairs = opts.get("pairs")
         if pairs < 1:
             raise ValidationError("monte carlo needs --pairs >= 1")
+        _bind_engine()
         s_p, s_c = measure_bell(quad, pairs, RngSpec(seed), sf=sf, stations=stations,
                                 duration=opts.get("duration"), workers=opts.get("workers"))
         est = s_c if form == "s" else s_p
@@ -527,6 +528,7 @@ def cmd_export_trials(opts: Options) -> int:
     workers = opts.get("workers")
     seed = _seed(opts)
     params = opts.record(*_STATION_PARAMS, "phase_a", "phase_b", "pairs", "duration", "emission")
+    _bind_engine()
     trials = run_timeline(alice, bob, pairs, duration, RngSpec(seed),
                           emission=emission, workers=workers)
     provenance = _provenance("export-trials", seed, params)
@@ -548,6 +550,10 @@ def _write_trial_lines(fh, trials) -> None:
     """One JSON line per record.  A block's records share few tails (the
     texture atoms times the 64 setting and outcome bits): each distinct tail
     is formatted once, and it ends with the next record's head."""
+    import numpy as np
+
+    from .montecarlo import _bits
+
     if not len(trials):
         return
     a_text, b_text = ([repr(v) for v in row] for row in trials.settings.tolist())

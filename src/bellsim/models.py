@@ -25,6 +25,7 @@ even though outcomes factorize given the hidden angle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -37,6 +38,20 @@ WEIGHT_TOL = 1e-12
 
 class ValidationError(ValueError):
     """An input violates a documented contract."""
+
+
+def _check_fits(flag: str, n: int, item_bytes: int, what: str) -> None:
+    """Reject ``n`` items of ``item_bytes`` each that exceed physical memory
+    (unchecked where ``os.sysconf`` cannot tell), before any is allocated;
+    the message names the option ``flag`` that asked for ``n``."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = item_bytes * n
+    if need > physical:
+        raise ValidationError(f"{flag} {n} needs {need / 2**30:.3g} GiB of {what}, "
+                              f"more than the {physical / 2**30:.3g} GiB of physical memory")
 
 
 def normalize_angle(theta: float) -> float:

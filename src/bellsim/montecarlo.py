@@ -77,7 +77,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .choice import MAX_PERIODS, ChoiceQuad, StationConfig, SyncFractions, check_station_weights
-from .models import HALF_PI, HvMixture, ValidationError, normalize_angle
+from .models import HALF_PI, HvMixture, ValidationError, _check_fits, normalize_angle
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -599,20 +599,6 @@ def run_static(
 #: them, of 26 bytes per tile record plus one byte per record of at most
 #: ``_ARENA_RECORDS`` (about 2 MB) each, whatever the run's size.
 _RECORD_BYTES = 30
-
-
-def _check_fits(flag: str, n: int, item_bytes: int, what: str) -> None:
-    """Reject ``n`` items of ``item_bytes`` each that exceed physical memory
-    (unchecked where ``os.sysconf`` cannot tell), before any is allocated;
-    the message names the option ``flag`` that asked for ``n``."""
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
-    need = item_bytes * n
-    if need > physical:
-        raise ValidationError(f"{flag} {n} needs {need / 2**30:.3g} GiB of {what}, "
-                              f"more than the {physical / 2**30:.3g} GiB of physical memory")
 
 
 def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
+from . import _lazy_engine
 from .choice import (
     ASPECT_FREQUENCY_ALICE,
     ASPECT_FREQUENCY_BOB,
@@ -45,20 +46,13 @@ from .choice import (
 )
 # importable here so that benchmarks/spans.py can wrap them by this module's name
 from .choice import s_chsh_fc, s_chsh_mixture, s_prime_fc, s_prime_mixture  # noqa: F401
-from .models import Model, ValidationError
-from .montecarlo import (
-    EstimateWithError,
-    RngSpec,
-    _check_fits,
-    _check_memory,
-    _choice_stations,
-    _s_chsh,
-    _s_prime,
-    _tally,
-    run_timeline,
-)
-# importable here so that benchmarks/spans.py can wrap them by this module's name
-from .montecarlo import estimate_s_chsh, estimate_s_prime, run_choice_trials  # noqa: F401
+from .models import Model, ValidationError, _check_fits
+
+# engine names, bound when a Monte Carlo path first runs (no numpy at import);
+# the last three are only here for benchmarks/spans.py, which wraps them by name
+_bind_engine, __getattr__ = _lazy_engine(globals(), (
+    "RngSpec", "_check_memory", "_choice_stations", "_s_chsh", "_s_prime", "_tally",
+    "run_timeline", "estimate_s_chsh", "estimate_s_prime", "run_choice_trials"))
 
 DEFAULT_SEED = 123456789
 
@@ -120,6 +114,10 @@ class SweepSpec:
             object.__setattr__(self, "variable", SweepVariable(self.variable))
         except ValueError:
             raise ValidationError(f"unknown sweep variable {self.variable!r}") from None
+        for name, value in (("start", self.start), ("stop", self.stop),
+                            ("stop - start", self.stop - self.start)):
+            if not math.isfinite(value):  # else the grid holds nan
+                raise ValidationError(f"sweep {name} must be finite, got {value!r}")
         if not self.start < self.stop:
             raise ValidationError("sweep range must have start < stop")
         if self.num_points < 2:
@@ -245,6 +243,7 @@ def measure_bell(
     locked when (phi_B - phi_A) + pi nu (T_B - T_A) is within 1e-12 rad of
     a multiple of pi.
     """
+    _bind_engine()
     if sf is None and stations is None:
         raise ValidationError("measure_bell needs sync fractions (sf) or stations")
     if workers < 1:
@@ -310,6 +309,7 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
                                            sync_probability=0.5))
     _check_fits("--points", spec.num_points, POINT_BYTES, "sweep points")
     if MONTE_CARLO in spec.engines:
+        _bind_engine()
         _check_memory(spec.mc_pairs_per_point, "--mc-pairs")
     weights = spec.resolved_weights()
     bell = bell_coefficients(spec.quad, weights)

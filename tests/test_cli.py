@@ -529,6 +529,14 @@ class TestSweepCommand:
                      "--points", points, "--output", str(out)]) == 0
         assert read_table(out)[1][-1]["x"] == 1.0
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--start=-inf", "--stop", "1"], "sweep start must be finite, got -inf"),
+        (["--start", "0", "--stop", "inf"], "sweep stop must be finite, got inf"),
+    ])
+    def test_a_non_finite_f_direct_bound_is_named(self, bounds, message, capsys):
+        assert main(["sweep", "--variable", "f_direct", *bounds, "--points", "3"]) == 1
+        assert capsys.readouterr().err == f"bellsim: error: {message}\n"
+
     def test_csv_and_jsonl_hold_identical_values(self, tmp_path):
         args = ["sweep", "--variable", "frequency_common", "--start", "10MHz",
                 "--stop", "30MHz", "--points", "41", "--round-trip", "43ns"]

@@ -241,6 +241,17 @@ class TestStationFreePoints:
         with pytest.raises(ValidationError, match=message):
             run_sweep(SweepSpec(SweepVariable.F_DIRECT, start, stop, 3))
 
+    @pytest.mark.parametrize("start, stop, message", [
+        (-math.inf, 1.0, r"^sweep start must be finite, got -inf$"),
+        (0.0, math.inf, r"^sweep stop must be finite, got inf$"),
+        (math.nan, 1.0, r"^sweep start must be finite, got nan$"),
+        (-1e308, 1e308, r"^sweep stop - start must be finite, got inf$"),
+    ])
+    def test_a_non_finite_bound_or_span_is_named(self, start, stop, message):
+        # not "f value nan": the grid of such bounds would hold nan
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec(SweepVariable.F_DIRECT, start, stop, 3)
+
     def test_f_outside_the_unit_interval_fails_before_any_monte_carlo_point(self, monkeypatch):
         measured = []
         monkeypatch.setattr(sweep, "measure_bell", lambda *a, **kw: measured.append(a))
