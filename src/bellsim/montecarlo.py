@@ -10,9 +10,9 @@ setting-dependence of the mixture.
 
 Determinism: all sampling is chunked, each chunk owns an RNG stream derived
 from (seed, stream_id, chunk index) and a disjoint time window, and every
-window's record count is known before any chunk runs.  Every run's record
-columns are allocated once, a single chunk's included, and each chunk
-writes straight into its slice of them, in index order, from its own
+window's record count is known before any chunk runs.  A run that returns
+its records allocates its columns once, a single chunk's included, and each
+chunk writes straight into its slice of them, in index order, from its own
 thread: its times are drawn into the slice and sorted there, and its
 setting indices, hidden angles and outcomes are written in place.  Nothing
 is copied or concatenated afterwards.  Each chunk sorts its own emission
@@ -26,10 +26,14 @@ table and exposes the angles as read-only views (``a_v``, ``b_v``, ``a_m``,
 records by measured indices and clicks (``_tally``), and every estimate,
 S's standard error included, is a function of those counts (``_s_chsh``
 and ``_s_prime``; ``estimate_s_chsh`` and ``estimate_s_prime`` tally their
-runs and call them).  A measurement (``sweep.measure_bell``) tallies each
-run as it returns and drops its records, so it holds one run's columns at
-a time and copies no record; integer tallies sum exactly, so its stepped
-parts add up to the tally of the joined run.
+runs and call them).  A run that keeps no records
+(``run_timeline(..., records=False)``) returns that count alone
+(``Tally``): each chunk writes its records into its scratch arena and
+counts them there, in its own thread, and the run sums its chunks' counts.
+A measurement (``sweep.measure_bell``) runs that way, so it holds no run's
+columns and copies no record; integer counts sum exactly in any order, so
+a run's tally is the same for any worker count and its stepped parts add
+up to the tally of the joined run.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is x - floor(x) >= 1/2, x = t*nu + phi/2pi,
@@ -57,20 +61,24 @@ core's L2 cache.  The estimators count tile by tile too, by one
 Scratch: a running chunk takes a scratch arena (``_Arena``) from one
 module-level pool and puts it back when it ends.  The kernels write every
 temporary into it through the ``out=`` forms of numpy calls, so after the
-first chunks a run allocates its columns and almost nothing else.  The pool
-holds as many arenas as chunks ever ran at once (at most min(workers, cpu
-count) of one run).  An arena holds tile-sized buffers and one byte per
-record of the chunk (its atom codes), about 2 MB, and keeps no buffer
-longer than ``_ARENA_RECORDS`` records, so the scratch is bounded whatever
-a run's size.  No returned column is ever a scratch buffer.
+first chunks a run allocates its columns, or a tally run its counts, and
+almost nothing else.  The pool holds as many arenas as chunks ever ran at
+once (at most min(workers, cpu count) of one run).  An arena holds
+tile-sized buffers and one byte per record of the chunk (its atom codes),
+and a tally run's chunk adds its 14 bytes of records (the hidden angles
+reuse the emission times' buffer): about 2 MB, or 6 MB after a tally run
+of default chunks.  It keeps no buffer longer than ``_ARENA_RECORDS``
+records, so the scratch is bounded whatever a run's size.  No returned
+column or count is ever a scratch buffer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -191,6 +199,19 @@ def _allocate(n: int, settings: np.ndarray) -> Trials:
                   settings=settings)
 
 
+@dataclass(frozen=True)
+class Tally:
+    """A run that kept no records: ``counts[a_m_idx, b_m_idx, alpha > 0,
+    beta > 0]`` of its records, as ``_tally`` counts them, on its
+    ``settings`` table.  Its length is its number of pairs."""
+
+    counts: np.ndarray
+    settings: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+
 def normalize_angles(x: np.ndarray) -> np.ndarray:
     """Vectorized twin of models.normalize_angle (same fmod and folds).
 
@@ -216,10 +237,10 @@ def normalize_angles(x: np.ndarray) -> np.ndarray:
 #: stage's temporaries (26 bytes per tile record) stay in a core's L2 cache.
 _TILE = 1 << 16
 
-#: Records a chunk-sized scratch buffer (the atom codes) may hold and still
-#: be kept for the next chunk.  A larger request (an unchunked static run or
-#: hidden-angle draw, or a ``chunk_size`` above the default) gets a buffer
-#: that is used once.
+#: Records a chunk-sized scratch buffer (the atom codes, or a column of a
+#: chunk that keeps no records) may hold and still be kept for the next
+#: chunk.  A larger request (an unchunked static run or hidden-angle draw,
+#: or a ``chunk_size`` above the default) gets a buffer that is used once.
 _ARENA_RECORDS = 2 * DEFAULT_CHUNK
 
 
@@ -238,7 +259,8 @@ class _Arena:
     that key at the table's code width and "mask" one byte (a comparison,
     or a flat pair's setting index): 26 bytes per record of a ``_TILE``.
     Only "code", the atom code of every pair of the chunk (kept from the
-    hidden-angle draw through both detections), is chunk-sized; it grows to
+    hidden-angle draw through both detections), and the record columns of a
+    chunk that keeps no records (``records``) are chunk-sized; each grows to
     the largest chunk it has served, up to ``_ARENA_RECORDS`` records.
     """
 
@@ -254,6 +276,15 @@ class _Arena:
             if n <= _ARENA_RECORDS:
                 self.buffers[role] = buf
         return buf[:size].view(dtype)
+
+    def records(self, n: int, settings: np.ndarray) -> Trials:
+        """Columns for ``n`` records of a chunk that keeps none, one
+        chunk-sized role per column (14 bytes a record): the hidden angles
+        share the emission times' buffer, as no time is read once both
+        stations' setting indices are drawn."""
+        cols = {name: self.take(name, n, dtype) for name, dtype in _RECORD_DTYPES.items()
+                if name != "hidden_angle"}
+        return Trials(**cols, hidden_angle=cols["emission_time"], settings=settings)
 
 
 #: Arenas of chunks that have ended, the last one ended on top; it holds as
@@ -596,19 +627,21 @@ def run_static(
 #: singles run's flat-pair indices were chunk-sized), kept because a lower
 #: count would let larger runs through the check.  A timeline's arenas are
 #: not counted per record: there are at most min(workers, cpu count) of
-#: them, of 26 bytes per tile record plus one byte per record of at most
-#: ``_ARENA_RECORDS`` (about 2 MB) each, whatever the run's size.
+#: them, of 26 bytes per tile record plus 15 bytes per record (a tally
+#: chunk's 14 of records and the atom code's one) of at most
+#: ``_ARENA_RECORDS`` (about 6 MB) each, whatever the run's size.
 _RECORD_BYTES = 30
 
 
 def _check_memory(n_pairs: int, flag: str = "--pairs") -> None:
     """Reject a run whose records, counted twice, exceed physical memory.
 
-    A run's columns are allocated once (chunks write their own slices),
-    and a measurement tallies each run as it returns and drops it, so it
-    holds one run's records at a time and copies none.  The factor two is
-    headroom: a lower count would let larger runs through.  The chunks'
-    scratch arenas are bounded apart from the records (``_RECORD_BYTES``).
+    A run that returns its records allocates its columns once (chunks write
+    their own slices).  A run that keeps none (``records=False``, every run
+    of a measurement) holds only its chunks' arenas, which are bounded apart
+    from the records (``_RECORD_BYTES``); it is checked all the same, so
+    that ``--pairs`` has one limit on every command.  The factor two is
+    headroom: a lower count would let larger runs through.
     """
     _check_fits(flag, n_pairs, 2 * _RECORD_BYTES, "records")
 
@@ -625,7 +658,8 @@ def run_timeline(
     pbs: tuple[bool, bool] = (True, True),
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
-) -> Trials:
+    records: bool = True,
+) -> "Trials | Tally":
     """Simulate the full switching timeline.
 
     Emission times cover ``duration`` seconds: "uniform" draws ``n_pairs``
@@ -650,9 +684,20 @@ def run_timeline(
     chunk keeps its temporaries in a pooled scratch arena (``_scratch``).
     At most min(workers, cpu count, chunks) threads run; the result is the
     same for any ``workers`` >= 1.
+
+    With ``records=False`` the run returns its ``Tally`` and keeps no
+    records: each chunk writes its records into its arena (``_Arena.records``)
+    and counts them there (``_count``), and the run sums the chunks' counts,
+    which equal ``_tally`` of the records run.  Where no station reads a
+    time (random stations, still waves), such a chunk skips its times: a grid
+    is not filled, and uniform or Poisson times are skipped by advancing the
+    chunk's generator past them, so every later draw is the records run's.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral) \
+            or chunk_size < 1:
+        raise ValidationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
     if duration <= 0.0:
@@ -705,38 +750,46 @@ def run_timeline(
         counts = np.array([gen.poisson(rate * (w1 - w0)) for gen, (w0, w1) in zip(gens, windows)])
     starts = np.concatenate(([0], np.cumsum(counts))).tolist()
 
-    out = _allocate(starts[-1], settings)
+    out = _allocate(starts[-1], settings) if records else None
+    # a periodic wave at a nonzero frequency is the only station that reads times
+    timed = records or any(cfg.switching == "periodic" and cfg.switch_frequency != 0.0
+                           for cfg in (alice, bob))
 
-    def one_chunk(i: int) -> None:
+    def one_chunk(i: int) -> np.ndarray | None:
         # disjoint ascending windows: index order is emission order
         lo, hi = starts[i], starts[i + 1]
-        part = Trials(**{name: getattr(out, name)[lo:hi] for name in _RECORD_DTYPES},
-                      settings=settings)
         gen = gens[i]
-        times = part.emission_time
-        if emission == "grid":
-            for s in _tiles(hi - lo):  # a chunk-sized arange costs more than the fill
-                np.add(np.arange(lo + s.start, lo + s.stop, dtype=np.float64), 0.5, out=times[s])
-            times *= duration / n_pairs
-        else:
-            w0, w1 = windows[i]
-            gen.random(out=times)
-            times *= w1 - w0
-            times += w0
-            times.sort()
         with _scratch() as arena:
+            part = (Trials(**{name: getattr(out, name)[lo:hi] for name in _RECORD_DTYPES},
+                           settings=settings) if records else arena.records(hi - lo, settings))
+            times = part.emission_time
+            if not timed:
+                if emission != "grid":
+                    gen.bit_generator.advance(hi - lo)  # as gen.random(out=times) would
+            elif emission == "grid":
+                for s in _tiles(hi - lo):  # a chunk-sized arange costs more than the fill
+                    np.add(np.arange(lo + s.start, lo + s.stop, dtype=np.float64), 0.5,
+                           out=times[s])
+                times *= duration / n_pairs
+            else:
+                w0, w1 = windows[i]
+                gen.random(out=times)
+                times *= w1 - w0
+                times += w0
+                times.sort()
             _station_indices(alice, gen, times, part.a_v_idx, part.a_m_idx, arena)
             _station_indices(bob, gen, times, part.b_v_idx, part.b_m_idx, arena)
             _simulate(part, station_weights, pbs, gen, arena)
+            return None if records else _count((part.a_m_idx, part.b_m_idx),
+                                               (part.alpha, part.beta), arena)
 
     workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_chunk, range(n_chunks)))
+            tallies = list(pool.map(one_chunk, range(n_chunks)))
     else:
-        for i in range(n_chunks):
-            one_chunk(i)
-    return out
+        tallies = list(map(one_chunk, range(n_chunks)))
+    return out if records else Tally(sum(tallies).reshape(2, 2, 2, 2), settings)
 
 
 def _choice_stations(quad: ChoiceQuad, sf: SyncFractions) -> tuple[StationConfig, StationConfig]:
@@ -800,19 +853,22 @@ def _bits(*flags: np.ndarray) -> np.ndarray:
     return key
 
 
-def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = ()) -> np.ndarray:
+def _count(indices: Sequence[np.ndarray], clicks: Sequence[np.ndarray] = (),
+           arena: _Arena | None = None) -> np.ndarray:
     """How many records have each key whose bits are their 0/1 ``indices``
     and then their ``clicks`` > 0, the first most significant.
 
-    The one counter of the estimators.  It works tile by tile on an int8
-    key in a scratch arena, so no full-length key exists, and counts each
-    tile by one ``np.bincount`` of that key widened in the arena.  A tile
-    whose or-reduced index column lies outside [0, 1] holds an index other
-    than 0 or 1, and is rejected before it is counted as another key.
+    The one counter of the estimators and of a chunk that keeps no
+    records.  It works tile by tile on an int8 key in a scratch arena (the
+    given ``arena``, such as the counting chunk's own, else one from the
+    pool), so no full-length key exists, and counts each tile by one
+    ``np.bincount`` of that key widened in the arena.  A tile whose
+    or-reduced index column lies outside [0, 1] holds an index other than 0
+    or 1, and is rejected before it is counted as another key.
     """
     bins = 1 << (len(indices) + len(clicks))
     counts = np.zeros(bins, np.intp)
-    with _scratch() as arena:
+    with _scratch() if arena is None else nullcontext(arena) as arena:
         for s in _tiles(indices[0].size):
             if any(not 0 <= np.bitwise_or.reduce(col[s]) <= 1 for col in indices):
                 raise ValidationError("records hold setting indices other than 0 and 1")

@@ -20,6 +20,7 @@ series is constant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -51,8 +52,8 @@ from .models import Model, ValidationError, _check_fits
 # engine names, bound when a Monte Carlo path first runs (no numpy at import);
 # the last three are only here for benchmarks/spans.py, which wraps them by name
 _bind_engine, __getattr__ = _lazy_engine(globals(), (
-    "RngSpec", "_check_memory", "_choice_stations", "_s_chsh", "_s_prime", "_tally",
-    "run_timeline", "estimate_s_chsh", "estimate_s_prime", "run_choice_trials"))
+    "RngSpec", "_check_memory", "_choice_stations", "_s_chsh", "_s_prime", "run_timeline",
+    "estimate_s_chsh", "estimate_s_prime", "run_choice_trials"))
 
 DEFAULT_SEED = 123456789
 
@@ -230,12 +231,13 @@ def measure_bell(
     ``n`` pairs each.  Unstepped, that is main on +1, Alice-only on +2 and
     Bob-only on +3.
 
-    Each run is tallied (``_tally``) as soon as it returns and its records
-    are dropped before the next run starts, so a measurement holds one
-    run's records at a time and copies none.  The main run's tally is the
-    sum of its parts' integer tallies, which must share one settings table,
-    and S' and S both read it.  The counts merge exactly, so the estimates
-    equal ``estimate_s_prime`` and ``estimate_s_chsh`` of the joined runs.
+    Every run keeps no records (``run_timeline(..., records=False)``): each
+    chunk counts its own records in its worker, and the run returns only
+    its tally, so a measurement holds no run's columns and its memory does
+    not grow with ``n``.  The main run's tally is the sum of its parts'
+    integer tallies, which must share one settings table, and S' and S both
+    read it.  The counts merge exactly, so the estimates equal
+    ``estimate_s_prime`` and ``estimate_s_chsh`` of the joined records runs.
 
     When neither periodic station is stepped, equal-frequency waves read in
     phase or in anti-phase at photon arrival (t + T/2) show only two of the
@@ -266,28 +268,25 @@ def measure_bell(
         b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
     emission = "grid" if alice.switching == bob.switching == "random" else "uniform"
 
-    def tally(k: int, alice: StationConfig, bob: StationConfig, pairs: int,
-              pbs: tuple[bool, bool]) -> tuple:
-        # (counts, settings table) of one run; its records are dropped on return
-        trials = run_timeline(alice, bob, pairs, duration, RngSpec(rng.seed, rng.stream_id + k),
-                              emission=emission, station_weights=station_weights, pbs=pbs,
-                              workers=workers)
-        return _tally(trials), trials.settings
-
+    run = functools.partial(run_timeline, duration=duration, emission=emission,
+                            station_weights=station_weights, workers=workers, records=False)
     parts = list(itertools.product(a_steps, b_steps))
     m = len(parts)
     if n < m:
         raise ValidationError(f"{n} pairs cannot fill the {m} stepped parts of a measurement")
-    steps = [tally(k + 1, *pair, n // m + (k < n % m), (True, True))
+    steps = [run(*pair, n // m + (k < n % m), rng=RngSpec(rng.seed, rng.stream_id + k + 1))
              for k, pair in enumerate(parts)]
-    table = steps[0][1]
-    if any((settings != table).any() for _, settings in steps):
+    table = steps[0].settings
+    if any((step.settings != table).any() for step in steps):
         raise ValidationError("the stepped parts of a measurement differ in their settings")
-    main = sum(counts for counts, _ in steps)
-    alice_only = tally(m + 1, a_steps[-1], b_steps[0], n, (True, False))
-    bob_only = tally(m + 2, a_steps[0], b_steps[0], n, (False, True))
-    tallies, tables = zip((main, table), alice_only, bob_only)
-    return _s_prime(tallies, tables, quad), _s_chsh(main, table, quad)
+    main = sum(step.counts for step in steps)
+    alice_only = run(a_steps[-1], b_steps[0], n, rng=RngSpec(rng.seed, rng.stream_id + m + 1),
+                     pbs=(True, False))
+    bob_only = run(a_steps[0], b_steps[0], n, rng=RngSpec(rng.seed, rng.stream_id + m + 2),
+                   pbs=(False, True))
+    return (_s_prime([main, alice_only.counts, bob_only.counts],
+                     [table, alice_only.settings, bob_only.settings], quad),
+            _s_chsh(main, table, quad))
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ from bellsim import (
     estimate_s_chsh,
     estimate_s_prime,
     estimate_sync_fractions,
+    measure_bell,
     mix_fractions,
     run_choice_trials,
     run_static,
@@ -301,6 +303,17 @@ class TestWorkers:
             with pytest.raises(ValidationError):
                 run_timeline(alice, bob, 100, 1e-3, RngSpec(20), workers=workers)
 
+    # 0 divided by zero, and grid emission failed in numpy on -5 and 2.5;
+    # uniform ran -5 as one chunk, and poisson ran -5 and 2.5
+    @pytest.mark.parametrize("chunk_size", [0, -5, 2.5, True, "4096"])
+    @pytest.mark.parametrize("emission", ["uniform", "grid", "poisson"])
+    def test_rejects_a_chunk_size_that_is_not_a_positive_integer(self, emission, chunk_size):
+        alice, bob = aspect_stations()
+        given = re.escape(repr(chunk_size))
+        with pytest.raises(ValidationError, match=f"chunk_size .*got {given}"):
+            run_timeline(alice, bob, 100, 1e-3, RngSpec(20), emission=emission,
+                         chunk_size=chunk_size)
+
     def test_threads_are_bounded_by_cpus_and_chunks(self, monkeypatch):
         # a serial stand-in records the pool size; no thread is started
         sizes = []
@@ -556,9 +569,11 @@ def _scratch_runs() -> dict:
     for emission in ("uniform", "grid", "poisson"):
         for kind in ("periodic", "still", "random"):
             for chunks, kwargs in (("one", {}), ("several", dict(chunk_size=700, workers=2))):
-                runs[f"timeline/{emission}/{kind}/{chunks}"] = (
-                    lambda seed, e=emission, k=kind, kw=kwargs: run_timeline(
-                        *_scratch_stations(k), 3000, 1e-4, RngSpec(seed), emission=e, **kw))
+                for out, records in (("timeline", True), ("tally", False)):
+                    runs[f"{out}/{emission}/{kind}/{chunks}"] = (
+                        lambda seed, e=emission, k=kind, kw=kwargs, r=records: run_timeline(
+                            *_scratch_stations(k), 3000, 1e-4, RngSpec(seed), emission=e,
+                            records=r, **kw))
     for pbs in ((True, False), (False, True)):
         runs[f"timeline/singles/{pbs}"] = lambda seed, p=pbs: run_timeline(
             *aspect_stations(), 3000, 1e-4, RngSpec(seed), pbs=p)
@@ -578,6 +593,8 @@ SCRATCH_SEEDS = (96, 97)
 def _result_digest(result) -> str:
     if isinstance(result, Trials):
         return _records_digest(result)
+    if isinstance(result, montecarlo.Tally):
+        return repr((result.counts.tolist(), result.settings.tolist()))
     if isinstance(result, np.ndarray):
         return hashlib.sha256(result.tobytes()).hexdigest()
     return repr((result.value, result.std_error, result.n_trials))
@@ -619,6 +636,8 @@ class TestScratchArenas:
         assert _result_digest(second) == fresh_process_digests[f"{name}@{second_seed}"]
         for result in (first, second):
             columns = ([getattr(result, c) for c in COLUMNS] if isinstance(result, Trials)
+                       else [result.counts, result.settings]
+                       if isinstance(result, montecarlo.Tally)
                        else [result] if isinstance(result, np.ndarray) else [])
             for column in columns:
                 for arena in montecarlo._ARENAS:
@@ -679,6 +698,114 @@ class TestScratchArenas:
             assert len(digests) == 1, (n, chunk, pbs)
 
 
+# --- tally runs ----------------------------------------------------------------
+
+
+def _tally_stations(kind: str) -> tuple[StationConfig, StationConfig]:
+    """Periodic waves with phases and unequal round trips, still waves,
+    random stations in sync with p != 0.5, or a periodic Alice and a random Bob."""
+    q = STANDARD_QUAD
+    periodic = (StationConfig(q.a, q.a_alt, 46.2e6, 0.7, 20e-9),
+                StationConfig(q.b, q.b_alt, 48.4e6, 2.1, 43e-9))
+    random = (StationConfig(q.a, q.a_alt, switching="random", sync_probability=0.9),
+              StationConfig(q.b, q.b_alt, switching="random", sync_probability=0.2))
+    return {"periodic": periodic,
+            "still": (StationConfig(q.a, q.a_alt, 0.0, math.pi, 20e-9),
+                      StationConfig(q.b, q.b_alt, 0.0, 0.0, 43e-9)),
+            "random": random,
+            "mixed": (periodic[0], random[1])}[kind]
+
+
+def _assert_tally_of_records(kind, emission, pbs, n, chunk, workers, seed) -> None:
+    kwargs = dict(emission=emission, pbs=pbs, workers=workers, chunk_size=chunk,
+                  station_weights=(0.3, 0.7))
+    records = run_timeline(*_tally_stations(kind), n, 1e-4, RngSpec(seed), **kwargs)
+    tally = run_timeline(*_tally_stations(kind), n, 1e-4, RngSpec(seed), records=False, **kwargs)
+    assert isinstance(tally, montecarlo.Tally)
+    assert tally.counts.shape == (2, 2, 2, 2)
+    assert tally.counts.tolist() == montecarlo._tally(records).tolist()
+    assert np.array_equal(tally.settings, records.settings)
+    assert len(tally) == len(records)
+
+
+class TestTallyRuns:
+    """``run_timeline(..., records=False)`` counts each chunk in its worker
+    and returns the tally of the records run."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["periodic", "still", "random", "mixed"]),
+           st.sampled_from(["uniform", "grid", "poisson"]),
+           st.sampled_from([(True, True), (True, False), (False, True)]),
+           # one chunk; chunks that end inside a tile; many small chunks
+           st.sampled_from([(40_000, montecarlo.DEFAULT_CHUNK), (150_000, 70_001),
+                            (3_000, 700), (300, 7)]),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_counts_are_the_tally_of_the_records_run(self, kind, emission, pbs, sizes, workers,
+                                                      seed):
+        _assert_tally_of_records(kind, emission, pbs, *sizes, workers, seed)
+
+    def test_counts_hold_as_arenas_grow_and_shrink(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_ARENAS", [])
+        # (kind, emission, polarizers, pairs, chunk size): records runs and tally
+        # runs alternate on the same arenas as their chunks grow, shrink and grow
+        runs = [("periodic", "uniform", (True, True), 2_000, 512),
+                ("mixed", "poisson", (True, False), 150_000, 70_001),
+                ("random", "grid", (True, True), 5_000, 1024),
+                ("still", "uniform", (False, True), 40_000, 16384),
+                ("periodic", "grid", (True, True), 300, 64),
+                ("random", "poisson", (True, False), 20_000, 4096)]
+        for k, (kind, emission, pbs, n, chunk) in enumerate(runs):
+            for workers in (1, 2, 3):
+                _assert_tally_of_records(kind, emission, pbs, n, chunk, workers, 110 + k)
+
+    def test_untimed_grid_chunks_skip_their_times(self, monkeypatch):
+        # no station reads a time: a tally chunk fills no grid times
+        filled = []
+
+        def arange(*args, **kwargs):
+            filled.append(kwargs.get("dtype") is np.float64)
+            return numpy_arange(*args, **kwargs)
+
+        numpy_arange = np.arange
+        monkeypatch.setattr(np, "arange", arange)
+        for records in (False, True):
+            run_timeline(*_tally_stations("random"), 5_000, 1e-4, RngSpec(112), emission="grid",
+                         chunk_size=1024, records=records)
+            assert any(filled) is records
+            filled.clear()
+
+    def test_pool_arenas_and_measurement_memory_stay_bounded(self, monkeypatch):
+        pool = []
+        monkeypatch.setattr(montecarlo, "_ARENAS", pool)
+        alice, bob = aspect_stations()
+        for workers in (1, 2, 3):
+            run_timeline(alice, bob, 20_000, 1e-3, RngSpec(113), workers=workers, chunk_size=2048,
+                         records=False)
+            assert 1 <= len(pool) <= min(workers, os.cpu_count() or 1)
+        # grid chunks of as many records as an arena keeps, and of one more
+        for chunk in (montecarlo._ARENA_RECORDS, montecarlo._ARENA_RECORDS + 1):
+            run_timeline(alice, bob, 2 * chunk, 1e-3, RngSpec(114), emission="grid",
+                         chunk_size=chunk, workers=2, records=False)
+        measure_bell(STANDARD_QUAD, 1_000_000, RngSpec(115), stations=(alice, bob), workers=2)
+        table = np.array([alice.settings, bob.settings])
+        for arena in pool:  # every chunk of a default run fits, whichever arena it takes
+            arena.records(montecarlo.DEFAULT_CHUNK, table)
+        peaks = []
+        for n in (1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                measure_bell(STANDARD_QUAD, n, RngSpec(116), stations=(alice, bob), workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 1 <= len(pool) <= min(3, os.cpu_count() or 1)
+        for arena in pool:
+            held = sum(buf.nbytes for buf in arena.buffers.values())
+            assert held <= 26 * montecarlo._TILE + 15 * montecarlo._ARENA_RECORDS
+        # no measurement holds its runs' records: 4x the pairs, the same peak
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
 # --- tiles -------------------------------------------------------------------
 
 TILE_MIXTURE = HvMixture(((0.3, 0.25), (-0.4, 0.25)), 0.5)
@@ -686,14 +813,18 @@ TILE_MIXTURE = HvMixture(((0.3, 0.25), (-0.4, 0.25)), 0.5)
 
 def _tile_results(kind, emission, pbs, weights, n, chunk, seed) -> list:
     """Every output the tiled kernels produce for one configuration: the
-    timeline at 1 and 2 workers with its tally and sync fractions, the
-    choice run, the static estimate and a hidden-angle draw."""
+    timeline at 1 and 2 workers with its tally, the tally run's counts and
+    the sync fractions, the choice run, the static estimate and a
+    hidden-angle draw."""
     alice, bob = _scratch_stations(kind)
     results = []
     for workers in (1, 2):
         t = run_timeline(alice, bob, n, 1e-4, RngSpec(seed), emission=emission, pbs=pbs,
                          station_weights=weights, workers=workers, chunk_size=chunk)
-        results += [_records_digest(t), montecarlo._tally(t).tolist(),
+        tally = run_timeline(alice, bob, n, 1e-4, RngSpec(seed), emission=emission, pbs=pbs,
+                             station_weights=weights, workers=workers, chunk_size=chunk,
+                             records=False)
+        results += [_records_digest(t), montecarlo._tally(t).tolist(), tally.counts.tolist(),
                     repr(estimate_sync_fractions(t)) if len(t) else None]
     choice = run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.8), n, RngSpec(seed),
                                station_weights=weights, pbs=pbs)
