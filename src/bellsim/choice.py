@@ -127,6 +127,10 @@ class StationConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "setting_1", normalize_angle(self.setting_1))
         object.__setattr__(self, "setting_2", normalize_angle(self.setting_2))
+        for name in ("switch_frequency", "switch_phase", "round_trip_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # else the timeline's indices all read 0
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.switch_frequency < 0.0:
             raise ValidationError("switch_frequency must be >= 0")
         if self.round_trip_time <= 0.0:

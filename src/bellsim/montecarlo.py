@@ -32,8 +32,7 @@ runs and call them).  A run that keeps no records
 counts them there, in its own thread, and the run sums its chunks' counts.
 A measurement (``sweep.measure_bell``) runs that way, so it holds no run's
 columns and copies no record; integer counts sum exactly in any order, so
-a run's tally is the same for any worker count and its stepped parts add
-up to the tally of the joined run.
+a run's tally is the same for any worker count.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is x - floor(x) >= 1/2, x = t*nu + phi/2pi,
@@ -669,7 +668,7 @@ def run_timeline(
     t - T/2 and the outcomes use the settings at t + T/2, with T the
     per-station round trip time.  A periodic station at frequency 0 shows
     the one setting its phase picks (``setting_2`` for phases in [pi, 2pi)
-    mod 2pi), as a stepped polarizer does.  ``_check_memory`` rejects a
+    mod 2pi), as a polarizer held still does.  ``_check_memory`` rejects a
     run too large to hold.
 
     Chunk i owns the window [duration*i/n, duration*(i+1)/n) of the n
@@ -700,6 +699,8 @@ def run_timeline(
         raise ValidationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
+    if not math.isfinite(duration):  # else every emission time is nan
+        raise ValidationError(f"duration must be finite, got {duration!r}")
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
     if emission not in ("uniform", "grid", "poisson"):

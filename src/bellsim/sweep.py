@@ -10,17 +10,16 @@ quad (``bell_coefficients``) and evaluates it at every point, at the sync
 fractions of the stations that the optional Monte Carlo estimate runs.
 
 The ``distance_ratio`` variable realizes the asymmetric-distance protocol:
-Alice's polarizer is held still and stepped through her settings, Bob
-switches at the swept frequency, and the texture weight of each station
-follows from the configured distances (nearer polarizer textures more
-strongly, w = other_distance / total by default).  With all weight on Bob
+Alice's polarizer is held still (its setting chosen per pair, its texture
+always in sync), Bob switches at the swept frequency, and the texture
+weight of each station follows from the configured distances (nearer
+polarizer textures more strongly, w = other_distance / total by default).  With all weight on Bob
 the oscillation has full amplitude; with all weight on still Alice the
 series is constant.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -220,73 +219,50 @@ def measure_bell(
     Pairs come from the switching timeline of ``stations`` over
     ``duration`` seconds, on ``workers`` threads; without stations, of two
     random-switching stations in sync with probabilities ``sf``
-    (``_choice_stations``).  Two random stations read no times, so their
-    pairs lie on an emission grid.  A periodic station at frequency 0 shows
-    one setting per timeline, so it is stepped through its two settings as
-    zero-frequency waves at phases 0 and pi (its own phase is not used),
-    one timeline per step.  The main run is the m = 1, 2 or 4 (Alice step,
-    Bob step) parts in order, part k on stream ``rng.stream_id + k + 1``
-    with n//m + (k < n % m) pairs; Alice-only (Bob's polarizer removed)
-    runs on +m+1 at her last step and Bob-only on +m+2 at both first steps,
-    ``n`` pairs each.  Unstepped, that is main on +1, Alice-only on +2 and
-    Bob-only on +3.
+    (``_choice_stations``).  A periodic station at frequency 0 (a still
+    polarizer) shows one setting per timeline, so it is measured as the
+    random station in sync with probability 1: its measured setting is a
+    fair choice per pair, its texture always shows that setting, and its
+    own phase is not used.  Two random stations read no times, so their
+    pairs lie on an emission grid.  The main run is on stream
+    ``rng.stream_id + 1``, Alice-only (Bob's polarizer removed) on +2 and
+    Bob-only on +3, ``n`` pairs each.
 
     Every run keeps no records (``run_timeline(..., records=False)``): each
     chunk counts its own records in its worker, and the run returns only
     its tally, so a measurement holds no run's columns and its memory does
-    not grow with ``n``.  The main run's tally is the sum of its parts'
-    integer tallies, which must share one settings table, and S' and S both
-    read it.  The counts merge exactly, so the estimates equal
-    ``estimate_s_prime`` and ``estimate_s_chsh`` of the joined records runs.
+    not grow with ``n``.  S' and S both read the main run's tally, and the
+    estimates equal ``estimate_s_prime`` and ``estimate_s_chsh`` of the
+    records runs.
 
-    When neither periodic station is stepped, equal-frequency waves read in
-    phase or in anti-phase at photon arrival (t + T/2) show only two of the
-    four measured pairs, so Bob's is offset a quarter period.  Those waves are
-    locked when (phi_B - phi_A) + pi nu (T_B - T_A) is within 1e-12 rad of
-    a multiple of pi.
+    Equal-frequency waves read in phase or in anti-phase at photon arrival
+    (t + T/2) show only two of the four measured pairs, so Bob's is offset a
+    quarter period.  Those waves are locked when (phi_B - phi_A) +
+    pi nu (T_B - T_A) is within 1e-12 rad of a multiple of pi.
     """
     _bind_engine()
     if sf is None and stations is None:
         raise ValidationError("measure_bell needs sync fractions (sf) or stations")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
-    if duration <= 0.0:
-        raise ValidationError("duration must be > 0")
-    _check_memory(n)
-    alice, bob = stations = _choice_stations(quad, sf) if stations is None else stations
-    a_steps, b_steps = (
-        tuple(replace(s, switch_phase=j * math.pi) for j in (0, 1))
-        if s.switching == "periodic" and s.switch_frequency == 0.0 else (s,)
-        for s in stations)
+    alice, bob = (
+        replace(s, switching="random", sync_probability=1.0)
+        if s.switching == "periodic" and s.switch_frequency == 0.0 else s
+        for s in (_choice_stations(quad, sf) if stations is None else stations))
     # at equal frequencies, Bob's wave phase minus Alice's as each is read
     # at photon arrival, t + T/2
     gap = (bob.switch_phase - alice.switch_phase) + math.pi * bob.switch_frequency * (
         bob.round_trip_time - alice.round_trip_time)
-    if (len(a_steps) == len(b_steps) == 1 and alice.switching == bob.switching == "periodic"
+    if (alice.switching == bob.switching == "periodic"
             and alice.switch_frequency == bob.switch_frequency
             and abs(math.remainder(gap, math.pi)) <= _PHASE_ATOL):
-        b_steps = (replace(bob, switch_phase=bob.switch_phase + math.pi / 2),)
+        bob = replace(bob, switch_phase=bob.switch_phase + math.pi / 2)
     emission = "grid" if alice.switching == bob.switching == "random" else "uniform"
-
-    run = functools.partial(run_timeline, duration=duration, emission=emission,
-                            station_weights=station_weights, workers=workers, records=False)
-    parts = list(itertools.product(a_steps, b_steps))
-    m = len(parts)
-    if n < m:
-        raise ValidationError(f"{n} pairs cannot fill the {m} stepped parts of a measurement")
-    steps = [run(*pair, n // m + (k < n % m), rng=RngSpec(rng.seed, rng.stream_id + k + 1))
-             for k, pair in enumerate(parts)]
-    table = steps[0].settings
-    if any((step.settings != table).any() for step in steps):
-        raise ValidationError("the stepped parts of a measurement differ in their settings")
-    main = sum(step.counts for step in steps)
-    alice_only = run(a_steps[-1], b_steps[0], n, rng=RngSpec(rng.seed, rng.stream_id + m + 1),
-                     pbs=(True, False))
-    bob_only = run(a_steps[0], b_steps[0], n, rng=RngSpec(rng.seed, rng.stream_id + m + 2),
-                   pbs=(False, True))
-    return (_s_prime([main, alice_only.counts, bob_only.counts],
-                     [table, alice_only.settings, bob_only.settings], quad),
-            _s_chsh(main, table, quad))
+    # main, Alice-only and Bob-only
+    runs = [run_timeline(alice, bob, n, duration, RngSpec(rng.seed, rng.stream_id + k),
+                         emission=emission, station_weights=station_weights, pbs=pbs,
+                         workers=workers, records=False)
+            for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
+    return (_s_prime([run.counts for run in runs], [run.settings for run in runs], quad),
+            _s_chsh(runs[0].counts, runs[0].settings, quad))
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:
@@ -297,8 +273,8 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     ``SweepError``.  A ``--mc-pairs`` too large to hold is rejected before
     the first point, and so is a ``--points`` grid too large to hold.
     ``distance_ratio`` holds Alice's polarizer still (its series' spec has
-    her periodic at frequency 0), so ``measure_bell`` steps her through her
-    two settings.  The f columns come whole and checked from
+    her periodic at frequency 0), so ``measure_bell`` measures her as a
+    random station in sync with probability 1.  The f columns come whole and checked from
     ``_grid_fractions`` before the first Monte Carlo point, and S' and S from
     ``bell_values``; only a Monte Carlo point builds a ``SyncFractions`` or
     ``StationConfig``.

@@ -153,6 +153,13 @@ class TestStationConfig:
         with pytest.raises(ValidationError):
             StationConfig(0.0, 0.1, switching="sometimes")
 
+    # a nan one left the station's indices all 0 on the timeline
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["switch_frequency", "switch_phase", "round_trip_time"])
+    def test_non_finite_timing_is_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+            StationConfig(0.0, 0.1, **{name: value})
+
     @pytest.mark.parametrize("p", [math.nan, -0.1, 1.1])
     def test_sync_probability_outside_the_unit_interval(self, p):
         with pytest.raises(ValidationError, match="sync_probability"):

@@ -207,7 +207,8 @@ class TestBell:
                                                                tmp_path):
         # a station that never switches, and two identical waves, leave a
         # measured setting pair without records in a plain timeline run; a
-        # still station is stepped, in parts that split --pairs exactly
+        # still station is measured with its setting drawn per pair, always
+        # in sync
         out = tmp_path / "bell.csv"
         code = main(["bell", "--nu-a", nu_a, "--nu-b", nu_b, "--round-trip", "43ns",
                      "--form", form, "--engine", "both", "--pairs", "150003", "--seed", "9",
@@ -405,7 +406,7 @@ class TestMalformedInput:
         ["export-trials", "--output", "{out}", "--pairs"],
         ["sweep", "--variable", "frequency_common", "--start", "10MHz", "--stop", "20MHz",
          "--points", "2", "--engines", "monte_carlo", "--mc-pairs"],
-        # stepped: n is checked before the first of its four parts runs
+        # both stations still: n is checked before the main run draws
         ["bell", "--nu-a", "0", "--nu-b", "0", "--engine", "mc", "--pairs"],
     ])
     def test_pairs_beyond_physical_memory_are_rejected(self, argv, tmp_path):

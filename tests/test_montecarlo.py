@@ -281,6 +281,17 @@ class TestTimeline:
         with pytest.raises(ValidationError, match="--duration"):  # 2**52 periods at 1 MHz
             run_timeline(alice, bob, 100, 4.6e9, RngSpec(16))
 
+    # nan slipped past duration <= 0: records at nan times, each station
+    # stuck at index 0; inf put a random station's first window at nan
+    @pytest.mark.parametrize("records", [True, False])
+    @pytest.mark.parametrize("emission", ["uniform", "grid", "poisson"])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_is_rejected(self, duration, emission, records):
+        alice, bob = aspect_stations()
+        with pytest.raises(ValidationError, match=f"^duration must be finite, got {duration!r}$"):
+            run_timeline(alice, bob, 100, duration, RngSpec(16), emission=emission,
+                         records=records)
+
     def test_overlong_round_trip_is_named(self):
         # T/2 beyond the duration: the round trip, not --duration, spans the periods
         alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46e6, 0.0, 1e300)

@@ -15,7 +15,6 @@ from bellsim import (
     SweepSpec,
     SyncFractions,
     SweepVariable,
-    Trials,
     ValidationError,
     aspect_point,
     aspect_stations,
@@ -435,29 +434,36 @@ class TestMonteCarloSweep:
             assert estimate(series, "s_prime", i).agrees_with(series.columns["s_prime"][i])
             assert estimate(series, "s_chsh", i).agrees_with(series.columns["s_chsh"][i])
 
-    # Stepped-Alice estimates as (value, std_error, n_trials), fixed seeds:
+    # Still-Alice estimates as (value, std_error, n_trials), fixed seeds:
     # Alice over 20 ns, Bob at 48.4 MHz over 43 ns.  A still Alice is
-    # stepped through a and a' on the timeline, two parts of n/2 pairs in
-    # the main run (version 0.5.0).
-    STEPPED_STATIONS = (
+    # measured as the random station in sync with probability 1, main,
+    # Alice-only and Bob-only on streams +1..+3 (version 0.9.0).
+    STATIONS = (
         StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46.2e6, 0.0, 20e-9),
         StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, 43e-9),
     )
+    #: the still Alice and Bob of ``STATIONS``, as random stations always in sync
+    IN_SYNC = (
+        StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, round_trip_time=20e-9,
+                      switching="random", sync_probability=1.0),
+        StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, round_trip_time=43e-9,
+                      switching="random", sync_probability=1.0),
+    )
 
-    def test_stepped_alice_estimates_are_pinned(self):
-        alice, bob = self.STEPPED_STATIONS
+    def test_still_alice_estimates_are_pinned(self):
+        alice, bob = self.STATIONS
         s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(70),
                                 stations=(replace(alice, switch_frequency=0.0), bob),
                                 duration=1e-4, station_weights=(0.3, 0.7), workers=2)
         assert (s_p.value, s_p.std_error, s_p.n_trials) == (
-            0.1287661569231091, 0.014137309876378993, 20000)
+            0.14115234193833737, 0.014596475377749865, 20000)
         assert (s_c.value, s_c.std_error, s_c.n_trials) == (
-            2.5053861473151118, 0.022047906981650846, 20000)
+            2.549251447684416, 0.02179845271561962, 20000)
 
     def test_distance_ratio_point_is_pinned(self, monkeypatch):
         # the sweep holds the 46.2 MHz Alice still; the table holds no pair
         # counts, so those are read from the measurements the sweep makes
-        alice, bob = self.STEPPED_STATIONS
+        alice, bob = self.STATIONS
         spec = SweepSpec(SweepVariable.DISTANCE_RATIO, 10e6, 30e6, num_points=2,
                          engines=(MONTE_CARLO,), mc_pairs_per_point=20_000, seed=71,
                          alice=alice, bob=bob)
@@ -470,68 +476,52 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(sweep, "measure_bell", measure)
         columns = run_sweep(spec).columns
         assert (columns["mc_s_prime"][1], columns["mc_s_prime_err"][1],
-                measured[1][0].n_trials) == (0.10031047964078521, 0.01417779582947921, 20000)
+                measured[1][0].n_trials) == (0.07578591511802979, 0.014542764827676379, 20000)
         assert (columns["mc_s_chsh"][1], columns["mc_s_chsh_err"][1]) == (
-            2.315867932497307, 0.023059002945173)
+            2.3014195182329207, 0.023136045870188107)
 
     @pytest.mark.parametrize("still", ["alice", "bob", "both"])
-    def test_still_stations_are_stepped_on_the_timeline(self, still):
-        # a periodic station at nu = 0 is stepped at phases 0 and pi, whatever
-        # its own phase (4 rad would show its second setting); the main run is
-        # the (Alice step, Bob step) parts in order on streams +1..+m, splitting
-        # n, then Alice-only at her last step and Bob-only at the first steps
-        alice, bob = self.STEPPED_STATIONS
-        a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 0.0, 20e-9)
-        b0 = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 0.0, 0.0, 43e-9)
-        a1, b1 = replace(a0, switch_phase=math.pi), replace(b0, switch_phase=math.pi)
-        stations, parts, alice_only, bob_only = {
-            "alice": ((replace(a0, switch_phase=4.0), bob), [(a0, bob), (a1, bob)],
-                      (a1, bob), (a0, bob)),
-            "bob": ((alice, replace(b0, switch_phase=4.0)), [(alice, b0), (alice, b1)],
-                    (alice, b0), (alice, b0)),
-            "both": ((replace(a0, switch_phase=4.0), replace(b0, switch_phase=4.0)),
-                     [(a0, b0), (a0, b1), (a1, b0), (a1, b1)], (a1, b0), (a0, b0)),
+    def test_still_stations_are_measured_in_sync(self, still):
+        # a periodic station at nu = 0 is measured as the random station in
+        # sync with probability 1, whatever its own phase (4 rad would show
+        # its second setting): main, Alice-only and Bob-only on streams
+        # +1..+3, on an emission grid when both stations are random
+        alice, bob = self.STATIONS
+        a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 4.0, 20e-9)
+        b0 = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 0.0, 4.0, 43e-9)
+        a_sync, b_sync = self.IN_SYNC
+        stations, measured = {
+            "alice": ((a0, bob), (a_sync, bob)),
+            "bob": ((alice, b0), (alice, b_sync)),
+            "both": ((a0, b0), (a_sync, b_sync)),
         }[still]
-        n, m, weights = 20_003, len(parts), (0.3, 0.7)
-
-        def run(pair, pairs, stream, pbs):
-            return run_timeline(*pair, pairs, 1e-4, RngSpec(73, stream),
-                                station_weights=weights, pbs=pbs)
-
-        main = Trials.concat([run(pair, n // m + (k < n % m), k + 1, (True, True))
-                              for k, pair in enumerate(parts)])
-        assert len(main) == n
-        runs = (main, run(alice_only, n, m + 1, (True, False)),
-                run(bob_only, n, m + 2, (False, True)))
+        n, weights = 20_003, (0.3, 0.7)
+        emission = "grid" if still == "both" else "uniform"
+        runs = [run_timeline(*measured, n, 1e-4, RngSpec(73, k), emission=emission,
+                             station_weights=weights, pbs=pbs)
+                for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
         s_p, s_c = measure_bell(STANDARD_QUAD, n, RngSpec(73), stations=stations,
                                 duration=1e-4, station_weights=weights)
         assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
-        assert s_c == estimate_s_chsh(main, STANDARD_QUAD)
+        assert s_c == estimate_s_chsh(runs[0], STANDARD_QUAD)
 
     @pytest.mark.parametrize("b_alt_shift, n, seed, message", [
         (0.1, 2_001, 74, "records contain settings outside the quad"),
         (0.0, 3, 75, "a measured setting pair has no records"),
-        (0.0, 4, 70, "no singles records at Bob's first setting"),
-        (0.0, 4, 75, "need at least two samples for a standard error"),
+        (0.0, 5, 81, "no singles records at Bob's first setting"),
+        (0.0, 5, 75, "need at least two samples for a standard error"),
     ])
     def test_errors_are_those_of_the_estimators(self, b_alt_shift, n, seed, message):
         # a quad the stations do not carry, or too few pairs: measure_bell
         # raises what estimate_s_prime, then estimate_s_chsh, raise on the
         # reference runs (the main run's groups, then the singles, then S's)
-        alice, bob = self.STEPPED_STATIONS
-        a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 0.0, 20e-9)
-        a1 = replace(a0, switch_phase=math.pi)
+        alice, bob = self.STATIONS
         quad = replace(STANDARD_QUAD, b_alt=STANDARD_QUAD.b_alt + b_alt_shift)
-
-        def run(pair, pairs, stream, pbs):
-            return run_timeline(*pair, pairs, 1e-4, RngSpec(seed, stream), pbs=pbs)
-
-        main = Trials.concat([run((a0, bob), n // 2 + n % 2, 1, (True, True)),
-                              run((a1, bob), n // 2, 2, (True, True))])
-        runs = (main, run((a1, bob), n, 3, (True, False)), run((a0, bob), n, 4, (False, True)))
+        runs = [run_timeline(self.IN_SYNC[0], bob, n, 1e-4, RngSpec(seed, k), pbs=pbs)
+                for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
         with pytest.raises(ValidationError) as expected:
             estimate_s_prime(*runs, quad)
-            estimate_s_chsh(main, quad)
+            estimate_s_chsh(runs[0], quad)
         with pytest.raises(ValidationError) as raised:
             measure_bell(quad, n, RngSpec(seed), duration=1e-4,
                          stations=(replace(alice, switch_frequency=0.0), bob))
@@ -543,12 +533,11 @@ class TestMonteCarloSweep:
                                                   r"or stations$"):
             measure_bell(STANDARD_QUAD, 1000, RngSpec(77))
 
-    def test_too_few_pairs_for_the_stepped_parts(self):
-        # both stations still: four parts
-        alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt)
-        bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt)
-        with pytest.raises(ValidationError, match="3 pairs cannot fill the 4 stepped parts"):
-            measure_bell(STANDARD_QUAD, 3, RngSpec(76), stations=(alice, bob))
+    def test_a_still_station_needs_at_least_one_pair(self):
+        alice, bob = self.STATIONS
+        with pytest.raises(ValidationError, match=r"^need at least one pair$"):
+            measure_bell(STANDARD_QUAD, 0, RngSpec(76),
+                         stations=(replace(alice, switch_frequency=0.0), bob))
 
     @pytest.mark.parametrize("rt_b, phase_b, locked", [
         (93e-9, 0.0, False),  # arrival readings a quarter period apart
@@ -581,8 +570,8 @@ class TestMeasurementMemory:
     @pytest.mark.parametrize("kind", ["1982", "still_alice", "choice"])
     def test_peak_holds_one_run(self, kind, monkeypatch):
         # one run's columns are 22 bytes a pair (a choice run's 30 while its
-        # trial-index times replace the allocated ones); three runs held at
-        # once, or the stepped parts joined by a copy, read 68.7-74 bytes
+        # trial-index times replace the allocated ones); the main, Alice-only
+        # and Bob-only runs held at once read 68.7-74 bytes
         monkeypatch.setattr(montecarlo, "_ARENAS", [])
         alice, bob = aspect_stations()
         kwargs = {"1982": {"stations": (alice, bob)},
