@@ -591,24 +591,33 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand.  Given ``command``, only that
+    subcommand gets its options, the others none; without it, each gets its
+    own."""
     parser = _Parser(prog="bellsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"bellsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_run, summary) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        for name, (_kind, default, choices, text) in _rows(command).items():
+    for name, (_run, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command not in (None, name):
+            continue
+        for option, (_kind, default, choices, text) in _rows(name).items():
             if choices is not None:
                 text += f": {' | '.join(choices)}"
             if default is not None:
                 text += f" (default {default})"
-            p.add_argument(_flag(name), help=text)
+            p.add_argument(_flag(option), help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level takes no option with a value, so its first word that is
+    # not an option is the subcommand argparse runs (or rejects)
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -697,6 +697,8 @@ def run_timeline(
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral) \
             or chunk_size < 1:
         raise ValidationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral):
+        raise ValidationError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
     if not math.isfinite(duration):  # else every emission time is nan

@@ -5,8 +5,15 @@ encodings of it: RFC-4180-style CSV (one ``# provenance:`` comment line, then
 a header row) and JSON lines (a provenance object first, then one record per
 row).  Floats are written with 17 significant digits in CSV and shortest
 round-trip repr in JSON, so both parse back to identical values.  None cells
-are the empty CSV field / JSON null.  CSV cells are encoded once per column
-(``_encode_column``); ``read_table`` parses either encoding back into rows.
+are the empty CSV field / JSON null.
+
+CSV is written in one pass, without ``csv.writer``: each column becomes its
+cells' text at once (``_encode_column``: an all-float column by one C-level
+``format`` map, an all-None column as empty fields), and each line is those
+texts joined by commas.  Header names and the cells of every other column,
+the text that can hold a comma, a quote or a line break, go through
+``_quote``, which quotes as ``csv.QUOTE_MINIMAL`` does.  ``read_table``
+parses either encoding back into rows.
 """
 
 from __future__ import annotations
@@ -45,21 +52,33 @@ def _check_columns(columns: dict[str, Sequence]) -> None:
         raise ValidationError(f"a table needs rows, as many in each column, not {sorted(lengths)}")
 
 
+def _quote(text: str) -> str:
+    """One CSV field as ``csv.QUOTE_MINIMAL`` writes it: in quotes, each
+    quote doubled, if it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(columns: dict[str, Sequence], provenance: dict) -> str:
     _check_columns(columns)
-    buf = io.StringIO()
-    buf.write(PROVENANCE_PREFIX + json.dumps(provenance, sort_keys=True) + "\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*map(_encode_column, columns.values())))
-    return buf.getvalue()
+    rows = map(",".join, zip(*map(_encode_column, columns.values())))
+    if len(columns) == 1:  # a lone empty field is written "", so that no line is blank
+        rows = (row or '""' for row in rows)
+    return "".join((PROVENANCE_PREFIX, json.dumps(provenance, sort_keys=True), "\r\n",
+                    ",".join(map(_quote, columns)) or '""', "\r\n",
+                    "\r\n".join(rows), "\r\n"))
 
 
 def _encode_column(cells: Sequence) -> Iterator[str]:
-    """One column's cells, lazily: floats alone by one C-level ``format``."""
-    if set(map(type, cells)) == {float}:
+    """One column's CSV fields, lazily: floats alone by one C-level
+    ``format``, None alone as empty fields, any other cells one by one."""
+    types = set(map(type, cells))
+    if types == {float}:
         return map(format, cells, repeat(FLOAT_FORMAT))
-    return map(_encode_cell, cells)
+    if types == {type(None)}:
+        return repeat("", len(cells))
+    return map(_quote, map(_encode_cell, cells))
 
 
 def provenance_header(provenance: dict) -> str:
@@ -105,7 +124,9 @@ def _decode_cell(text: str):
 
 def read_table(path: "str | Path") -> tuple[dict, list[dict]]:
     """Parse a CSV or JSON-lines table back into (provenance, rows)."""
-    text = Path(path).read_text(encoding="utf-8")
+    # newline="" keeps a quoted field's line breaks as written
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
     first = text.split("\n", 1)[0].rstrip("\r")
     if first.startswith(PROVENANCE_PREFIX):
         provenance = json.loads(first[len(PROVENANCE_PREFIX):])

@@ -127,6 +127,10 @@ class SweepSpec:
                 raise ValidationError(f"unknown engine {e!r}")
         if MONTE_CARLO in self.engines and self.mc_pairs_per_point < 1:
             raise ValidationError("monte_carlo engine needs mc_pairs_per_point >= 1")
+        if MONTE_CARLO in self.engines and not math.isfinite(self.mc_duration):
+            # else the first Monte Carlo point fails, after the closed-form columns
+            raise ValidationError(f"monte_carlo engine needs a finite duration, "
+                                  f"got {self.mc_duration!r}")
         if MONTE_CARLO in self.engines and self.mc_duration <= 0.0:
             raise ValidationError("monte_carlo engine needs duration > 0")
 

@@ -1,6 +1,8 @@
 """Command-line surface: unit parsing, goldens, round-trips, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -20,7 +22,9 @@ from bellsim import (
 )
 from bellsim.cli import main, provenance_to_argv
 from bellsim.models import normalize_angle
-from bellsim.output import read_table
+from bellsim.output import (
+    PROVENANCE_PREFIX, _decode_cell, _encode_cell, read_table, render_csv,
+)
 from bellsim.sweep import SweepError
 from bellsim.units import (
     parse_angle, parse_angle_list, parse_frequency, parse_phase, parse_time,
@@ -990,6 +994,99 @@ class TestSvgEscaping:
                               env=_child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _csv_writer_table(columns: dict, provenance: dict) -> str:
+    """A CSV table as ``csv.writer`` writes the same encoded cells."""
+    buf = io.StringIO()
+    buf.write(PROVENANCE_PREFIX + json.dumps(provenance, sort_keys=True) + "\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*([_encode_cell(cell) for cell in cells] for cells in columns.values())))
+    return buf.getvalue()
+
+
+#: text that needs quoting, or looks as if it might, and the empty text
+_CSV_TEXT = st.text(alphabet=',"\r\n a1', max_size=6)
+_CSV_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_subnormal=True),  # nan and both infinities among them
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+    _CSV_TEXT,
+)
+
+
+@st.composite
+def _csv_tables(draw) -> dict:
+    """1-4 named columns of 1-20 cells each."""
+    n_rows = draw(st.integers(1, 20))
+    names = draw(st.lists(_CSV_TEXT, min_size=1, max_size=4, unique=True))
+    return {name: draw(st.lists(_CSV_CELLS, min_size=n_rows, max_size=n_rows))
+            for name in names}
+
+
+class TestCsvEncoder:
+    PROVENANCE = {"tool": "bellsim", "params": {"quad": "0rad,1rad", "note": 'a "b"'}}
+
+    @pytest.fixture(scope="class")
+    def table_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "table.csv"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_csv_tables())
+    @example({"x": [None]})  # a lone empty field is quoted, so that no line is blank
+    @example({"": ["", None, '"', "\r\n"]})
+    @example({"x": [None, None], "y": [None, 1.0]})
+    def test_csv_writer_bytes_and_read_back(self, table_path, columns):
+        text = render_csv(columns, self.PROVENANCE)
+        assert text == _csv_writer_table(columns, self.PROVENANCE)
+        table_path.write_text(text, encoding="utf-8", newline="")
+        provenance, rows = read_table(table_path)
+        assert provenance == self.PROVENANCE
+        # a float reads back as itself (repr: nan and -0.0 too), any other
+        # cell as the text it was written as reads
+        assert [{name: repr(value) for name, value in row.items()} for row in rows] == [
+            {name: repr(cell if isinstance(cell, float) else _decode_cell(_encode_cell(cell)))
+             for name, cell in zip(columns, row)}
+            for row in zip(*columns.values())]
+
+
+class TestParser:
+    COMMANDS = list(cli._COMMANDS)
+
+    @staticmethod
+    def _actions(parser: argparse.ArgumentParser, command: str) -> list[tuple]:
+        """(dest, option strings, help) of each action of one subparser."""
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [(a.dest, a.option_strings, a.help) for a in sub.choices[command]._actions]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subcommand_gets_the_options_it_gets_among_all(self, command):
+        parser = cli.build_parser(command)
+        assert self._actions(parser, command) == self._actions(cli.build_parser(), command)
+        for other in self.COMMANDS:  # the others are registered, with no option
+            if other != command:
+                assert self._actions(parser, other) == [
+                    ("help", ["-h", "--help"], "show this help message and exit")]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_is_that_of_the_full_parser(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr()
+        assert main([command, "--help"]) == exited.value.code == 0
+        assert capsys.readouterr() == full
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["--version"], ["bogus"], ["bogus", "--seed", "1"], ["-1", "sweep"],
+        ["--bogus", "sweep"], ["sweep", "--bogus"], ["--", "-x"],
+    ])
+    def test_top_level_exits_are_those_of_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert main(argv) == (exited.value.code or 0)
+        assert capsys.readouterr() == full
 
 
 class TestVersion:

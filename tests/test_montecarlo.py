@@ -292,6 +292,14 @@ class TestTimeline:
             run_timeline(alice, bob, 100, duration, RngSpec(16), emission=emission,
                          records=records)
 
+    # 2.5 ran 2 records and True ran 1; "10" failed with a TypeError
+    @pytest.mark.parametrize("n_pairs", [2.5, True, "10"])
+    def test_a_pair_count_that_is_not_an_integer_is_rejected(self, n_pairs):
+        alice, bob = aspect_stations()
+        given = re.escape(repr(n_pairs))
+        with pytest.raises(ValidationError, match=f"^n_pairs must be an integer >= 1, got {given}$"):
+            run_timeline(alice, bob, n_pairs, 1e-3, RngSpec(16))
+
     def test_overlong_round_trip_is_named(self):
         # T/2 beyond the duration: the round trip, not --duration, spans the periods
         alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46e6, 0.0, 1e300)

@@ -251,6 +251,14 @@ class TestStationFreePoints:
         with pytest.raises(ValidationError, match=message):
             SweepSpec(SweepVariable.F_DIRECT, start, stop, 3)
 
+    # nan built the closed-form columns, then failed at the first Monte Carlo point
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_a_non_finite_monte_carlo_duration_is_rejected(self, duration):
+        with pytest.raises(ValidationError, match=f"^monte_carlo engine needs a finite duration, "
+                                                  f"got {duration!r}$"):
+            SweepSpec(SweepVariable.FREQUENCY_COMMON, 0.0, 1e6, 3,
+                      engines=("closed_form", MONTE_CARLO), mc_duration=duration)
+
     def test_f_outside_the_unit_interval_fails_before_any_monte_carlo_point(self, monkeypatch):
         measured = []
         monkeypatch.setattr(sweep, "measure_bell", lambda *a, **kw: measured.append(a))
