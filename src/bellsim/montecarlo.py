@@ -40,14 +40,20 @@ which is exact for any t.  With polarizers present the hidden angle takes
 at most 8 values per run (each station's two settings, and each minus
 pi/2); a chunk builds that table once (``_AtomTable``), draws an atom code
 per pair from the slot probabilities and the stations' texture-epoch
-indices, and gathers both the angle and the Malus probability (a 2x8
-``cos**2`` table of measured setting by atom code) from it.  Only pairs
-whose hidden angle is a flat draw (the singles runs' uniform share, or a
-uniform mixture component) evaluate ``cos`` per pair; a flat angle needs
-no ``fmod`` (``_flat_angles``).  An absent polarizer detects every photon
-and skips its uniforms by advancing the generator.  ``run_timeline``,
-``run_static`` and ``sample_lambda`` share that one sampler and detector;
-the random numbers and their order are those of the per-pair formulas.
+indices, and gathers the Malus probability from a 2x8 ``cos**2`` table of
+measured setting by atom code.  An atom pair's angle is never written
+before both detections, and in a run that keeps no records never at all.
+Only pairs whose hidden angle is a flat draw (the singles runs' uniform
+share, or a uniform mixture component) evaluate ``cos`` per pair, on their
+angles kept compact per tile.  The square of numpy's float32 ``cos`` of
+the angle difference rounded to float32 screens the probability
+(``_flat_screen``), and a pair whose uniform lies within ``_FLAT_EPS`` of
+the screen is decided by the float64 ``_malus`` (``_flat_near_calls``),
+so every click is the float64 comparison's.  A flat angle needs no ``fmod``
+(``_flat_angles``).  An absent polarizer detects every photon and skips
+its uniforms by advancing the generator.  ``run_timeline``, ``run_static``
+and ``sample_lambda`` share that one sampler and detector; the random
+numbers and their order are those of the per-pair formulas.
 
 Tiles: after its time draw and sort, a chunk runs every per-pair pass over
 tiles of ``_TILE`` records (``_tiles``), stage by stage: the station
@@ -64,11 +70,15 @@ first chunks a run allocates its columns, or a tally run its counts, and
 almost nothing else.  The pool holds as many arenas as chunks ever ran at
 once (at most min(workers, cpu count) of one run).  An arena holds
 tile-sized buffers and one byte per record of the chunk (its atom codes),
-and a tally run's chunk adds its 14 bytes of records (the hidden angles
-reuse the emission times' buffer): about 2 MB, or 6 MB after a tally run
-of default chunks.  It keeps no buffer longer than ``_ARENA_RECORDS``
-records, so the scratch is bounded whatever a run's size.  No returned
-column or count is ever a scratch buffer.
+and a tally run's chunk adds its 14 bytes of records: about 2 MB, or 6 MB
+after a tally run of default chunks.  The compact flat angles of each tile
+live at the start of the tile's slice of the ``hidden_angle`` column: in a
+tally chunk that is the emission times' buffer, which nothing reads once
+both stations' setting indices are drawn, and a records run overwrites
+them with every pair's angle after both detections (``_hidden_angles``).
+An arena keeps no buffer longer than ``_ARENA_RECORDS`` records, so the
+scratch is bounded whatever a run's size.  No returned column or count is
+ever a scratch buffer.
 """
 
 from __future__ import annotations
@@ -103,6 +113,10 @@ class RngSpec:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "stream_id"):
+            _check_count(name, getattr(self, name), 0)
+
     def generator(self) -> np.random.Generator:
         return self.child()
 
@@ -114,9 +128,19 @@ class RngSpec:
 
 
 def as_rng_spec(rng: "RngSpec | int") -> RngSpec:
+    """``rng`` itself, or the stream 0 of the seed ``rng``."""
     if isinstance(rng, RngSpec):
         return rng
-    return RngSpec(int(rng))
+    if isinstance(rng, bool) or not isinstance(rng, numbers.Integral):
+        raise ValidationError(f"rng must be an RngSpec or an integer seed, got {rng!r}")
+    return RngSpec(rng)
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    """Reject a ``value`` of parameter ``name`` that is not an integer >=
+    ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +277,12 @@ class _Arena:
     """Scratch buffers of one running chunk, one per role.
 
     The roles share buffers by lifetime.  Per pair of a tile, "u" holds a
-    uniform draw or the square wave's x, "p" the Malus probability or the
-    wave's floor(x) (float64 each), "index" a table key widened to intp, "key"
-    that key at the table's code width and "mask" one byte (a comparison,
-    or a flat pair's setting index): 26 bytes per record of a ``_TILE``.
+    uniform draw, the square wave's x or a flat pair's screened probability,
+    "p" the Malus probability, the wave's floor(x) or a flat pair's gap to
+    its uniform (float64 each), "index" a table key widened to intp or a
+    flat pair's float32 screen, "key" that key at the table's code width and
+    "mask" one byte (a comparison, or a flat pair's setting index): 26 bytes
+    per record of a ``_TILE``.
     Only "code", the atom code of every pair of the chunk (kept from the
     hidden-angle draw through both detections), and the record columns of a
     chunk that keeps no records (``records``) are chunk-sized; each grows to
@@ -278,9 +304,10 @@ class _Arena:
 
     def records(self, n: int, settings: np.ndarray) -> Trials:
         """Columns for ``n`` records of a chunk that keeps none, one
-        chunk-sized role per column (14 bytes a record): the hidden angles
-        share the emission times' buffer, as no time is read once both
-        stations' setting indices are drawn."""
+        chunk-sized role per column (14 bytes a record): the hidden angles,
+        of which such a chunk writes only the compact flat ones, share the
+        emission times' buffer, as no time is read once both stations'
+        setting indices are drawn."""
         cols = {name: self.take(name, n, dtype) for name, dtype in _RECORD_DTYPES.items()
                 if name != "hidden_angle"}
         return Trials(**cols, hidden_angle=cols["emission_time"], settings=settings)
@@ -368,9 +395,12 @@ def sample_lambda(
     Atoms are chosen with their weights; the uniform component draws flat
     over one period.  Scalar when ``size`` is None.
     """
+    if size is not None:
+        _check_count("size", size, 0)
     lam = np.empty(1 if size is None else int(size))
+    table = _AtomTable.of_mixture(q)
     with _scratch() as arena:
-        _mixture_draw(rng, _AtomTable.of_mixture(q), lam, arena)
+        _hidden_angles(table, _mixture_draw(rng, table, lam, arena), lam, arena)
     return float(lam[0]) if size is None else lam
 
 
@@ -388,12 +418,18 @@ def _flat_angles(u: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray
     return out
 
 
+def _flat_pairs(code: np.ndarray, table: _AtomTable, arena: _Arena) -> np.ndarray:
+    """Positions of the pairs in a tile's ``code`` that drew a flat angle."""
+    # indices gather faster than a mask
+    return np.flatnonzero(np.equal(code, table.flat, out=arena.take("mask", code.size, np.bool_)))
+
+
 def _mixture_draw(
     rng: np.random.Generator, table: _AtomTable, lam: np.ndarray, arena: _Arena,
     texture: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """The one hidden-angle sampler: writes the hidden angles of ``lam.size``
-    pairs into ``lam`` and returns their atom codes, None without atoms.
+    """The one hidden-angle sampler: draws the hidden angles of ``lam.size``
+    pairs and returns their atom codes, None without atoms.
 
     A first draw per pair picks a slot by ``table.probs`` in the pair's
     texture state 2*a_v + b_v, of the index columns ``texture`` = (a_v,
@@ -402,16 +438,20 @@ def _mixture_draw(
     picked none (code ``table.flat``).  Without atoms the first draw is the
     flat angle.  Each stage runs tile by tile; the codes live in the
     arena's chunk-sized "code" buffer.
+
+    Only flat angles are written, into ``lam``, and each tile's stay
+    compact at the start of its slice: ``lam[s][:f]`` holds the f flat
+    angles of tile ``s`` in pair order (every angle, without atoms).  An
+    atom pair stays its code; ``_hidden_angles`` writes every pair's angle.
     """
     m = lam.size
     if not table.probs:
         for s in _tiles(m):
-            u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
-            _flat_angles(u, lam[s], arena.take("mask", u.size, np.bool_))
+            u = rng.random(out=lam[s])
+            _flat_angles(u, u, arena.take("mask", u.size, np.bool_))
         return None
     n_slots = table.codes.shape[1]
     codes = table.codes.ravel()
-    angles = table.angles[codes]
     # state * n_slots + searchsorted(cumsum(probs), u, "right") by one
     # comparison pass per threshold; without a uniform component the last
     # threshold is left out, which clamps to the last atom
@@ -430,18 +470,38 @@ def _mixture_draw(
         above = arena.take("mask", t, np.bool_)
         for c in thresholds:
             key += np.greater_equal(u, c, out=above)
-        index = _index(key, arena)
-        np.take(codes, index, out=code[s], mode="clip")
-        np.take(angles, index, out=lam[s], mode="clip")
+        np.take(codes, _index(key, arena), out=code[s], mode="clip")
     if table.uniform:
         for s in _tiles(m):
-            t = s.stop - s.start
-            u = rng.random(out=arena.take("u", t, np.float64))
-            # indices gather faster than a mask
-            flat = np.flatnonzero(np.equal(code[s], table.flat, out=arena.take("mask", t, np.bool_)))
-            v = np.take(u, flat, out=arena.take("p", flat.size, np.float64), mode="clip")
-            lam[s][flat] = _flat_angles(v, v, arena.take("mask", flat.size, np.bool_))
+            u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
+            flat = _flat_pairs(code[s], table, arena)
+            v = np.take(u, flat, out=lam[s][: flat.size], mode="clip")
+            _flat_angles(v, v, arena.take("mask", flat.size, np.bool_))
     return code
+
+
+def _hidden_angles(table: _AtomTable, code: np.ndarray | None, lam: np.ndarray,
+                   arena: _Arena) -> None:
+    """Every pair's hidden angle, into the ``lam`` that ``_mixture_draw``
+    filled: an atom pair's from its code, and a tile's flat angles moved
+    from the start of its slice to its flat pairs, in order."""
+    if code is None:  # no atoms: every angle is flat and in place
+        return
+    for s in _tiles(lam.size):
+        flat = _flat_pairs(code[s], table, arena) if table.uniform else np.empty(0, np.intp)
+        kept = arena.take("u", flat.size, np.float64)
+        np.copyto(kept, lam[s][: flat.size])
+        np.take(table.angles, _index(code[s], arena), out=lam[s], mode="clip")
+        lam[s][flat] = kept
+
+
+#: Half-width of the band around a flat pair's float32 screen of cos**2 in
+#: which its uniform is compared with the float64 Malus probability
+#: instead.  The screen differs from ``_malus`` by less than 1e-6 on
+#: [-pi, pi] (at most 2.4e-7 over 1e7 evenly spaced points), so a
+#: uniform outside the band falls on the same side of both and every click
+#: is the float64 comparison's.
+_FLAT_EPS = 1e-5
 
 
 def _detect(
@@ -455,49 +515,97 @@ def _detect(
     out: np.ndarray,
     arena: _Arena,
 ) -> None:
-    """Write +/-1 outcomes at ``settings[setting_idx]`` against the hidden
-    angles ``lam`` and atom ``code`` of ``_mixture_draw`` into the int8
-    ``out``, tile by tile.
+    """Write +/-1 outcomes at ``settings[setting_idx]`` against the atom
+    ``code`` and the compact flat angles ``lam`` of ``_mixture_draw`` into
+    the int8 ``out``, tile by tile.
 
     Atom pairs gather their Malus probability from a (setting, atom code)
-    table; only pairs with a flat hidden angle evaluate cos per pair.  The
-    probabilities take no random numbers, so a tile's are found before its
-    one uniform draw per pair.  An absent polarizer detects every photon
-    (u < 1 always), so it skips its draws: ``advance`` leaves PCG64 where
-    they would.  (It also drops a buffered 32-bit half, which only integer
-    draws read, and no integer draw follows a detection.)
+    table.  A flat pair's is screened in float32 (``_flat_screen``), and a
+    pair whose uniform lies within ``_FLAT_EPS`` of its screen is decided
+    against ``_malus`` in float64 (``_flat_near_calls``), so every click is
+    the float64 comparison's.  The probabilities take no random numbers,
+    so a tile's are found before its one uniform draw per pair.  An absent
+    polarizer detects every photon (u < 1 always), so it skips its draws:
+    ``advance`` leaves PCG64 where they would.  (It also drops a buffered
+    32-bit half, which only integer draws read, and no integer draw follows
+    a detection.)
     """
     if not present:
-        rng.bit_generator.advance(lam.size)
+        rng.bit_generator.advance(out.size)
         out.fill(1)
         return
     if code is not None:
         malus = (np.cos(settings[:, None] - table.angles) ** 2).ravel()
         width = code.dtype.type(table.angles.size)
-    for s in _tiles(lam.size):
+    for s in _tiles(out.size):
         t = s.stop - s.start
         u = arena.take("u", t, np.float64)
         p = arena.take("p", t, np.float64)
-        if code is None:  # no atoms: every hidden angle is flat
-            _malus(np.take(settings, _index(setting_idx[s], arena), out=p, mode="clip"), lam[s])
+        idx = setting_idx[s]
+        flat = screen = None
+        if code is None:  # no atoms: every pair is flat, in place
+            screen = _flat_screen(settings, idx, lam[s], p, arena)
         else:
-            if table.uniform:
-                # their probabilities wait in u until the table fills p
-                flat = np.flatnonzero(np.equal(code[s], table.flat,
-                                               out=arena.take("mask", t, np.bool_)))
-                f = flat.size
-                idx = np.take(setting_idx[s], flat, out=arena.take("mask", f, np.int8), mode="clip")
-                _malus(np.take(settings, _index(idx, arena), out=u[:f], mode="clip"),
-                       np.take(lam[s], flat, out=p[:f], mode="clip"))
-            key = np.multiply(setting_idx[s], width, out=arena.take("key", t, code.dtype))
+            key = np.multiply(idx, width, out=arena.take("key", t, code.dtype))
             key += code[s]
             np.take(malus, _index(key, arena), out=p, mode="clip")
             if table.uniform:
+                # screened compact in u, then scattered over the table's nan
+                flat = _flat_pairs(code[s], table, arena)
+                f = flat.size
+                flat_idx = np.take(idx, flat, out=arena.take("mask", f, np.int8), mode="clip")
+                screen = _flat_screen(settings, flat_idx, lam[s][:f], u[:f], arena)
                 p[flat] = u[:f]
         clicks = out[s]
         np.less(rng.random(out=u), p, out=clicks.view(np.bool_))
+        if screen is not None:
+            _flat_near_calls(u, screen, flat, settings, idx, lam[s], clicks.view(np.bool_), arena)
         clicks += clicks
         clicks -= 1
+
+
+def _flat_screen(settings: np.ndarray, idx: np.ndarray, lam: np.ndarray, p: np.ndarray,
+                 arena: _Arena) -> np.ndarray:
+    """The float32 screen of cos(settings[idx] - lam)**2 of flat pairs: the
+    square of the float32 cos of the float32-rounded float64 difference.
+
+    It is written widened into the float64 ``p`` and returned as float32 in
+    the arena's "index" buffer.  Settings and flat angles are normalized, so
+    the difference lies in [-pi, pi], where the screen is within 1e-6 of
+    ``_malus`` (``_FLAT_EPS``).
+    """
+    np.take(settings, _index(idx, arena), out=p, mode="clip")
+    p -= lam
+    screen = arena.take("index", p.size, np.float32)
+    np.copyto(screen, p, casting="same_kind")
+    np.cos(screen, out=screen)
+    np.square(screen, out=screen)
+    np.copyto(p, screen)
+    return screen
+
+
+def _flat_near_calls(u: np.ndarray, screen: np.ndarray, flat: np.ndarray | None,
+                     settings: np.ndarray, idx: np.ndarray, lam: np.ndarray, clicks: np.ndarray,
+                     arena: _Arena) -> None:
+    """Decide again, against ``_malus`` in float64, the clicks of the flat
+    pairs whose uniform ``u`` lies within ``_FLAT_EPS`` of their ``screen``.
+
+    ``flat`` holds the tile positions of the screened pairs (every pair
+    when None), ``lam`` their compact angles and ``idx`` the tile's setting
+    indices.  The gaps live in the arena's "p" buffer, which the tile's
+    comparison has read.
+    """
+    gap = arena.take("p", screen.size, np.float64)
+    if flat is None:
+        np.subtract(u, screen, out=gap)
+    else:
+        np.take(u, flat, out=gap, mode="clip")
+        gap -= screen
+    np.abs(gap, out=gap)
+    near = np.flatnonzero(np.less(gap, _FLAT_EPS, out=arena.take("mask", gap.size, np.bool_)))
+    if near.size:
+        at = near if flat is None else flat[near]
+        clicks[at] = u[at] < _malus(settings[idx[at]], lam[near])
 
 
 def _index(key: np.ndarray, arena: _Arena) -> np.ndarray:
@@ -572,13 +680,16 @@ def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift:
 
 
 def _simulate(trials: Trials, station_weights: tuple[float, float], pbs: tuple[bool, bool],
-              gen: np.random.Generator, arena: _Arena) -> None:
-    """Hidden angles and outcomes of pairs whose times and (a_v, b_v, a_m,
-    b_m) setting indices ``trials`` holds, written into its other columns.
+              gen: np.random.Generator, arena: _Arena, records: bool) -> None:
+    """Outcomes of pairs whose times and (a_v, b_v, a_m, b_m) setting
+    indices ``trials`` holds, written into its ``alpha`` and ``beta``, and
+    with ``records`` their hidden angles into its ``hidden_angle``.
 
     The hidden angle comes from the texture atoms of each present polarizer
     at its texture-epoch setting; a station without a polarizer leaves its
-    share of the texture uniform.
+    share of the texture uniform.  Until both detections are done the
+    ``hidden_angle`` column holds only each tile's compact flat angles
+    (``_mixture_draw``); a run that keeps no records never writes the rest.
     """
     t = trials
     table = _AtomTable.of_stations(t.settings, station_weights, pbs)
@@ -586,6 +697,8 @@ def _simulate(trials: Trials, station_weights: tuple[float, float], pbs: tuple[b
     code = _mixture_draw(gen, table, lam, arena, (t.a_v_idx, t.b_v_idx))
     _detect(gen, table, lam, code, t.settings[0], t.a_m_idx, pbs[0], t.alpha, arena)
     _detect(gen, table, lam, code, t.settings[1], t.b_m_idx, pbs[1], t.beta, arena)
+    if records:
+        _hidden_angles(table, code, lam, arena)
 
 
 # --- static-mixture runs -----------------------------------------------------
@@ -603,8 +716,7 @@ def run_static(
     Per trial: draw the hidden angle, then independent Malus outcomes at
     each station.  Returns the mean of alpha*beta with its standard error.
     """
-    if n < 1:
-        raise ValidationError("need at least one trial")
+    _check_count("n", n, 1)
     gen = as_rng_spec(rng).generator()
     table = _AtomTable.of_mixture(q)
     lam = np.empty(n)
@@ -692,11 +804,8 @@ def run_timeline(
     is not filled, and uniform or Poisson times are skipped by advancing the
     chunk's generator past them, so every later draw is the records run's.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral) \
-            or chunk_size < 1:
-        raise ValidationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+    _check_count("workers", workers, 1)
+    _check_count("chunk_size", chunk_size, 1)
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral):
         raise ValidationError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     if n_pairs < 1:
@@ -782,7 +891,7 @@ def run_timeline(
                 times.sort()
             _station_indices(alice, gen, times, part.a_v_idx, part.a_m_idx, arena)
             _station_indices(bob, gen, times, part.b_v_idx, part.b_m_idx, arena)
-            _simulate(part, station_weights, pbs, gen, arena)
+            _simulate(part, station_weights, pbs, gen, arena, records)
             return None if records else _count((part.a_m_idx, part.b_m_idx),
                                                (part.alpha, part.beta), arena)
 

@@ -67,6 +67,30 @@ class TestRngSpec:
         b = RngSpec(7, 1).generator().random(100)
         assert not np.array_equal(a, b)
 
+    # -1 and -2 failed at the first draw in numpy; bools ran as 1 and 0
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (-1, 0, "seed"), (True, 0, "seed"), (2.5, 0, "seed"), ("3", 0, "seed"),
+        (1, -2, "stream_id"), (1, False, "stream_id"), (1, 1.0, "stream_id")])
+    def test_rejects_a_seed_or_stream_that_is_not_a_non_negative_integer(self, seed, stream_id,
+                                                                        name):
+        given = re.escape(repr(seed if name == "seed" else stream_id))
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 0, got {given}$"):
+            RngSpec(seed, stream_id)
+
+    # 2.9 became seed 2 and "3" seed 3
+    @pytest.mark.parametrize("rng", [2.9, "3", None, True])
+    def test_as_rng_spec_takes_a_spec_or_an_integer_seed(self, rng):
+        with pytest.raises(ValidationError, match=f"^rng must be an RngSpec or an integer seed, "
+                                                  f"got {re.escape(repr(rng))}$"):
+            montecarlo.as_rng_spec(rng)
+
+    def test_as_rng_spec_of_a_seed_is_its_stream_zero(self):
+        spec = RngSpec(7, 3)
+        assert montecarlo.as_rng_spec(spec) is spec
+        assert montecarlo.as_rng_spec(7) == montecarlo.as_rng_spec(np.int64(7)) == RngSpec(7)
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0, got -1$"):
+            montecarlo.as_rng_spec(-1)
+
 
 class TestSampleLambda:
     def test_single_atom_is_deterministic(self):
@@ -93,6 +117,16 @@ class TestSampleLambda:
     def test_scalar_draw(self):
         value = sample_lambda(texture_mixture([0.4]), RngSpec(4).generator())
         assert isinstance(value, float)
+
+    # -1 failed in numpy, 2.5 drew 2 angles and True one
+    @pytest.mark.parametrize("size", [-1, 2.5, True, "3"])
+    def test_rejects_a_size_that_is_not_none_or_a_count(self, size):
+        given = re.escape(repr(size))
+        with pytest.raises(ValidationError, match=f"^size must be an integer >= 0, got {given}$"):
+            sample_lambda(UNIFORM_MIXTURE, RngSpec(4).generator(), size=size)
+
+    def test_zero_size_is_an_empty_draw(self):
+        assert sample_lambda(UNIFORM_MIXTURE, RngSpec(4).generator(), size=0).shape == (0,)
 
     @pytest.mark.parametrize("uniform_weight", [0.0, 0.25])
     @pytest.mark.parametrize("n_atoms", [3, 40])
@@ -145,6 +179,13 @@ class TestRunStatic:
     def test_rejects_empty_run(self):
         with pytest.raises(ValidationError):
             run_static(0.0, 0.0, UNIFORM_MIXTURE, 0, RngSpec(9))
+
+    # 2.5 and True failed with numpy's TypeError
+    @pytest.mark.parametrize("n", [2.5, True, "100", -4])
+    def test_rejects_a_trial_count_that_is_not_a_positive_integer(self, n):
+        given = re.escape(repr(n))
+        with pytest.raises(ValidationError, match=f"^n must be an integer >= 1, got {given}$"):
+            run_static(0.0, 0.0, UNIFORM_MIXTURE, n, RngSpec(9))
 
 
 class TestSquareWave:
@@ -321,6 +362,16 @@ class TestWorkers:
         for workers in (0, -3):
             with pytest.raises(ValidationError):
                 run_timeline(alice, bob, 100, 1e-3, RngSpec(20), workers=workers)
+
+    # 2.5, 1.5 and True ran (1.5 on several chunks too); "2" raised a TypeError
+    @pytest.mark.parametrize("workers", [2.5, 1.5, True, "2"])
+    @pytest.mark.parametrize("chunk_size", [montecarlo.DEFAULT_CHUNK, 16])
+    def test_rejects_workers_that_is_not_a_positive_integer(self, workers, chunk_size):
+        alice, bob = aspect_stations()
+        given = re.escape(repr(workers))
+        with pytest.raises(ValidationError, match=f"^workers must be an integer >= 1, got {given}$"):
+            run_timeline(alice, bob, 100, 1e-3, RngSpec(20), workers=workers,
+                         chunk_size=chunk_size)
 
     # 0 divided by zero, and grid emission failed in numpy on -5 and 2.5;
     # uniform ran -5 as one chunk, and poisson ran -5 and 2.5
@@ -935,6 +986,96 @@ class TestTiles:
         advanced.bit_generator.advance(n)
         assert advanced.bit_generator.state == drawn.bit_generator.state
         assert np.array_equal(advanced.random(5), drawn.random(5))
+
+
+class _Uniforms:
+    """Stands in for a generator in ``_detect``: hands out ``values`` in order."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values, self.at = values, 0
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        out[:] = self.values[self.at:self.at + out.size]
+        self.at += out.size
+        return out
+
+
+#: Offsets of a forced uniform from its pair's float64 Malus probability:
+#: on it, an ulp either side, and inside and outside the float32 screen's error.
+NEAR_OFFSETS = ("ulp-", "ulp+", 0.0, 1e-9, -1e-9, 2e-7, -2e-7)
+
+
+def _near_uniforms(p: np.ndarray) -> np.ndarray:
+    """The probabilities ``p``, pair i moved by offset i mod k of the k ``NEAR_OFFSETS``."""
+    u = np.empty_like(p)
+    k = len(NEAR_OFFSETS)
+    for j, offset in enumerate(NEAR_OFFSETS):
+        at = p[j::k]
+        u[j::k] = (np.nextafter(at, -np.inf) if offset == "ulp-" else
+                   np.nextafter(at, np.inf) if offset == "ulp+" else at + offset)
+    return u
+
+
+def _flat_detections(table_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's clicks and the float64 clicks u < cos(s - lam)**2 of pairs
+    whose uniforms sit at their Malus probabilities (``_near_uniforms``),
+    over several tiles: on a singles run's table (atoms and a uniform
+    share), or on a uniform mixture's (no atoms)."""
+    settings = np.array([[0.0, math.pi / 4], [math.pi / 8, 3 * math.pi / 8]])
+    n = 3 * montecarlo._TILE + 123
+    gen = RngSpec(130).generator()
+    v_idx, m_idx = (gen.integers(0, 2, n).astype(np.int8) for _ in range(2))
+    if table_kind == "singles":
+        table = montecarlo._AtomTable.of_stations(settings, (0.5, 0.5), (True, False))
+        texture = (v_idx, np.zeros(n, np.int8))
+    else:
+        table = montecarlo._AtomTable.of_mixture(UNIFORM_MIXTURE)
+        texture = None
+    lam = np.empty(n)
+    arena = montecarlo._Arena()
+    code = montecarlo._mixture_draw(gen, table, lam, arena, texture)
+    full = lam.copy()  # lam keeps each tile's flat angles compact for _detect
+    montecarlo._hidden_angles(table, code, full, arena)
+    p = np.cos(settings[0][m_idx] - full) ** 2  # an atom's table entry is the same float
+    u = _near_uniforms(p)
+    clicks = np.empty(n, np.int8)
+    montecarlo._detect(_Uniforms(u), table, lam, code, settings[0], m_idx, True, clicks, arena)
+    return clicks > 0, u < p
+
+
+class TestFlatScreen:
+    """A flat pair's click is screened against a float32 cos**2 and decided
+    in float64 within ``_FLAT_EPS`` of it: every click is the float64 one."""
+
+    def test_screen_is_within_a_tenth_of_the_band_of_the_float64_malus(self):
+        specials = np.array([-math.pi, -HALF_PI, 0.0, HALF_PI, math.pi])
+        as32 = specials.astype(np.float32)
+        points = np.concatenate([
+            np.linspace(-math.pi, math.pi, 1 << 22), specials, as32,
+            np.nextafter(as32, np.float32(np.inf)), np.nextafter(as32, np.float32(-np.inf))])
+        arena = montecarlo._Arena()
+        worst = 0.0
+        for s in range(0, points.size, 1 << 18):
+            diff = points[s:s + (1 << 18)]
+            # setting 0 against the hidden angle -diff: the difference is diff exactly
+            screened = np.empty(diff.size)
+            montecarlo._flat_screen(np.zeros(1), np.zeros(diff.size, np.int8), -diff, screened,
+                                    arena)
+            exact = montecarlo._malus(np.zeros(diff.size), -diff)
+            worst = max(worst, float(np.max(np.abs(screened - exact))))
+        assert worst < montecarlo._FLAT_EPS / 10, worst
+
+    @pytest.mark.parametrize("table_kind", ["singles", "uniform"])
+    def test_clicks_at_the_probability_are_the_float64_ones(self, table_kind):
+        got, expected = _flat_detections(table_kind)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("table_kind", ["singles", "uniform"])
+    def test_the_forced_uniforms_reach_the_fallback(self, table_kind, monkeypatch):
+        # without the float64 fallback the screen alone decides, and misses
+        monkeypatch.setattr(montecarlo, "_FLAT_EPS", -1.0)
+        got, expected = _flat_detections(table_kind)
+        assert not np.array_equal(got, expected)
 
 
 class TestStreamDigests:
