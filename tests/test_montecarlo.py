@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1082,7 +1083,9 @@ class TestStreamDigests:
     """Fixed-seed record streams as written by versions 0.2.0, 0.3.0 and 0.4.0;
     the singles runs (one side's flat hidden angles) as written by 0.6.0,
     whose angle fold leaves a canonical angle unchanged; the choice run as
-    written by 0.7.0, a grid timeline of two random-switching stations.
+    written by 0.7.0, a grid timeline of two random-switching stations; the
+    runs without polarizers, the runs with a still station and the flat
+    hidden-angle draw as written by 0.9.2.
 
     A changed digest is a stream change: it bumps the package version and
     is declared, it is never re-pinned to make a kernel change pass.
@@ -1101,7 +1104,21 @@ class TestStreamDigests:
             "588cd50eade6c42ad9d088359d5d091e197a7cbb6ba7e662d9b6cf52d60f053e",
         ("poisson", (False, True)):
             "3fb02b1508cc161e191b8e868ea3449a366fe27c5322bc7b36d2b9a766b4da4f",
+        ("uniform", (False, False)):
+            "e0e524b549413d1c798cdfe960812b4c36b3026e4e295ac709c242dafbe8ce63",
+        ("poisson", (False, False)):
+            "b2a9877c0d5a1e8406177d5032c24201299f68428c9483af2775d2f3747c0281",
     }
+    # the 1982 stations with Alice still at 4 rad (setting_2), Bob still at 0
+    # (setting_1), or both still, Alice at pi and Bob at 0
+    STILL_DIGESTS = {
+        "alice": "f6124ffac5a7a499c2032ce47514844c4f432e30579e192917d4022b2f242780",
+        "bob": "47506f61da1ada273c54dc51a99d41074b043d4f8c1da5f4037f80c7d5299c56",
+        "both": "378cccefc24462c8144de6f021c4dc1062005889d0401523bb9e4a488fe18a64",
+    }
+    STILL_PHASES = {"alice": (4.0, None), "bob": (None, 0.0), "both": (math.pi, 0.0)}
+    # sha256 of sample_lambda(UNIFORM_MIXTURE, RngSpec(64).generator(), 3 * _TILE + 5)
+    UNIFORM_LAMBDA_DIGEST = "687ffa3e77f15fe3cbe8ac43b9319e494132f879f2f71f9291fb7d174491be01"
     CHOICE_DIGEST = "4b031381df17feaffbd553e74cc61e1649947a39f9c172e4a1f1969ea3e9f96b"
     # run_static(0, pi/8, q, 20000, RngSpec(62)): (value, std_error); the std errors
     # of 0.4.0 are the exact +/-1 variance, an ulp off np.std in two of three
@@ -1123,6 +1140,19 @@ class TestStreamDigests:
         t = run_timeline(alice, bob, 20_000, 1e-3, RngSpec(60), emission=emission, pbs=pbs,
                          workers=workers, chunk_size=4096)  # 5 windows
         assert _records_digest(t) == self.TIMELINE_DIGESTS[emission, pbs]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("still", list(STILL_DIGESTS))
+    def test_still_station_columns(self, still, workers):
+        stations = [station if phase is None else
+                    replace(station, switch_frequency=0.0, switch_phase=phase)
+                    for station, phase in zip(aspect_stations(), self.STILL_PHASES[still])]
+        t = run_timeline(*stations, 20_000, 1e-3, RngSpec(63), workers=workers, chunk_size=4096)
+        assert _records_digest(t) == self.STILL_DIGESTS[still]
+
+    def test_uniform_mixture_hidden_angles(self):
+        lam = sample_lambda(UNIFORM_MIXTURE, RngSpec(64).generator(), size=3 * montecarlo._TILE + 5)
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == self.UNIFORM_LAMBDA_DIGEST
 
     def test_choice_trial_columns(self):
         t = run_choice_trials(STANDARD_QUAD, mix_fractions(0.9, 0.9), 20_000, RngSpec(61))
