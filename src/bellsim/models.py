@@ -25,6 +25,7 @@ even though outcomes factorize given the hidden angle.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,18 @@ def _check_fits(flag: str, n: int, item_bytes: int, what: str) -> None:
     if need > physical:
         raise ValidationError(f"{flag} {n} needs {need / 2**30:.3g} GiB of {what}, "
                               f"more than the {physical / 2**30:.3g} GiB of physical memory")
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    """Reject a ``value`` of parameter ``name`` that is not an integer >=
+    ``least``; an integer is what ``operator.index`` takes, and a bool is
+    not one."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def normalize_angle(theta: float) -> float:
@@ -102,7 +115,7 @@ class HvMixture:
                 raise ValidationError(f"atom weight must be nonnegative, got {weight!r}")
             atoms.append((normalize_angle(angle), max(weight, 0.0)))
             total += weight
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:  # a nan weight makes a nan total
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "uniform_weight", max(float(self.uniform_weight), 0.0))
@@ -141,7 +154,7 @@ def texture_mixture(
             f"{len(settings)} settings but {len(weights)} weights"
         )
     total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_TOL:  # a nan weight makes a nan total
         raise ValidationError(f"station weights sum to {total!r}, expected 1")
     atoms = []
     for s, w in zip(settings, weights):

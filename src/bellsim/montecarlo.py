@@ -36,17 +36,19 @@ a run's tally is the same for any worker count.
 
 Kernels: no per-pair trig or modulo where the hidden angle is an atom.  A
 square wave's setting index is x - floor(x) >= 1/2, x = t*nu + phi/2pi,
-which is exact for any t.  With polarizers present the hidden angle takes
-at most 8 values per run (each station's two settings, and each minus
-pi/2); a chunk builds that table once (``_AtomTable``), draws an atom code
-per pair from the slot probabilities and the stations' texture-epoch
-indices, and gathers the Malus probability from a 2x8 ``cos**2`` table of
-measured setting by atom code.  An atom pair's angle is never written
-before both detections, and in a run that keeps no records never at all.
-Only pairs whose hidden angle is a flat draw (the singles runs' uniform
-share, or a uniform mixture component) evaluate ``cos`` per pair, on their
-angles kept compact per tile.  The square of numpy's float32 ``cos`` of
-the angle difference rounded to float32 screens the probability
+which is exact for any t, a still wave's (nu = 0) included.  The hidden
+angle takes at most 8 atom values per run (each present polarizer's two
+settings, and each minus pi/2); a chunk builds that table once
+(``_AtomTable``, whose last code is a flat draw), draws a code per pair
+from the slot probabilities and the stations' texture-epoch indices, and
+gathers the Malus probability from a ``cos**2`` table of measured setting
+by code.  Without atoms (no polarizer, or the uniform mixture) every pair
+takes the flat code and no slot is drawn.  An atom pair's angle is never
+written before both detections, and in a run that keeps no records never at
+all.  Only pairs whose hidden angle is a flat draw (an absent polarizer's
+uniform share, or a uniform mixture component) evaluate ``cos`` per pair,
+on their angles kept compact per tile.  The square of numpy's float32
+``cos`` of the angle difference rounded to float32 screens the probability
 (``_flat_screen``), and a pair whose uniform lies within ``_FLAT_EPS`` of
 the screen is decided by the float64 ``_malus`` (``_flat_near_calls``),
 so every click is the float64 comparison's.  A flat angle needs no ``fmod``
@@ -94,7 +96,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .choice import MAX_PERIODS, ChoiceQuad, StationConfig, SyncFractions, check_station_weights
-from .models import HALF_PI, HvMixture, ValidationError, _check_fits, normalize_angle
+from .models import (HALF_PI, HvMixture, ValidationError, _check_count, _check_fits,
+                     normalize_angle)
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -134,13 +137,6 @@ def as_rng_spec(rng: "RngSpec | int") -> RngSpec:
     if isinstance(rng, bool) or not isinstance(rng, numbers.Integral):
         raise ValidationError(f"rng must be an RngSpec or an integer seed, got {rng!r}")
     return RngSpec(rng)
-
-
-def _check_count(name: str, value: object, least: int) -> None:
-    """Reject a ``value`` of parameter ``name`` that is not an integer >=
-    ``least``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -233,24 +229,6 @@ class Tally:
 
     def __len__(self) -> int:
         return int(self.counts.sum())
-
-
-def normalize_angles(x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of models.normalize_angle (same fmod and folds).
-
-    Each fold adds 0 or pi, the same floats as branching but without a
-    data-dependent choice per element.
-    """
-    r = np.fmod(x, np.pi)
-    fold = np.empty_like(r)
-    np.greater(r, HALF_PI, out=fold)
-    fold *= np.pi
-    r -= fold
-    np.less_equal(r, -HALF_PI, out=fold)
-    fold *= np.pi
-    r += fold
-    r += 0.0
-    return r
 
 
 # --- sampling primitives ----------------------------------------------------
@@ -360,7 +338,7 @@ class _AtomTable:
     @classmethod
     def build(cls, raw: Sequence[float], probs: Sequence[float], uniform: bool,
               codes: Sequence[Sequence[int]]) -> "_AtomTable":
-        angles = np.append(normalize_angles(np.array(raw, dtype=np.float64)), np.nan)
+        angles = np.array([normalize_angle(a) for a in raw] + [math.nan])
         dtype = np.min_scalar_type(-2 * angles.size)  # holds (setting, code) keys too
         rows = [list(row) + [angles.size - 1] * uniform for row in codes]
         return cls(angles, tuple(probs), np.array(rows, dtype=dtype), uniform)
@@ -409,8 +387,8 @@ def _flat_angles(u: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray
     into ``out`` (which may be ``u``); ``mask`` is a bool buffer of their size.
 
     They lie in [-pi/2, pi/2), where the fmod and the upper fold of
-    ``normalize_angles`` are the identity and its lower fold moves -pi/2
-    alone (to pi/2), so this equals it bit for bit.
+    ``models.normalize_angle`` are the identity and its lower fold moves
+    -pi/2 alone (to pi/2), so this equals it bit for bit.
     """
     np.multiply(u, np.pi, out=out)
     out += -HALF_PI
@@ -427,29 +405,25 @@ def _flat_pairs(code: np.ndarray, table: _AtomTable, arena: _Arena) -> np.ndarra
 def _mixture_draw(
     rng: np.random.Generator, table: _AtomTable, lam: np.ndarray, arena: _Arena,
     texture: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """The one hidden-angle sampler: draws the hidden angles of ``lam.size``
-    pairs and returns their atom codes, None without atoms.
+    pairs and returns their atom codes.
 
     A first draw per pair picks a slot by ``table.probs`` in the pair's
     texture state 2*a_v + b_v, of the index columns ``texture`` = (a_v,
     b_v) (one state when None).  With a uniform component, a second draw
     per pair after every first one gives the flat angle of the pairs that
-    picked none (code ``table.flat``).  Without atoms the first draw is the
-    flat angle.  Each stage runs tile by tile; the codes live in the
-    arena's chunk-sized "code" buffer.
+    picked none (code ``table.flat``).  Without atoms there is no slot to
+    pick: no first draw is made, and every pair's code is ``table.flat``.
+    Each stage runs tile by tile; the codes live in the arena's chunk-sized
+    "code" buffer.
 
     Only flat angles are written, into ``lam``, and each tile's stay
     compact at the start of its slice: ``lam[s][:f]`` holds the f flat
-    angles of tile ``s`` in pair order (every angle, without atoms).  An
-    atom pair stays its code; ``_hidden_angles`` writes every pair's angle.
+    angles of tile ``s`` in pair order.  An atom pair stays its code;
+    ``_hidden_angles`` writes every pair's angle.
     """
     m = lam.size
-    if not table.probs:
-        for s in _tiles(m):
-            u = rng.random(out=lam[s])
-            _flat_angles(u, u, arena.take("mask", u.size, np.bool_))
-        return None
     n_slots = table.codes.shape[1]
     codes = table.codes.ravel()
     # state * n_slots + searchsorted(cumsum(probs), u, "right") by one
@@ -457,20 +431,23 @@ def _mixture_draw(
     # threshold is left out, which clamps to the last atom
     thresholds = np.cumsum(table.probs)[: n_slots - 1]
     code = arena.take("code", m, codes.dtype)
-    for s in _tiles(m):
-        t = s.stop - s.start
-        u = rng.random(out=arena.take("u", t, np.float64))
-        key = arena.take("key", t, codes.dtype)
-        if texture is None:
-            key.fill(0)
-        else:
-            np.add(texture[0][s], texture[0][s], out=key)
-            key += texture[1][s]
-            key *= n_slots
-        above = arena.take("mask", t, np.bool_)
-        for c in thresholds:
-            key += np.greater_equal(u, c, out=above)
-        np.take(codes, _index(key, arena), out=code[s], mode="clip")
+    if not table.probs:  # no atoms: no slot to pick
+        code.fill(table.flat)
+    else:
+        for s in _tiles(m):
+            t = s.stop - s.start
+            u = rng.random(out=arena.take("u", t, np.float64))
+            key = arena.take("key", t, codes.dtype)
+            if texture is None:
+                key.fill(0)
+            else:
+                np.add(texture[0][s], texture[0][s], out=key)
+                key += texture[1][s]
+                key *= n_slots
+            above = arena.take("mask", t, np.bool_)
+            for c in thresholds:
+                key += np.greater_equal(u, c, out=above)
+            np.take(codes, _index(key, arena), out=code[s], mode="clip")
     if table.uniform:
         for s in _tiles(m):
             u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
@@ -480,13 +457,11 @@ def _mixture_draw(
     return code
 
 
-def _hidden_angles(table: _AtomTable, code: np.ndarray | None, lam: np.ndarray,
+def _hidden_angles(table: _AtomTable, code: np.ndarray, lam: np.ndarray,
                    arena: _Arena) -> None:
     """Every pair's hidden angle, into the ``lam`` that ``_mixture_draw``
     filled: an atom pair's from its code, and a tile's flat angles moved
     from the start of its slice to its flat pairs, in order."""
-    if code is None:  # no atoms: every angle is flat and in place
-        return
     for s in _tiles(lam.size):
         flat = _flat_pairs(code[s], table, arena) if table.uniform else np.empty(0, np.intp)
         kept = arena.take("u", flat.size, np.float64)
@@ -508,7 +483,7 @@ def _detect(
     rng: np.random.Generator,
     table: _AtomTable,
     lam: np.ndarray,
-    code: np.ndarray | None,
+    code: np.ndarray,
     settings: np.ndarray,
     setting_idx: np.ndarray,
     present: bool,
@@ -534,31 +509,26 @@ def _detect(
         rng.bit_generator.advance(out.size)
         out.fill(1)
         return
-    if code is not None:
-        malus = (np.cos(settings[:, None] - table.angles) ** 2).ravel()
-        width = code.dtype.type(table.angles.size)
+    malus = (np.cos(settings[:, None] - table.angles) ** 2).ravel()
+    width = code.dtype.type(table.angles.size)
     for s in _tiles(out.size):
         t = s.stop - s.start
         u = arena.take("u", t, np.float64)
         p = arena.take("p", t, np.float64)
         idx = setting_idx[s]
-        flat = screen = None
-        if code is None:  # no atoms: every pair is flat, in place
-            screen = _flat_screen(settings, idx, lam[s], p, arena)
-        else:
-            key = np.multiply(idx, width, out=arena.take("key", t, code.dtype))
-            key += code[s]
-            np.take(malus, _index(key, arena), out=p, mode="clip")
-            if table.uniform:
-                # screened compact in u, then scattered over the table's nan
-                flat = _flat_pairs(code[s], table, arena)
-                f = flat.size
-                flat_idx = np.take(idx, flat, out=arena.take("mask", f, np.int8), mode="clip")
-                screen = _flat_screen(settings, flat_idx, lam[s][:f], u[:f], arena)
-                p[flat] = u[:f]
+        key = np.multiply(idx, width, out=arena.take("key", t, code.dtype))
+        key += code[s]
+        np.take(malus, _index(key, arena), out=p, mode="clip")
+        if table.uniform:
+            # screened compact in u, then scattered over the table's nan
+            flat = _flat_pairs(code[s], table, arena)
+            f = flat.size
+            flat_idx = np.take(idx, flat, out=arena.take("mask", f, np.int8), mode="clip")
+            screen = _flat_screen(settings, flat_idx, lam[s][:f], u[:f], arena)
+            p[flat] = u[:f]
         clicks = out[s]
         np.less(rng.random(out=u), p, out=clicks.view(np.bool_))
-        if screen is not None:
+        if table.uniform:
             _flat_near_calls(u, screen, flat, settings, idx, lam[s], clicks.view(np.bool_), arena)
         clicks += clicks
         clicks -= 1
@@ -584,27 +554,22 @@ def _flat_screen(settings: np.ndarray, idx: np.ndarray, lam: np.ndarray, p: np.n
     return screen
 
 
-def _flat_near_calls(u: np.ndarray, screen: np.ndarray, flat: np.ndarray | None,
+def _flat_near_calls(u: np.ndarray, screen: np.ndarray, flat: np.ndarray,
                      settings: np.ndarray, idx: np.ndarray, lam: np.ndarray, clicks: np.ndarray,
                      arena: _Arena) -> None:
     """Decide again, against ``_malus`` in float64, the clicks of the flat
     pairs whose uniform ``u`` lies within ``_FLAT_EPS`` of their ``screen``.
 
-    ``flat`` holds the tile positions of the screened pairs (every pair
-    when None), ``lam`` their compact angles and ``idx`` the tile's setting
-    indices.  The gaps live in the arena's "p" buffer, which the tile's
-    comparison has read.
+    ``flat`` holds the tile positions of the screened pairs, ``lam`` their
+    compact angles and ``idx`` the tile's setting indices.  The gaps live in
+    the arena's "p" buffer, which the tile's comparison has read.
     """
-    gap = arena.take("p", screen.size, np.float64)
-    if flat is None:
-        np.subtract(u, screen, out=gap)
-    else:
-        np.take(u, flat, out=gap, mode="clip")
-        gap -= screen
+    gap = np.take(u, flat, out=arena.take("p", screen.size, np.float64), mode="clip")
+    gap -= screen
     np.abs(gap, out=gap)
     near = np.flatnonzero(np.less(gap, _FLAT_EPS, out=arena.take("mask", gap.size, np.bool_)))
     if near.size:
-        at = near if flat is None else flat[near]
+        at = flat[near]
         clicks[at] = u[at] < _malus(settings[idx[at]], lam[near])
 
 
@@ -643,11 +608,6 @@ def _station_indices(
             u = rng.random(out=arena.take("u", s.stop - s.start, np.float64))
             keep = np.less(u, cfg.sync_probability, out=arena.take("mask", u.size, np.bool_))
             np.equal(m[s].view(np.bool_), keep, out=v[s].view(np.bool_))
-    elif cfg.switch_frequency == 0.0:
-        # a still wave shows the level its phase picks at every time
-        level = _square_wave_index(0.0, cfg.switch_phase, np.zeros(1))[0]
-        v.fill(level)
-        m.fill(level)
     else:
         half = cfg.round_trip_time / 2.0
         for s in _tiles(times.size):
@@ -800,9 +760,10 @@ def run_timeline(
     records: each chunk writes its records into its arena (``_Arena.records``)
     and counts them there (``_count``), and the run sums the chunks' counts,
     which equal ``_tally`` of the records run.  Where no station reads a
-    time (random stations, still waves), such a chunk skips its times: a grid
-    is not filled, and uniform or Poisson times are skipped by advancing the
+    time (both are random stations), such a chunk skips its times: a grid is
+    not filled, and uniform or Poisson times are skipped by advancing the
     chunk's generator past them, so every later draw is the records run's.
+    A periodic station reads its times, a still wave's included.
     """
     _check_count("workers", workers, 1)
     _check_count("chunk_size", chunk_size, 1)
@@ -863,9 +824,8 @@ def run_timeline(
     starts = np.concatenate(([0], np.cumsum(counts))).tolist()
 
     out = _allocate(starts[-1], settings) if records else None
-    # a periodic wave at a nonzero frequency is the only station that reads times
-    timed = records or any(cfg.switching == "periodic" and cfg.switch_frequency != 0.0
-                           for cfg in (alice, bob))
+    # a periodic wave is the only station that reads times
+    timed = records or any(cfg.switching == "periodic" for cfg in (alice, bob))
 
     def one_chunk(i: int) -> np.ndarray | None:
         # disjoint ascending windows: index order is emission order

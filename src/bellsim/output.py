@@ -127,18 +127,20 @@ def read_table(path: "str | Path") -> tuple[dict, list[dict]]:
     # newline="" keeps a quoted field's line breaks as written
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
-    first = text.split("\n", 1)[0].rstrip("\r")
+    first, _, rest = text.partition("\n")
+    first = first.rstrip("\r")
     if first.startswith(PROVENANCE_PREFIX):
         provenance = json.loads(first[len(PROVENANCE_PREFIX):])
-        reader = csv.reader(io.StringIO(text.split("\n", 1)[1]))
-        rows_raw = [r for r in reader if r]
+        rows_raw = [r for r in csv.reader(io.StringIO(rest)) if r]
+        if not rows_raw:
+            raise ValidationError(f"{path}: missing header row")
         header = rows_raw[0]
         rows = [
             {k: _decode_cell(v) for k, v in zip(header, r)} for r in rows_raw[1:]
         ]
         return provenance, rows
     lines = [ln for ln in text.splitlines() if ln]
-    head = json.loads(lines[0])
+    head = json.loads(lines[0]) if lines else {}  # an empty file has no header
     if "provenance" not in head:
         raise ValidationError(f"{path}: missing provenance header")
     rows = [json.loads(ln) for ln in lines[1:]]

@@ -46,7 +46,7 @@ from .choice import (
 )
 # importable here so that benchmarks/spans.py can wrap them by this module's name
 from .choice import s_chsh_fc, s_chsh_mixture, s_prime_fc, s_prime_mixture  # noqa: F401
-from .models import Model, ValidationError, _check_fits
+from .models import Model, ValidationError, _check_count, _check_fits
 
 # engine names, bound when a Monte Carlo path first runs (no numpy at import);
 # the last three are only here for benchmarks/spans.py, which wraps them by name
@@ -120,13 +120,16 @@ class SweepSpec:
                 raise ValidationError(f"sweep {name} must be finite, got {value!r}")
         if not self.start < self.stop:
             raise ValidationError("sweep range must have start < stop")
-        if self.num_points < 2:
+        if type(self.num_points) is int and self.num_points < 2:
             raise ValidationError("sweep needs at least two points")
+        _check_count("num_points", self.num_points, 2)  # a float or a bool is no count
         for e in self.engines:
             if e not in (CLOSED_FORM, MONTE_CARLO):
                 raise ValidationError(f"unknown engine {e!r}")
-        if MONTE_CARLO in self.engines and self.mc_pairs_per_point < 1:
-            raise ValidationError("monte_carlo engine needs mc_pairs_per_point >= 1")
+        if MONTE_CARLO in self.engines:
+            if type(self.mc_pairs_per_point) is int and self.mc_pairs_per_point < 1:
+                raise ValidationError("monte_carlo engine needs mc_pairs_per_point >= 1")
+            _check_count("mc_pairs_per_point", self.mc_pairs_per_point, 1)
         if MONTE_CARLO in self.engines and not math.isfinite(self.mc_duration):
             # else the first Monte Carlo point fails, after the closed-form columns
             raise ValidationError(f"monte_carlo engine needs a finite duration, "

@@ -1051,6 +1051,25 @@ class TestCsvEncoder:
             for row in zip(*columns.values())]
 
 
+class TestReadTable:
+    PROVENANCE = {"tool": "bellsim", "params": {}}
+
+    # an empty file and a CSV of its provenance line alone raised IndexError
+    @pytest.mark.parametrize("name, text, reason", [
+        ("empty.csv", "", "missing provenance header"),
+        ("empty.jsonl", "", "missing provenance header"),
+        ("blank.jsonl", "\n\n", "missing provenance header"),
+        ("provenance.csv", PROVENANCE_PREFIX + json.dumps(PROVENANCE), "missing header row"),
+        ("provenance-line.csv", PROVENANCE_PREFIX + json.dumps(PROVENANCE) + "\r\n",
+         "missing header row"),
+    ])
+    def test_a_table_without_a_header_is_rejected_by_path(self, tmp_path, name, text, reason):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {reason}$"):
+            read_table(path)
+
+
 class TestParser:
     COMMANDS = list(cli._COMMANDS)
 

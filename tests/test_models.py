@@ -22,7 +22,6 @@ from bellsim import (
     normalize_angle,
     texture_mixture,
 )
-from bellsim.montecarlo import normalize_angles
 
 HALF_PI = math.pi / 2
 
@@ -91,16 +90,14 @@ class TestNormalizeAngle:
     @given(st.floats(min_value=-HALF_PI, max_value=HALF_PI, exclude_min=True))
     @settings(max_examples=300, deadline=None)
     def test_canonical_angle_is_kept(self, theta):
-        # the scalar and the vector fold give a canonical angle back bit for bit
+        # the fold gives a canonical angle back bit for bit
         assert normalize_angle(theta) == theta
-        assert normalize_angles(np.array([theta]))[0] == theta
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
     def test_fold_is_idempotent(self, theta):
         r = normalize_angle(theta)
         assert normalize_angle(r) == r
-        assert normalize_angles(np.array([theta]))[0] == r
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=300, deadline=None)
@@ -118,6 +115,16 @@ class TestHvMixture:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             HvMixture(((0.0, -0.5), (0.1, 1.5)))
+
+    # each constructed: a nan total passed the sum check
+    @pytest.mark.parametrize("atoms, uniform_weight", [
+        (((0.0, math.nan),), 0.0),
+        (((0.0, 0.5),), math.nan),
+        (((0.0, math.nan), (0.1, 1.0)), 0.0),
+    ])
+    def test_nan_weight_rejected(self, atoms, uniform_weight):
+        with pytest.raises(ValidationError, match="^mixture weights sum to nan, expected 1$"):
+            HvMixture(atoms, uniform_weight)
 
     def test_atoms_stored_normalized(self):
         q = HvMixture(((math.pi, 0.5), (-HALF_PI, 0.5)))
@@ -166,6 +173,11 @@ class TestTextureMixture:
     def test_bad_weight_sum(self):
         with pytest.raises(ValidationError):
             texture_mixture([0.0, 0.1], [0.6, 0.6])
+
+    def test_nan_weight_rejected(self):
+        # constructed a mixture of nan weights: a nan total passed the sum check
+        with pytest.raises(ValidationError, match="^station weights sum to nan, expected 1$"):
+            texture_mixture([0.0, 1.0], [math.nan, 0.5])
 
 
 class TestDetectProb:

@@ -1,6 +1,7 @@
 """Sweep engine: grids, extrema, distance asymmetry, and the 1982 reconstruction."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -89,6 +90,35 @@ class TestSpecValidation:
                 SweepVariable.F_DIRECT, 0.0, 1.0,
                 engines=(MONTE_CARLO,), mc_pairs_per_point=0,
             )
+
+    # 2.5 raised TypeError in grid(), 3.0 in run_sweep, "3" and None at the bound check;
+    # True said too few points
+    @pytest.mark.parametrize("points", [2.5, 3.0, True, "3", None])
+    def test_rejects_points_that_are_not_an_integer(self, points):
+        given = re.escape(repr(points))
+        with pytest.raises(ValidationError, match=f"^num_points must be an integer >= 2, got {given}$"):
+            SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, num_points=points)
+
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_too_few_integer_points_keep_their_message(self, points):
+        with pytest.raises(ValidationError, match="^sweep needs at least two points$"):
+            SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, num_points=points)
+
+    # 2.5, 1000.0 and True constructed and failed only at the first Monte Carlo point
+    @pytest.mark.parametrize("pairs", [2.5, 1000.0, True, "1000"])
+    def test_mc_rejects_pairs_that_are_not_an_integer(self, pairs):
+        given = re.escape(repr(pairs))
+        with pytest.raises(ValidationError,
+                           match=f"^mc_pairs_per_point must be an integer >= 1, got {given}$"):
+            SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, engines=(MONTE_CARLO,),
+                      mc_pairs_per_point=pairs)
+
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_mc_too_few_integer_pairs_keep_their_message(self, pairs):
+        with pytest.raises(ValidationError,
+                           match="^monte_carlo engine needs mc_pairs_per_point >= 1$"):
+            SweepSpec(SweepVariable.F_DIRECT, 0.0, 1.0, engines=(MONTE_CARLO,),
+                      mc_pairs_per_point=pairs)
 
 
 class TestClosedFormSweep:
