@@ -549,9 +549,12 @@ _WRITE_BLOCK = 4096  # records per write; larger blocks raise peak memory
 def _write_trial_lines(fh, trials) -> None:
     """One JSON line per record.  A block's records share few tails (the
     texture atoms times the 64 setting and outcome bits): each distinct tail
-    is formatted once, and it ends with the next record's head."""
+    is formatted once, and it ends with the next record's head.  The
+    emission times are ``floattext.reprs`` of the block, the text
+    ``float.__repr__`` gives."""
     import numpy as np
 
+    from .floattext import reprs
     from .montecarlo import _bits
 
     if not len(trials):
@@ -571,7 +574,7 @@ def _write_trial_lines(fh, trials) -> None:
                        a_text[k >> 3 & 1], b_text[k >> 2 & 1], sign[k >> 1 & 1], sign[k & 1])
                  for k in keys.tolist()]
         parts = [""] * (2 * len(tail_idx))
-        parts[::2] = map(float.__repr__, trials.emission_time[block].tolist())
+        parts[::2] = reprs(trials.emission_time[block])
         parts[1::2] = map(tails.__getitem__, tail_idx.tolist())
         if block.stop >= len(trials):
             parts[-1] = parts[-1][:-len(_HEAD)]  # no record follows the last

@@ -615,10 +615,10 @@ def _station_indices(
             _square_wave_index(cfg.switch_frequency, cfg.switch_phase, times[s], half, arena, m[s])
 
 
-def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift: float = 0.0,
-                       arena: _Arena | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift: float,
+                       arena: _Arena, out: np.ndarray) -> None:
     """50%-duty square wave at ``times + shift``: 0 for the first half of
-    each period, else 1, as int8 (into ``out`` when given).
+    each period, else 1, into the int8 array ``out``.
 
     The index is ``x - floor(x) >= 0.5``, x = t*frequency + phase/2pi (a
     phase of 0 adds nothing): ``mod(x, 1) >= 0.5`` for every finite x, as
@@ -626,17 +626,14 @@ def _square_wave_index(frequency: float, phase: float, times: np.ndarray, shift:
     x + 1, exact up to 0.5 and above it rounded only within [0.5, 1].  At
     frequency 0 the wave holds the level its phase picks: 0 for phases in
     [0, pi) mod 2pi, 1 for [pi, 2pi).  x and floor(x) live in the arena's
-    "u" and "p" buffers (a fresh arena's when None).
+    "u" and "p" buffers.
     """
-    arena = _Arena() if arena is None else arena
     x = np.add(times, shift, out=arena.take("u", times.size, np.float64))
     x *= frequency
     if phase:
         x += phase / (2.0 * math.pi)
     x -= np.floor(x, out=arena.take("p", times.size, np.float64))
-    out = np.empty(times.size, np.int8) if out is None else out
     np.greater_equal(x, 0.5, out=out.view(np.bool_))
-    return out
 
 
 def _simulate(trials: Trials, station_weights: tuple[float, float], pbs: tuple[bool, bool],
@@ -674,9 +671,10 @@ def run_static(
     """Estimate E(a, b) for a fixed hidden-angle mixture.
 
     Per trial: draw the hidden angle, then independent Malus outcomes at
-    each station.  Returns the mean of alpha*beta with its standard error.
+    each station.  Returns the mean of alpha*beta with its standard error,
+    which takes at least two trials.
     """
-    _check_count("n", n, 1)
+    _check_count("n", n, 2)
     gen = as_rng_spec(rng).generator()
     table = _AtomTable.of_mixture(q)
     lam = np.empty(n)

@@ -183,12 +183,17 @@ class TestRunStatic:
         with pytest.raises(ValidationError):
             run_static(0.0, 0.0, UNIFORM_MIXTURE, 0, RngSpec(9))
 
-    # 2.5 and True failed with numpy's TypeError
-    @pytest.mark.parametrize("n", [2.5, True, "100", -4])
-    def test_rejects_a_trial_count_that_is_not_a_positive_integer(self, n):
+    # 2.5 and True failed with numpy's TypeError; 1 failed after both
+    # detections, in the standard error
+    @pytest.mark.parametrize("n", [2.5, True, "100", -4, 1])
+    def test_rejects_a_trial_count_that_is_not_an_integer_of_two_or_more(self, n):
         given = re.escape(repr(n))
-        with pytest.raises(ValidationError, match=f"^n must be an integer >= 1, got {given}$"):
+        with pytest.raises(ValidationError, match=f"^n must be an integer >= 2, got {given}$"):
             run_static(0.0, 0.0, UNIFORM_MIXTURE, n, RngSpec(9))
+
+    def test_two_trials_give_an_estimate(self):
+        est = run_static(0.0, 0.0, UNIFORM_MIXTURE, 2, RngSpec(9))
+        assert est.n_trials == 2 and math.isfinite(est.std_error)
 
 
 class TestSquareWave:
@@ -198,11 +203,16 @@ class TestSquareWave:
     def reference(frequency, phase, times):
         return (np.mod(times * frequency + phase / (2.0 * math.pi), 1.0) >= 0.5).astype(np.int8)
 
+    @staticmethod
+    def index(frequency, phase, times):
+        out = np.empty(times.size, np.int8)
+        montecarlo._square_wave_index(frequency, phase, times, 0.0, montecarlo._Arena(), out)
+        return out
+
     def check(self, frequency, phase, times):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = montecarlo._square_wave_index(frequency, phase, times)
-        assert got.dtype == np.int8
+            got = self.index(frequency, phase, times)
         assert np.array_equal(got, self.reference(frequency, phase, times))
 
     @pytest.mark.parametrize("frequency, phase", [
@@ -232,7 +242,7 @@ class TestSquareWave:
         self.check(48.4e6, 0.5, times / 48.4e6)
 
     def test_zero_frequency_is_the_first_setting(self):
-        assert not montecarlo._square_wave_index(0.0, 1.0, np.linspace(-1.0, 1.0, 11)).any()
+        assert not self.index(0.0, 1.0, np.linspace(-1.0, 1.0, 11)).any()
 
     HALVES = (-2.0**51 - 0.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 2.0**51 + 0.5)
     EDGES = [-0.0, 0.0, -5e-324, -1e-20, 2.0**52, -2.0**52, 1e300, -1e300, *HALVES,
@@ -250,7 +260,7 @@ class TestSquareWave:
         parity = (np.floor(x + x) != np.floor(x) * 2.0).astype(np.int8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(montecarlo._square_wave_index(1.0, phase, times), parity)
+            assert np.array_equal(self.index(1.0, phase, times), parity)
 
 
 def standard_stations(nu_a, nu_b, phase_a=0.0, phase_b=0.0):
@@ -260,6 +270,20 @@ def standard_stations(nu_a, nu_b, phase_a=0.0, phase_b=0.0):
 
 
 class TestTimeline:
+    @pytest.mark.parametrize("spare, rejected", [(0, False), (-1, True)])
+    def test_memory_check_counts_each_record_twice(self, monkeypatch, spare, rejected):
+        # n pairs pass at twice their records' bytes of physical memory and
+        # are rejected one byte below
+        n = 1000
+        physical = 2 * montecarlo._RECORD_BYTES * n + spare
+        monkeypatch.setattr(os, "sysconf",
+                            {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}.__getitem__)
+        if rejected:
+            with pytest.raises(ValidationError, match="^--pairs 1000 needs .* physical memory$"):
+                montecarlo._check_memory(n)
+        else:
+            montecarlo._check_memory(n)
+
     def test_no_switching_keeps_settings(self):
         alice, bob = standard_stations(0.0, 0.0)
         t = run_timeline(alice, bob, 10_000, 1e-3, RngSpec(10))

@@ -1,5 +1,6 @@
 """What a command loads: closed-form commands and ``--help`` start without
-numpy, and the Monte Carlo engine loads the first time a run needs it.
+numpy, the Monte Carlo engine loads the first time a run needs it, and the
+float formatter only when ``export-trials`` writes a stream.
 
 Each check runs in a fresh interpreter, since this process has long since
 imported numpy.
@@ -23,14 +24,15 @@ ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
        "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 #: runs ``main(argv)`` with its output discarded and reports the exit code
-#: and whether numpy and the engine were loaded
+#: and whether numpy, the engine and the float formatter were loaded
 CHILD = """
 import contextlib, io, json, sys
 from bellsim.cli import main
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-print(json.dumps([code, "numpy" in sys.modules, "bellsim.montecarlo" in sys.modules]))
+print(json.dumps([code, *(name in sys.modules
+                          for name in ("numpy", "bellsim.montecarlo", "bellsim.floattext"))]))
 """
 
 
@@ -46,38 +48,39 @@ SWEEP = ["sweep", "--start", "0", "--stop", "100MHz", "--points", "3"]
 COMMANDS = ["curves", "bell", "sweep", "sync", "aspect", "export-trials"]
 
 
-#: command lines, and whether each loads the engine
+#: command lines, whether each loads the engine, and whether the formatter
 LOADS = [
-    ([], False),  # importing bellsim.cli, and with it bellsim
-    (["curves", "--points", "3"], False),
-    (["sync", *ASPECT], False),
-    (["aspect"], False),
-    (["bell", *ASPECT, "--engine", "closed"], False),
-    (SWEEP, False),
-    (["--help"], False),
-    *(([command, "--help"], False) for command in COMMANDS),
-    (["bell", "--f", "0.9", "--engine", "mc", "--pairs", "300"], True),
-    ([*SWEEP, "--engines", "closed_form,monte_carlo", "--mc-pairs", "300"], True),
-    (["export-trials", *ASPECT, "--pairs", "30", "--output", "{out}"], True),
+    ([], False, False),  # importing bellsim.cli, and with it bellsim
+    (["curves", "--points", "3"], False, False),
+    (["sync", *ASPECT], False, False),
+    (["aspect"], False, False),
+    (["bell", *ASPECT, "--engine", "closed"], False, False),
+    (SWEEP, False, False),
+    (["--help"], False, False),
+    *(([command, "--help"], False, False) for command in COMMANDS),
+    (["bell", "--f", "0.9", "--engine", "mc", "--pairs", "300"], True, False),
+    ([*SWEEP, "--engines", "closed_form,monte_carlo", "--mc-pairs", "300"], True, False),
+    (["export-trials", *ASPECT, "--pairs", "30", "--output", "{out}"], True, True),
 ]
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """(exit code, numpy loaded, engine loaded) of each of ``LOADS``, each
-    in its own interpreter, two at a time."""
+    """(exit code, numpy, engine and formatter loaded) of each of ``LOADS``,
+    each in its own interpreter, two at a time."""
     out = tmp_path_factory.mktemp("startup") / "trials.jsonl"
-    argvs = [json.dumps([a.format(out=out) for a in argv]) for argv, _ in LOADS]
+    argvs = [json.dumps([a.format(out=out) for a in argv]) for argv, _, _ in LOADS]
     with ThreadPoolExecutor(2) as pool:
         return [json.loads(text) for text in pool.map(functools.partial(_child, CHILD), argvs)]
 
 
 @pytest.mark.parametrize("case", range(len(LOADS)),
-                         ids=[" ".join(argv) or "import" for argv, _ in LOADS])
+                         ids=[" ".join(argv) or "import" for argv, _, _ in LOADS])
 def test_numpy_loads_only_with_the_engine(case, loaded):
-    code, numpy_loaded, engine_loaded = loaded[case]
+    code, numpy_loaded, engine_loaded, formatter_loaded = loaded[case]
     assert code == 0
     assert numpy_loaded == engine_loaded == LOADS[case][1]
+    assert formatter_loaded == LOADS[case][2]
 
 
 #: a counting wrapper on each module's run_timeline, set before any engine
