@@ -6,7 +6,7 @@ cross-validates every closed form, and sweep tooling for the proposed
 frequency-scan experiment.
 """
 
-__version__ = "0.9.4"
+__version__ = "0.10.0"
 
 
 # defined before the submodules are imported below: ``cli`` and ``sweep`` use it

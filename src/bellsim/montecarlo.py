@@ -11,13 +11,12 @@ setting-dependence of the mixture.
 Determinism: all sampling is chunked, each chunk owns an RNG stream derived
 from (seed, stream_id, chunk index) and a disjoint time window, and every
 window's record count is known before any chunk runs.  A run that returns
-its records allocates its columns once, a single chunk's included, and each
-chunk writes straight into its slice of them, in index order, from its own
-thread: its times are drawn into the slice and sorted there, and its
-setting indices, hidden angles and outcomes are written in place.  Nothing
-is copied or concatenated afterwards.  Each chunk sorts its own emission
-times before any other draw, so the records are in emission order without
-a global sort.  Results are bit-identical for any worker count.
+its records allocates its columns once, and each chunk writes straight into
+its slice of them from its own thread: its times are drawn into the slice
+and sorted there before any other draw, so the records are in emission
+order without a global sort, and the rest is written in place.  A tally
+chunk runs its pairs in draw order: its counts do not read the order.
+Results are bit-identical for any worker count.
 
 Storage: a polarizer only ever shows one of its two settings, so ``Trials``
 keeps each setting as an int8 index into a 2x2 per-station ``settings``
@@ -57,7 +56,7 @@ its uniforms by advancing the generator.  ``run_timeline``, ``run_static``
 and ``sample_lambda`` share that one sampler and detector; the random
 numbers and their order are those of the per-pair formulas.
 
-Tiles: after its time draw and sort, a chunk runs every per-pair pass over
+Tiles: after its time draw, a chunk runs every per-pair pass over
 tiles of ``_TILE`` records (``_tiles``), stage by stage: the station
 indices, all first hidden-angle draws, then all flat draws, then Alice's
 detection, then Bob's.  Each stage draws its uniforms tile after tile, in
@@ -233,7 +232,7 @@ class Tally:
 
 # --- sampling primitives ----------------------------------------------------
 
-#: Records per tile.  Every per-pair pass of a chunk after its time sort
+#: Records per tile.  Every per-pair pass of a chunk after its time draw
 #: runs over consecutive tiles of at most this many records, so that a
 #: stage's temporaries (26 bytes per tile record) stay in a core's L2 cache.
 _TILE = 1 << 16
@@ -744,24 +743,22 @@ def run_timeline(
     Chunk i owns the window [duration*i/n, duration*(i+1)/n) of the n
     chunks and draws on stream ``spec.child(i)``.  "uniform" takes the
     window counts from one multinomial draw on ``spec.child()``, "poisson"
-    from a first Poisson draw on each window's stream; either sorts its
-    window's times before the setting, hidden-angle and detection draws.
-    With every count known up front, the record columns are allocated once,
-    for one chunk as for many, and chunk i writes straight into the slice
-    after the records of chunks 0..i-1, so the run is in non-decreasing
-    emission time and no record is held twice or copied.  Each running
-    chunk keeps its temporaries in a pooled scratch arena (``_scratch``).
+    from a first Poisson draw on each window's stream.  With every count
+    known up front, the record columns are allocated once, and chunk i
+    sorts its times into the slice after the records of chunks 0..i-1, so
+    the run is in non-decreasing emission time and no record is copied.
+    Each running chunk keeps its temporaries in a pooled scratch arena.
     At most min(workers, cpu count, chunks) threads run; the result is the
     same for any ``workers`` >= 1.
 
     With ``records=False`` the run returns its ``Tally`` and keeps no
     records: each chunk writes its records into its arena (``_Arena.records``)
-    and counts them there (``_count``), and the run sums the chunks' counts,
-    which equal ``_tally`` of the records run.  Where no station reads a
-    time (both are random stations), such a chunk skips its times: a grid is
-    not filled, and uniform or Poisson times are skipped by advancing the
-    chunk's generator past them, so every later draw is the records run's.
-    A periodic station reads its times, a still wave's included.
+    in draw order, unsorted, and counts them there (``_count``); the run sums
+    the chunks' counts.  On a grid they equal ``_tally`` of the records run,
+    and so they do where no station reads a time (both are random stations):
+    such a chunk fills no grid and skips uniform or Poisson times by
+    advancing its generator past them, so every later draw is the records
+    run's.  A periodic station reads its times, a still wave's included.
     """
     _check_count("workers", workers, 1)
     _check_count("chunk_size", chunk_size, 1)
@@ -846,7 +843,8 @@ def run_timeline(
                 gen.random(out=times)
                 times *= w1 - w0
                 times += w0
-                times.sort()
+                if records:
+                    times.sort()
             _station_indices(alice, gen, times, part.a_v_idx, part.a_m_idx, arena)
             _station_indices(bob, gen, times, part.b_v_idx, part.b_m_idx, arena)
             _simulate(part, station_weights, pbs, gen, arena, records)

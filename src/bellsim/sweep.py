@@ -236,11 +236,12 @@ def measure_bell(
     Bob-only on +3, ``n`` pairs each.
 
     Every run keeps no records (``run_timeline(..., records=False)``): each
-    chunk counts its own records in its worker, and the run returns only
-    its tally, so a measurement holds no run's columns and its memory does
-    not grow with ``n``.  S' and S both read the main run's tally, and the
-    estimates equal ``estimate_s_prime`` and ``estimate_s_chsh`` of the
-    records runs.
+    chunk counts its own records, in draw order, in its worker, and the run
+    returns only its tally, so a measurement holds no run's columns and its
+    memory does not grow with ``n``.  S' and S both read the main run's
+    tally.  On a grid the estimates equal ``estimate_s_prime`` and
+    ``estimate_s_chsh`` of the records runs; with a periodic station they
+    share those estimates' law, as the records runs sort their times.
 
     Equal-frequency waves read in phase or in anti-phase at photon arrival
     (t + T/2) show only two of the four measured pairs, so Bob's is offset a

@@ -813,21 +813,58 @@ def _tally_stations(kind: str) -> tuple[StationConfig, StationConfig]:
             "mixed": (periodic[0], random[1])}[kind]
 
 
+def _draw_order_counts(alice, bob, n, duration, spec, emission, pbs, chunk, weights):
+    """The counts of a tally run whose uniform or Poisson times stay in draw
+    order, rebuilt window by window from the module's own pieces."""
+    rate = n / duration
+    n_chunks = max(1, math.ceil((rate * duration if emission == "poisson" else n) / chunk))
+    gens = [spec.child(i) for i in range(n_chunks)]
+    windows = [(duration * i / n_chunks, duration * (i + 1) / n_chunks) for i in range(n_chunks)]
+    if emission == "uniform":
+        sizes = spec.child().multinomial(n, np.full(n_chunks, 1.0 / n_chunks))
+    else:
+        sizes = [gen.poisson(rate * (w1 - w0)) for gen, (w0, w1) in zip(gens, windows)]
+    settings = np.array([alice.settings, bob.settings])
+    counts = np.zeros(16, dtype=np.int64)
+    for gen, (w0, w1), size in zip(gens, windows, sizes):
+        part = montecarlo._allocate(int(size), settings)
+        times = part.emission_time
+        gen.random(out=times)
+        times *= w1 - w0
+        times += w0  # no sort
+        with montecarlo._scratch() as arena:
+            montecarlo._station_indices(alice, gen, times, part.a_v_idx, part.a_m_idx, arena)
+            montecarlo._station_indices(bob, gen, times, part.b_v_idx, part.b_m_idx, arena)
+            montecarlo._simulate(part, weights, pbs, gen, arena, False)
+            counts += montecarlo._count((part.a_m_idx, part.b_m_idx), (part.alpha, part.beta),
+                                        arena)
+    return counts.reshape(2, 2, 2, 2)
+
+
 def _assert_tally_of_records(kind, emission, pbs, n, chunk, workers, seed) -> None:
+    """A tally run counts what its records run holds where both draw alike
+    (a grid, or no station reading a time); a timed uniform or Poisson tally
+    run counts its pairs in draw order (``_draw_order_counts``)."""
     kwargs = dict(emission=emission, pbs=pbs, workers=workers, chunk_size=chunk,
                   station_weights=(0.3, 0.7))
     records = run_timeline(*_tally_stations(kind), n, 1e-4, RngSpec(seed), **kwargs)
     tally = run_timeline(*_tally_stations(kind), n, 1e-4, RngSpec(seed), records=False, **kwargs)
     assert isinstance(tally, montecarlo.Tally)
     assert tally.counts.shape == (2, 2, 2, 2)
-    assert tally.counts.tolist() == montecarlo._tally(records).tolist()
+    if emission == "grid" or kind == "random":
+        expected = montecarlo._tally(records)
+    else:
+        expected = _draw_order_counts(*_tally_stations(kind), n, 1e-4, RngSpec(seed), emission,
+                                      pbs, chunk, (0.3, 0.7))
+    assert tally.counts.tolist() == expected.tolist()
     assert np.array_equal(tally.settings, records.settings)
     assert len(tally) == len(records)
 
 
 class TestTallyRuns:
     """``run_timeline(..., records=False)`` counts each chunk in its worker
-    and returns the tally of the records run."""
+    and returns its tally: that of the records run on a grid or without
+    timed stations, else that of its pairs in draw order."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(["periodic", "still", "random", "mixed"]),

@@ -51,6 +51,13 @@ def estimate(series, which: str, i: int) -> EstimateWithError:
                              series.spec.mc_pairs_per_point)
 
 
+def _estimates_of_tallies(runs) -> tuple[EstimateWithError, EstimateWithError]:
+    """(S', S) of the main, Alice-only and Bob-only ``records=False`` runs."""
+    return (montecarlo._s_prime([run.counts for run in runs], [run.settings for run in runs],
+                                STANDARD_QUAD),
+            montecarlo._s_chsh(runs[0].counts, runs[0].settings, STANDARD_QUAD))
+
+
 def common_sweep(points=1201, engines=("closed_form",), **kw):
     return SweepSpec(
         variable=SweepVariable.FREQUENCY_COMMON,
@@ -475,7 +482,8 @@ class TestMonteCarloSweep:
     # Still-Alice estimates as (value, std_error, n_trials), fixed seeds:
     # Alice over 20 ns, Bob at 48.4 MHz over 43 ns.  A still Alice is
     # measured as the random station in sync with probability 1, main,
-    # Alice-only and Bob-only on streams +1..+3 (version 0.9.0).
+    # Alice-only and Bob-only on streams +1..+3 (version 0.9.0), each run's
+    # pairs counted in draw order (version 0.10.0).
     STATIONS = (
         StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 46.2e6, 0.0, 20e-9),
         StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 48.4e6, 0.0, 43e-9),
@@ -494,9 +502,9 @@ class TestMonteCarloSweep:
                                 stations=(replace(alice, switch_frequency=0.0), bob),
                                 duration=1e-4, station_weights=(0.3, 0.7), workers=2)
         assert (s_p.value, s_p.std_error, s_p.n_trials) == (
-            0.14115234193833737, 0.014596475377749865, 20000)
+            0.15608660261634233, 0.014583583718966463, 20000)
         assert (s_c.value, s_c.std_error, s_c.n_trials) == (
-            2.549251447684416, 0.02179845271561962, 20000)
+            2.538176521325932, 0.021863024934972778, 20000)
 
     def test_distance_ratio_point_is_pinned(self, monkeypatch):
         # the sweep holds the 46.2 MHz Alice still; the table holds no pair
@@ -514,16 +522,17 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(sweep, "measure_bell", measure)
         columns = run_sweep(spec).columns
         assert (columns["mc_s_prime"][1], columns["mc_s_prime_err"][1],
-                measured[1][0].n_trials) == (0.07578591511802979, 0.014542764827676379, 20000)
+                measured[1][0].n_trials) == (0.07294764791440933, 0.014567684149297044, 20000)
         assert (columns["mc_s_chsh"][1], columns["mc_s_chsh_err"][1]) == (
-            2.3014195182329207, 0.023136045870188107)
+            2.2866404115510464, 0.02321216614793176)
 
     @pytest.mark.parametrize("still", ["alice", "bob", "both"])
     def test_still_stations_are_measured_in_sync(self, still):
         # a periodic station at nu = 0 is measured as the random station in
         # sync with probability 1, whatever its own phase (4 rad would show
         # its second setting): main, Alice-only and Bob-only on streams
-        # +1..+3, on an emission grid when both stations are random
+        # +1..+3, on an emission grid when both stations are random; each
+        # run's tally is that of its records=False run
         alice, bob = self.STATIONS
         a0 = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 0.0, 4.0, 20e-9)
         b0 = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 0.0, 4.0, 43e-9)
@@ -536,18 +545,17 @@ class TestMonteCarloSweep:
         n, weights = 20_003, (0.3, 0.7)
         emission = "grid" if still == "both" else "uniform"
         runs = [run_timeline(*measured, n, 1e-4, RngSpec(73, k), emission=emission,
-                             station_weights=weights, pbs=pbs)
+                             station_weights=weights, pbs=pbs, records=False)
                 for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
         s_p, s_c = measure_bell(STANDARD_QUAD, n, RngSpec(73), stations=stations,
                                 duration=1e-4, station_weights=weights)
-        assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
-        assert s_c == estimate_s_chsh(runs[0], STANDARD_QUAD)
+        assert (s_p, s_c) == _estimates_of_tallies(runs)
 
     @pytest.mark.parametrize("b_alt_shift, n, seed, message", [
         (0.1, 2_001, 74, "records contain settings outside the quad"),
         (0.0, 3, 75, "a measured setting pair has no records"),
-        (0.0, 5, 81, "no singles records at Bob's first setting"),
-        (0.0, 5, 75, "need at least two samples for a standard error"),
+        (0.0, 5, 331, "no singles records at Bob's first setting"),
+        (0.0, 5, 77, "need at least two samples for a standard error"),
     ])
     def test_errors_are_those_of_the_estimators(self, b_alt_shift, n, seed, message):
         # a quad the stations do not carry, or too few pairs: measure_bell
@@ -587,11 +595,11 @@ class TestMonteCarloSweep:
         alice = StationConfig(STANDARD_QUAD.a, STANDARD_QUAD.a_alt, 10e6, 0.0, 43e-9)
         bob = StationConfig(STANDARD_QUAD.b, STANDARD_QUAD.b_alt, 10e6, phase_b, rt_b)
         measured = replace(bob, switch_phase=phase_b + math.pi / 2) if locked else bob
-        runs = [run_timeline(alice, measured, 20_000, 1e-3, RngSpec(72, k), pbs=pbs)
+        runs = [run_timeline(alice, measured, 20_000, 1e-3, RngSpec(72, k), pbs=pbs,
+                             records=False)
                 for k, pbs in ((1, (True, True)), (2, (True, False)), (3, (False, True)))]
         s_p, s_c = measure_bell(STANDARD_QUAD, 20_000, RngSpec(72), stations=(alice, bob))
-        assert s_p == estimate_s_prime(*runs, STANDARD_QUAD)
-        assert s_c == estimate_s_chsh(runs[0], STANDARD_QUAD)
+        assert (s_p, s_c) == _estimates_of_tallies(runs)
 
     def test_failure_reports_offending_x(self):
         spec = SweepSpec(
